@@ -30,7 +30,6 @@ from .el import (
     ElSolution,
     PsiMatrix,
     adjust,
-    el_stat,
     solve_dual,
 )
 from .errors import (
@@ -56,6 +55,7 @@ from .periodogram import Periodogram, all_fourier_ordinates, compute_periodogram
 from .whittle import (
     FitResult,
     SandwichDiag,
+    el_stat,
     profile_loglik,
     profile_sigma2,
     psi_full,

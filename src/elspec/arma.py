@@ -24,8 +24,6 @@ from .errors import InputError, InvalidModelError
 # flakiness for coefficients sitting numerically on the unit circle.
 STATIONARITY_MARGIN = 1e-8
 
-_FD_STEP = 1e-6
-
 
 class NoiseKind(enum.Enum):
     """Innovation distribution; both members are mean zero with finite
@@ -141,20 +139,52 @@ class TimeSeries:
         return int(self.values.size)
 
 
-def _poly_mod2(coeffs, omega):
-    """|1 - c_1 e^{-iw} - ... - c_r e^{-iwr}|^2, vectorized over omega."""
+def _lag_poly(coeffs, cos, sin, gradient):
+    """|P|^2 of P(w) = 1 - sum_k c_k e^{-iwk} and, when ``gradient``, its
+    log-derivatives (else None), from the lag table cos(wl), sin(wl).
+
+    Real arithmetic throughout: Re P = 1 - sum_k c_k cos(wk) and
+    Im P = sum_k c_k sin(wk), so |P|^2 = Re P^2 + Im P^2 and, exactly for
+    every order,
+
+        d ln|P|^2 / d c_l = -2 (cos(wl) Re P - sin(wl) Im P) / |P|^2.
+    """
+    c, s = cos[..., : coeffs.size], sin[..., : coeffs.size]
+    re = 1.0 - np.dot(c, coeffs)
+    im = np.dot(s, coeffs)
+    mod2 = re * re + im * im
+    if not gradient:
+        return mod2, None
+    return mod2, -2.0 * (c * re[..., None] - s * im[..., None]) / mod2[..., None]
+
+
+def _shape_and_gradient(spec: ArmaSpec, omega, gradient: bool = True):
+    """g1(w) and, when ``gradient``, the (phi's, theta's) columns of
+    grad ln g1 (else None), both from one lag table.
+
+    ln g1 = ln|theta|^2 - ln|phi|^2 - ln(2 pi), so the AR columns are the
+    negated lag-polynomial derivatives.  Empty polynomials (P = 1) are
+    skipped.  Works for omega of any shape; the gradient gets a trailing
+    parameter axis.
+    """
     w = np.asarray(omega, dtype=float)
-    val = np.ones(w.shape, dtype=complex)
-    for lag, c in enumerate(np.atleast_1d(coeffs), start=1):
-        if c != 0.0:
-            val = val - c * np.exp(-1j * lag * w)
-    return np.abs(val) ** 2
+    no_poly = (1.0, np.empty(w.shape + (0,)))
+    if not (spec.p or spec.q):
+        return np.full(w.shape, 1.0 / (2.0 * np.pi)), no_poly[1]
+    arg = w[..., None] * np.arange(1.0, max(spec.p, spec.q) + 1.0)
+    cos, sin = np.cos(arg), np.sin(arg)
+    ar_mod2, d_ar = _lag_poly(spec.ar, cos, sin, gradient) if spec.p else no_poly
+    ma_mod2, d_ma = _lag_poly(spec.ma, cos, sin, gradient) if spec.q else no_poly
+    g1 = ma_mod2 / ar_mod2 / (2.0 * np.pi)
+    if not gradient:
+        return g1, None
+    return g1, np.concatenate([-d_ar, d_ma], axis=-1)
 
 
 def spectrum_shape(spec: ArmaSpec, omega):
     """Variance-free spectrum g1(w) = |theta(e^{-iw})|^2 / |phi(e^{-iw})|^2 / (2*pi),
     so that the spectral density is sigma2 * g1."""
-    return _poly_mod2(spec.ma, omega) / _poly_mod2(spec.ar, omega) / (2.0 * np.pi)
+    return _shape_and_gradient(spec, omega, gradient=False)[0]
 
 
 def spectral_density(spec: ArmaSpec, omega):
@@ -162,63 +192,21 @@ def spectral_density(spec: ArmaSpec, omega):
     return spec.sigma2 * spectrum_shape(spec, omega)
 
 
-def _closed_form_gradient(spec, w, profile):
-    # Valid only for p <= 1 and q <= 1.
-    cols = []
-    if spec.p == 1:
-        phi = spec.ar[0]
-        a = 1.0 - 2.0 * phi * np.cos(w) + phi * phi
-        cols.append((2.0 * np.cos(w) - 2.0 * phi) / a)
-    if spec.q == 1:
-        theta = spec.ma[0]
-        a = 1.0 - 2.0 * theta * np.cos(w) + theta * theta
-        cols.append((2.0 * theta - 2.0 * np.cos(w)) / a)
-    if not profile:
-        cols.append(np.full(w.shape, 1.0 / spec.sigma2))
-    if not cols:
-        return np.empty(w.shape + (0,))
-    return np.stack(cols, axis=-1)
-
-
-def _fd_gradient(spec, w, profile):
-    # Central differences of ln g; evaluated on raw coefficient arrays so
-    # a perturbation crossing the stationarity margin is still computable.
-    npar = spec.p + spec.q
-    cols = []
-    base = spec.beta1
-
-    def log_shape(vec):
-        ar, ma = vec[: spec.p], vec[spec.p :]
-        return np.log(_poly_mod2(ma, w)) - np.log(_poly_mod2(ar, w))
-
-    for i in range(npar):
-        h = _FD_STEP * max(1.0, abs(base[i]))
-        up, dn = base.copy(), base.copy()
-        up[i] += h
-        dn[i] -= h
-        cols.append((log_shape(up) - log_shape(dn)) / (2.0 * h))
-    if not profile:
-        cols.append(np.full(w.shape, 1.0 / spec.sigma2))
-    if not cols:
-        return np.empty(w.shape + (0,))
-    return np.stack(cols, axis=-1)
-
-
 def log_spectral_gradient(spec: ArmaSpec, omega, profile: bool = False):
     """Gradient of ln g (or of the sigma2-free ln g1 when ``profile``).
 
-    Components are ordered (phi's, theta's[, sigma2]).  Closed forms are used
-    for p,q <= 1; higher orders fall back to central finite differences with
-    step 1e-6.  Returns shape (k,) for scalar omega, (len(omega), k) otherwise.
+    Components are ordered (phi's, theta's[, sigma2]).  With P the AR or MA
+    lag polynomial 1 - sum_k c_k e^{-iwk}, the exact formula
+    d ln|P|^2 / d c_l = -2 (cos(wl) Re P - sin(wl) Im P) / |P|^2 holds for
+    every (p, q); it enters ln g with a minus sign for phi, and
+    d ln g / d sigma2 = 1/sigma2.  Returns shape (k,) for scalar omega,
+    (len(omega), k) otherwise.
     """
-    w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    if spec.p <= 1 and spec.q <= 1:
-        grad = _closed_form_gradient(spec, w, profile)
-    else:
-        grad = _fd_gradient(spec, w, profile)
-    return grad[0] if scalar else grad
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    grad = _shape_and_gradient(spec, w)[1]
+    if not profile:
+        grad = np.concatenate([grad, np.full(w.shape + (1,), 1.0 / spec.sigma2)], axis=-1)
+    return grad[0] if np.ndim(omega) == 0 else grad
 
 
 def simulate(

@@ -36,8 +36,10 @@ def estimate_bartlett(psi: PsiMatrix) -> BartlettFactor:
     """Moment-based Bartlett constant from an unadjusted scalar PsiMatrix.
 
     The psi column is centered before the moments are taken, so the estimate
-    is invariant to rescaling psi.  Raises DegenerateInputError when the
-    column has (numerically) zero variance.
+    is invariant to rescaling psi.  Pearson's inequality for the sample
+    moments, mu4/mu2^2 >= 1 + mu3^2/mu2^3, gives b >= 1/2 + mu3^2/(6 mu2^3)
+    >= 1/2, so the scale 1 + b/n always exceeds 1.  Raises
+    DegenerateInputError when the column has (numerically) zero variance.
     """
     if psi.adjusted:
         raise InputError("estimate_bartlett expects an unadjusted psi matrix")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .arma import ArmaSpec, TimeSeries
-from .confidence import STATUS_LABELS, STATUS_OK, extract_contour, scan_region
+from .confidence import METHODS, STATUS_LABELS, STATUS_OK, extract_contour, scan_region
 from .el import AdjustmentPolicy
 from .errors import (
     ConvergenceError,
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sr = sub.add_parser("region", help="confidence-region grid and contours")
     sr.add_argument("input")
     sr.add_argument("--order", type=_parse_order, required=True, metavar="p,q")
-    sr.add_argument("--method", choices=("el", "ael", "eb", "tb"), default="ael")
+    sr.add_argument("--method", choices=METHODS, default="ael")
     sr.add_argument("--alpha", type=float, default=0.10)
     sr.add_argument("--box", type=_parse_box, required=True, metavar="lo:hi[,lo:hi]")
     sr.add_argument("--steps", type=_parse_steps, default=[60], metavar="n[,n]")

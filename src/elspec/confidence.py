@@ -83,7 +83,7 @@ def grid_axis(lo: float, hi: float, steps: int) -> np.ndarray:
     return (edges[:-1] + edges[1:]) / 2.0
 
 
-def _stat_for_method(pg, spec, method, policy, tb_factor, alpha, k):
+def _stat_for_method(pg, spec, method, policy):
     """Effective statistic at one parameter point; returns (value, status)."""
     try:
         psi = psi_profile(pg, spec)
@@ -91,11 +91,8 @@ def _stat_for_method(pg, spec, method, policy, tb_factor, alpha, k):
             return solve_dual(adjust(psi, policy)).stat, STATUS_OK
         w = solve_dual(psi).stat
         if method == "eb":
-            b = estimate_bartlett(psi).b
-            scale = 1.0 + b / psi.m
-            if scale <= 0.0:
-                return np.nan, STATUS_FAILED
-            return w / scale, STATUS_OK
+            # b_hat >= 1/2 (see estimate_bartlett), so the scale exceeds 1.
+            return w / (1.0 + estimate_bartlett(psi).b / psi.m), STATUS_OK
         return w, STATUS_OK
     except NoSolutionError:
         return np.nan, STATUS_NO_SOLUTION
@@ -165,7 +162,7 @@ def scan_region(
         except InvalidModelError:
             status[idx] = STATUS_INVALID
             continue
-        stat[idx], status[idx] = _stat_for_method(pg, spec, method, policy, tb_factor, alpha, k)
+        stat[idx], status[idx] = _stat_for_method(pg, spec, method, policy)
     return RegionGrid(
         axes=axes, stat=stat, status=status, threshold=threshold,
         method=method, alpha=alpha, order=order,
@@ -233,7 +230,7 @@ def interval_1d(
             spec = ArmaSpec.from_beta1(order, [b])
         except InvalidModelError:
             return _BIG
-        value, st = _stat_for_method(pg, spec, method, policy, tb_factor, alpha, 1)
+        value, st = _stat_for_method(pg, spec, method, policy)
         if st != STATUS_OK:
             return _BIG
         return value - threshold

@@ -311,20 +311,3 @@ def solve_dual(psi: PsiMatrix, keep_trace: bool = False) -> ElSolution:
         iterations=MAX_NEWTON_STEPS,
     )
 
-
-def el_stat(pg, spec, adjusted: bool = True, profile: bool = True,
-            policy: AdjustmentPolicy = MAX_HALF_LOG) -> ElSolution:
-    """EL or adjusted-EL log-ratio statistic of a parameter value.
-
-    Builds the estimating-function matrix from the periodogram and the model
-    (profile form over beta1 with sigma2 profiled out, or the full form
-    including sigma2), optionally appends the adjustment row, and solves the
-    dual.  The ``stat`` field of the result is W (unadjusted) or W*
-    (adjusted) at ``spec``.
-    """
-    from .whittle import psi_full, psi_profile  # deferred: whittle builds on this module
-
-    psi = psi_profile(pg, spec) if profile else psi_full(pg, spec)
-    if adjusted:
-        psi = adjust(psi, policy)
-    return solve_dual(psi)

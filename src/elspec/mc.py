@@ -19,6 +19,7 @@ from scipy.stats import chi2
 
 from .arma import ArmaSpec, NoiseKind, simulate
 from .bartlett import estimate_bartlett
+from .confidence import METHODS
 from .el import AdjustmentPolicy, adjust, solve_dual
 from .errors import (
     ConvergenceError,
@@ -35,7 +36,6 @@ NOISE_BY_NAME = {
     "normal": NoiseKind.STANDARD_NORMAL,
     "chi2_5": NoiseKind.CENTERED_CHI2_5,
 }
-METHODS = ("el", "ael", "eb", "tb")
 
 
 def _as_param_tuple(model: str, value) -> tuple[float, ...]:
@@ -231,8 +231,7 @@ def run_coverage(plan: ExperimentPlan) -> CoverageReport:
                             except DegenerateInputError:
                                 fails[m] += 1
                                 continue
-                            scale = 1.0 + b / n
-                            hits[m] += scale > 0.0 and w <= threshold * scale
+                            hits[m] += w <= threshold * (1.0 + b / n)
                         elif m == "tb":
                             hits[m] += w <= threshold * (1.0 + tb_map[param] / n)
                 for m in plan.methods:

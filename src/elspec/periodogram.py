@@ -30,28 +30,24 @@ class Periodogram:
         return int(self.ords.size)
 
 
-def _ordinates(values: np.ndarray, mean: float, T: int, freqs: np.ndarray) -> np.ndarray:
-    # Direct O(T*n) sine/cosine sums with t = 1..T; fast enough for the
-    # series lengths this library targets and free of FFT scaling choices.
-    t = np.arange(1, T + 1, dtype=float)
-    x = values - mean
-    arg = np.outer(freqs, t)
-    s = np.sin(arg) @ x
-    c = np.cos(arg) @ x
-    return (s * s + c * c) / (2.0 * np.pi * T)
+def _ordinates(series: TimeSeries, count: int) -> np.ndarray:
+    # |sum_t (z_t - zbar) e^{-i w_j t}|^2 / (2*pi*T) for j = 1..count by FFT.
+    # The modulus does not depend on where t starts, so numpy's t = 0..T-1
+    # gives the same ordinates as t = 1..T.
+    dft = np.fft.fft(series.values - series.mean)[1 : count + 1]
+    return (dft.real**2 + dft.imag**2) / (2.0 * np.pi * series.T)
 
 
 def compute_periodogram(series: TimeSeries) -> Periodogram:
     """Periodogram of a series: I(w_j) = [ (sum_t (z_t - zbar) sin(w_j t))^2
     + (sum_t (z_t - zbar) cos(w_j t))^2 ] / (2*pi*T) at w_j = 2*pi*j/T for
-    j = 1..floor((T-1)/2)."""
+    j = 1..floor((T-1)/2), computed by FFT in O(T log T)."""
     T = series.T
     if T < 4:
         raise InputError(f"need T >= 4, got {T}")
     n = (T - 1) // 2
     freqs = 2.0 * np.pi * np.arange(1, n + 1, dtype=float) / T
-    ords = _ordinates(series.values, series.mean, T, freqs)
-    return Periodogram(freqs=freqs, ords=ords, T=T)
+    return Periodogram(freqs=freqs, ords=_ordinates(series, n), T=T)
 
 
 def all_fourier_ordinates(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
@@ -63,4 +59,4 @@ def all_fourier_ordinates(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
     """
     T = series.T
     freqs = 2.0 * np.pi * np.arange(1, T, dtype=float) / T
-    return freqs, _ordinates(series.values, series.mean, T, freqs)
+    return freqs, _ordinates(series, T - 1)

@@ -1,5 +1,5 @@
-"""Whittle spectral likelihood, its estimating functions, the Whittle
-M-estimator, and sandwich-matrix diagnostics.
+"""Whittle spectral likelihood, its estimating functions and the EL statistic
+built from them, the Whittle M-estimator, and sandwich-matrix diagnostics.
 
 The frequency-domain log-likelihood of a parameter vector beta given
 periodogram ordinates I_j at the retained Fourier frequencies is
@@ -20,13 +20,14 @@ from scipy.optimize import minimize
 
 from .arma import (
     ArmaSpec,
+    _shape_and_gradient,
     log_spectral_gradient,
     max_companion_modulus,
     spectral_density,
     spectrum_shape,
     STATIONARITY_MARGIN,
 )
-from .el import MAX_HALF_LOG, AdjustmentPolicy, PsiMatrix, adjust
+from .el import MAX_HALF_LOG, AdjustmentPolicy, ElSolution, PsiMatrix, adjust, solve_dual
 from .errors import InputError, SingularMatrixError
 from .periodogram import Periodogram
 
@@ -87,13 +88,28 @@ def psi_profile(pg: Periodogram, spec: ArmaSpec) -> PsiMatrix:
     internal Gram matrix by the squared mean of the ordinate ratios and
     roughly halves the statistic.  sigma2 of ``spec`` is ignored.
     """
-    g1 = spectrum_shape(spec, pg.freqs)
-    grad = log_spectral_gradient(spec, pg.freqs, profile=True)
+    g1, grad = _shape_and_gradient(spec, pg.freqs)
     if grad.shape[1] == 0:
         return PsiMatrix(np.empty((pg.n, 0)))
     ratio = pg.ords / g1
     centered = grad - grad.mean(axis=0)
     return PsiMatrix((ratio / ratio.mean() - 1.0)[:, None] * centered)
+
+
+def el_stat(pg: Periodogram, spec: ArmaSpec, adjusted: bool = True, profile: bool = True,
+            policy: AdjustmentPolicy = MAX_HALF_LOG) -> ElSolution:
+    """EL or adjusted-EL log-ratio statistic of a parameter value.
+
+    Builds the estimating-function matrix from the periodogram and the model
+    (profile form over beta1 with sigma2 profiled out, or the full form
+    including sigma2), optionally appends the adjustment row, and solves the
+    dual.  The ``stat`` field of the result is W (unadjusted) or W*
+    (adjusted) at ``spec``.
+    """
+    psi = psi_profile(pg, spec) if profile else psi_full(pg, spec)
+    if adjusted:
+        psi = adjust(psi, policy)
+    return solve_dual(psi)
 
 
 @dataclass(frozen=True, eq=False)

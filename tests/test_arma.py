@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.stats import skew
 
@@ -180,6 +181,57 @@ class TestLogSpectralGradient:
         g = log_spectral_gradient(spec, w, profile=False)
         assert g.shape == (9, 3)
         np.testing.assert_allclose(g[4], log_spectral_gradient(spec, w[4], profile=False))
+
+
+def _from_pacf(pacf):
+    """Lag coefficients of a stationary polynomial 1 - sum c_k B^k built from
+    partial autocorrelations in (-1, 1) by the Durbin-Levinson recursion."""
+    c = np.empty(0)
+    for r in pacf:
+        c = np.append(c - r * c[::-1], r)
+    return c
+
+
+def _complex_step_log_gradient(spec, omega, profile, h=1e-30):
+    """Complex-step derivatives Im f(beta + i h e_l) / h of
+    f = ln|P_ma|^2 - ln|P_ar|^2 [+ ln sigma2], with |P|^2 = A^2 + B^2 for
+    A = 1 - sum_k c_k cos(wk) and B = sum_k c_k sin(wk) (the real and
+    imaginary parts of P at real c).  A and B are polynomials in c, so f is
+    analytic in real beta and the complex step is exact to rounding."""
+    p, q = spec.order
+    base = (spec.beta1 if profile else spec.beta).astype(complex)
+
+    def log_g(beta):
+        def mod2(coeffs):
+            lags = np.arange(1, coeffs.size + 1)
+            a = 1.0 - coeffs @ np.cos(omega * lags)
+            b = coeffs @ np.sin(omega * lags)
+            return a * a + b * b
+
+        out = np.log(mod2(beta[p : p + q])) - np.log(mod2(beta[:p]))
+        return out if profile else out + np.log(beta[-1])
+
+    steps = np.eye(base.size) * 1j * h
+    return np.array([log_g(base + step).imag / h for step in steps])
+
+
+_pacfs = st.lists(st.floats(-0.9, 0.9), max_size=3)
+
+
+@given(
+    ar_pacf=_pacfs,
+    ma_pacf=_pacfs,
+    sigma2=st.floats(0.1, 10.0),
+    omega=st.floats(0.01, math.pi - 0.01),
+    profile=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_log_spectral_gradient_matches_complex_step(ar_pacf, ma_pacf, sigma2, omega, profile):
+    spec = ArmaSpec(ar=_from_pacf(ar_pacf), ma=_from_pacf(ma_pacf), sigma2=sigma2)
+    got = log_spectral_gradient(spec, omega, profile=profile)
+    want = _complex_step_log_gradient(spec, omega, profile)
+    scale = np.abs(want).max(initial=0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestSimulate:

@@ -48,6 +48,35 @@ class TestEstimateBartlett:
         assert b1 == pytest.approx(b0, rel=1e-9)
 
 
+    @given(
+        column=st.one_of(
+            st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60),
+            # two-point columns: the bound is attained when mu3 = 0
+            st.tuples(
+                st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.integers(1, 30), st.integers(1, 30)
+            ).map(lambda t: [t[0]] * t[2] + [t[1]] * t[3]),
+            # skewed (exponential) and heavy-tailed (Student t, 1.5 df) draws
+            st.tuples(st.integers(0, 2**16), st.integers(2, 300)).map(
+                lambda t: np.random.default_rng(t[0]).exponential(size=t[1])
+            ),
+            st.tuples(st.integers(0, 2**16), st.integers(2, 300)).map(
+                lambda t: np.random.default_rng(t[0]).standard_t(1.5, size=t[1])
+            ),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_estimate_at_least_one_half(self, column):
+        # Pearson's inequality mu4/mu2^2 >= 1 + mu3^2/mu2^3 holds for the
+        # moments of any sample, so b >= 1/2 and the eb scale 1 + b/n > 1.
+        # Two-point columns with mu3 = 0 attain the bound, where rounding
+        # may leave b a few ulps below it.
+        rows = np.asarray(column, dtype=float)[:, None]
+        try:
+            b = estimate_bartlett(PsiMatrix(rows)).b
+        except DegenerateInputError:
+            return
+        assert b >= 0.5 - 1e-12
+
 class TestCorrectedThreshold:
     def test_plain_chi2_quantile_df2(self):
         # chi2_{2,0.9} = -2 ln(0.1), exact for two degrees of freedom

@@ -108,3 +108,19 @@ def test_matches_direct_formula_small_case():
         c = sum((vals[t - 1] - ts.mean) * math.cos(w * t) for t in range(1, T + 1))
         expected = (s * s + c * c) / (TWO_PI * T)
         assert pg.ords[j - 1] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("T", [20000, 9999])
+def test_matches_direct_sums_long_series(T):
+    # Direct sine/cosine sums at a handful of frequencies; j*t is reduced
+    # mod T before the sine is taken, so the oracle keeps full accuracy.
+    rng = np.random.default_rng(T)
+    ts = TimeSeries(rng.standard_normal(T) + 0.5 * np.sin(0.01 * np.arange(T)))
+    pg = compute_periodogram(ts)
+    x = ts.values - ts.mean
+    t = np.arange(1, T + 1)
+    for j in (1, 2, 17, T // 5, pg.n - 1, pg.n):
+        arg = TWO_PI * ((j * t) % T) / T
+        expected = ((x @ np.sin(arg)) ** 2 + (x @ np.cos(arg)) ** 2) / (TWO_PI * T)
+        assert pg.freqs[j - 1] == TWO_PI * j / T
+        assert pg.ords[j - 1] == pytest.approx(expected, rel=1e-12, abs=1e-12 * pg.ords.mean())
