@@ -33,18 +33,50 @@ class NoiseKind(enum.Enum):
     CENTERED_CHI2_5 = "chi2_5"  # chi-square(5) draw minus its mean 5
 
 
-def max_companion_modulus(coeffs) -> float:
+def max_companion_modulus(coeffs):
     """Largest eigenvalue modulus of the companion matrix of the recursion
     x_t = c_1 x_{t-1} + ... + c_r x_{t-r}.
 
     The coefficients are the lag weights of 1 - c_1 B - ... - c_r B^r, so a
     value below 1 means all polynomial roots lie outside the unit circle.
+    A 1-D ``coeffs`` gives a float; an (N, r) stack gives one modulus per
+    row.  Each value is bitwise what ``np.roots`` of the polynomial gives:
+    trailing zero coefficients (roots at zero) are dropped, order 1 is |c_1|,
+    and higher orders take the eigenvalues of the same companion matrix,
+    batched over the rows of each order.  Rows with a non-finite entry give
+    inf.
     """
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if c.size == 0 or not np.any(c):
-        return 0.0
-    roots = np.roots(np.concatenate(([1.0], -c)))
-    return float(np.max(np.abs(roots)))
+    c = np.asarray(coeffs, dtype=float)
+    stack = c.reshape(1, -1) if c.ndim <= 1 else c
+    if stack.shape[1] == 0:
+        out = np.zeros(len(stack))
+    elif stack.shape[1] == 1:  # the 1 x 1 companion matrix [c_1]
+        out = np.abs(stack[:, 0])
+        out[np.isnan(out)] = np.inf
+    else:
+        # np.roots drops trailing zero coefficients, so each row's companion
+        # matrix has the order of its last nonzero coefficient.
+        nonzero = stack != 0.0
+        order = (stack.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)) * nonzero.any(axis=1)
+        order[~np.isfinite(stack).all(axis=1)] = -1
+        out = np.where(order == -1, np.inf, 0.0)
+        out[order == 1] = np.abs(stack[order == 1, 0])
+        for r in range(2, stack.shape[1] + 1):
+            rows = stack[order == r, :r]
+            if len(rows):
+                companion = np.zeros((len(rows), r, r))
+                companion[:, 0, :] = rows
+                companion[:, np.arange(1, r), np.arange(r - 1)] = 1.0
+                out[order == r] = np.abs(np.linalg.eigvals(companion)).max(axis=1)
+    return float(out[0]) if c.ndim <= 1 else out
+
+
+def stationary_invertible(ar, ma) -> np.ndarray:
+    """The ArmaSpec stationarity/invertibility invariant for stacks of
+    models: True where both the AR rows ``ar`` (N, p) and the MA rows ``ma``
+    (N, q) have companion modulus below 1 - STATIONARITY_MARGIN."""
+    limit = 1.0 - STATIONARITY_MARGIN
+    return (max_companion_modulus(ar) < limit) & (max_companion_modulus(ma) < limit)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,46 +171,69 @@ class TimeSeries:
         return int(self.values.size)
 
 
-def _lag_poly(coeffs, cos, sin, gradient):
-    """|P|^2 of P(w) = 1 - sum_k c_k e^{-iwk} and, when ``gradient``, its
-    log-derivatives (else None), from the lag table cos(wl), sin(wl).
+def _lag_poly(coeffs, cos, sin, grad=None):
+    """|P|^2 of P(w) = 1 - sum_k c_k e^{-iwk} for a stack of coefficient
+    vectors ``coeffs`` (N, r) from the lag table cos(wl), sin(wl) (n, L >= r);
+    when ``grad`` (an (N, n, r) array) is given, its log-derivatives are
+    written into it.
 
     Real arithmetic throughout: Re P = 1 - sum_k c_k cos(wk) and
     Im P = sum_k c_k sin(wk), so |P|^2 = Re P^2 + Im P^2 and, exactly for
     every order,
 
         d ln|P|^2 / d c_l = -2 (cos(wl) Re P - sin(wl) Im P) / |P|^2.
+
+    The sums run lag by lag, so each row's values do not depend on the
+    stack it is in.
     """
-    c, s = cos[..., : coeffs.size], sin[..., : coeffs.size]
-    re = 1.0 - np.dot(c, coeffs)
-    im = np.dot(s, coeffs)
+    r = coeffs.shape[1]
+    c, s = cos[:, :r], sin[:, :r]
+    re, im = coeffs[:, :1] * c[:, 0], coeffs[:, :1] * s[:, 0]
+    for lag in range(1, r):
+        re += coeffs[:, lag : lag + 1] * c[:, lag]
+        im += coeffs[:, lag : lag + 1] * s[:, lag]
+    np.subtract(1.0, re, out=re)
     mod2 = re * re + im * im
-    if not gradient:
-        return mod2, None
-    return mod2, -2.0 * (c * re[..., None] - s * im[..., None]) / mod2[..., None]
+    if grad is not None:
+        np.multiply(c, re[..., None], out=grad)
+        grad -= s * im[..., None]
+        grad *= -2.0
+        grad /= mod2[..., None]
+    return mod2
+
+
+def shape_and_gradient_stack(ar, ma, omega, gradient: bool = True):
+    """g1(w) and, when ``gradient``, the (phi's, theta's) columns of
+    grad ln g1 (else None) for a stack of models, all from one lag table.
+
+    ``ar`` is (N, p) and ``ma`` (N, q), one model per row; ``omega`` is a
+    1-D frequency grid of length n.  Returns g1 of shape (N, n) and the
+    gradient of shape (N, n, p + q).  ln g1 = ln|theta|^2 - ln|phi|^2 -
+    ln(2 pi), so the AR columns are the negated lag-polynomial derivatives;
+    empty polynomials (P = 1) are skipped.
+    """
+    ar, ma = np.asarray(ar, dtype=float), np.asarray(ma, dtype=float)
+    w = np.asarray(omega, dtype=float)
+    count, p, q = max(len(ar), len(ma)), ar.shape[1], ma.shape[1]
+    grad = np.empty((count, w.size, p + q)) if gradient else None
+    if not (p or q):
+        return np.full((count, w.size), 1.0 / (2.0 * np.pi)), grad
+    arg = w[:, None] * np.arange(1.0, max(p, q) + 1.0)
+    cos, sin = np.cos(arg), np.sin(arg)
+    ar_mod2 = _lag_poly(ar, cos, sin, None if grad is None else grad[..., :p]) if p else 1.0
+    ma_mod2 = _lag_poly(ma, cos, sin, None if grad is None else grad[..., p:]) if q else 1.0
+    if grad is not None:
+        np.negative(grad[..., :p], out=grad[..., :p])
+    return ma_mod2 / ar_mod2 / (2.0 * np.pi), grad
 
 
 def _shape_and_gradient(spec: ArmaSpec, omega, gradient: bool = True):
-    """g1(w) and, when ``gradient``, the (phi's, theta's) columns of
-    grad ln g1 (else None), both from one lag table.
-
-    ln g1 = ln|theta|^2 - ln|phi|^2 - ln(2 pi), so the AR columns are the
-    negated lag-polynomial derivatives.  Empty polynomials (P = 1) are
-    skipped.  Works for omega of any shape; the gradient gets a trailing
-    parameter axis.
-    """
+    """:func:`shape_and_gradient_stack` for one model at frequencies of any
+    shape; the gradient gets a trailing parameter axis."""
     w = np.asarray(omega, dtype=float)
-    no_poly = (1.0, np.empty(w.shape + (0,)))
-    if not (spec.p or spec.q):
-        return np.full(w.shape, 1.0 / (2.0 * np.pi)), no_poly[1]
-    arg = w[..., None] * np.arange(1.0, max(spec.p, spec.q) + 1.0)
-    cos, sin = np.cos(arg), np.sin(arg)
-    ar_mod2, d_ar = _lag_poly(spec.ar, cos, sin, gradient) if spec.p else no_poly
-    ma_mod2, d_ma = _lag_poly(spec.ma, cos, sin, gradient) if spec.q else no_poly
-    g1 = ma_mod2 / ar_mod2 / (2.0 * np.pi)
-    if not gradient:
-        return g1, None
-    return g1, np.concatenate([-d_ar, d_ma], axis=-1)
+    g1, grad = shape_and_gradient_stack(spec.ar[None], spec.ma[None], w.ravel(), gradient)
+    g1 = g1[0].reshape(w.shape)
+    return g1, None if grad is None else grad[0].reshape(w.shape + (spec.p + spec.q,))
 
 
 def spectrum_shape(spec: ArmaSpec, omega):

@@ -45,14 +45,23 @@ def estimate_bartlett(psi: PsiMatrix) -> BartlettFactor:
         raise InputError("estimate_bartlett expects an unadjusted psi matrix")
     if psi.k != 1:
         raise InputError(f"estimated Bartlett correction is scalar-parameter only, got k={psi.k}")
-    c = psi.rows[:, 0] - psi.rows[:, 0].mean()
-    mu2 = float(np.mean(c**2))
-    if mu2 < _MIN_MU2:
-        raise DegenerateInputError(f"psi column variance {mu2:.3e} is degenerate")
-    mu3 = float(np.mean(c**3))
-    mu4 = float(np.mean(c**4))
-    b = mu4 / (2.0 * mu2**2) - mu3**2 / (3.0 * mu2**3)
+    b = float(bartlett_constants(psi.rows[None, :, 0])[0])
+    if np.isnan(b):
+        raise DegenerateInputError("psi column variance is degenerate")
     return BartlettFactor(b=b, source="estimated")
+
+
+def bartlett_constants(columns) -> np.ndarray:
+    """:func:`estimate_bartlett` for a stack of scalar psi columns (N, n):
+    one b_hat per row, NaN where the column variance is below 1e-12."""
+    c = columns - columns.mean(axis=1, keepdims=True)
+    mu2 = np.mean(c**2, axis=1)
+    mu3 = np.mean(c**3, axis=1)
+    mu4 = np.mean(c**4, axis=1)
+    degenerate = mu2 < _MIN_MU2
+    mu2 = np.where(degenerate, 1.0, mu2)
+    b = mu4 / (2.0 * mu2**2) - mu3**2 / (3.0 * mu2**3)
+    return np.where(degenerate, np.nan, b)
 
 
 def supplied_bartlett(b: float) -> BartlettFactor:

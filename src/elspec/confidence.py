@@ -19,24 +19,24 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.stats import chi2
 
-from .arma import ArmaSpec, STATIONARITY_MARGIN
-from .bartlett import corrected_threshold, estimate_bartlett, supplied_bartlett
-from .el import MAX_HALF_LOG, AdjustmentPolicy, adjust, solve_dual
-from .errors import (
-    ConvergenceError,
-    DegenerateInputError,
-    InputError,
-    InvalidModelError,
-    NoSolutionError,
+from .arma import ArmaSpec, STATIONARITY_MARGIN, stationary_invertible
+from .bartlett import bartlett_constants, corrected_threshold, supplied_bartlett
+from .el import (
+    MAX_HALF_LOG,
+    STATUS_FAILED,
+    STATUS_NO_SOLUTION,
+    STATUS_OK,
+    AdjustmentPolicy,
+    adjust_rows,
+    batch_slices,
+    solve_duals,
 )
+from .errors import ConvergenceError, InputError, InvalidModelError
 from .periodogram import Periodogram
-from .whittle import FitResult, psi_profile, whittle_fit
+from .whittle import FitResult, psi_profile_rows, whittle_fit
 
 METHODS = ("el", "ael", "eb", "tb")
 
-STATUS_OK = 0
-STATUS_NO_SOLUTION = 1
-STATUS_FAILED = 2
 STATUS_INVALID = 3
 STATUS_LABELS = {
     STATUS_OK: "ok",
@@ -56,7 +56,10 @@ class RegionGrid:
     "eb" method it is the Bartlett-scaled W/(1 + b_hat/n) so that the single
     ``threshold`` applies uniformly.  Node j of an axis sits at the center of
     the j-th of ``steps`` equal subdivisions of the box, keeping every node
-    strictly inside an open box such as (0,1)^2.
+    strictly inside an open box such as (0,1)^2.  ``iterations`` and
+    ``residual`` are the dual solver's Newton steps and final
+    multiplier-equation norm at each ok node; every other node carries -1
+    and NaN.  Hand-built grids may leave both None.
     """
 
     axes: tuple
@@ -66,6 +69,8 @@ class RegionGrid:
     method: str
     alpha: float
     order: tuple
+    iterations: np.ndarray | None = None
+    residual: np.ndarray | None = None
 
     def inside(self) -> np.ndarray:
         """Boolean mask of nodes with a defined statistic below threshold."""
@@ -83,21 +88,45 @@ def grid_axis(lo: float, hi: float, steps: int) -> np.ndarray:
     return (edges[:-1] + edges[1:]) / 2.0
 
 
-def _stat_for_method(pg, spec, method, policy):
-    """Effective statistic at one parameter point; returns (value, status)."""
-    try:
-        psi = psi_profile(pg, spec)
+@dataclass(frozen=True, eq=False)
+class MethodStats:
+    """Per-problem effective statistic of one method: ``stat`` (NaN unless
+    ``status`` is STATUS_OK), ``status``, and the dual's ``iterations`` and
+    ``residual``."""
+
+    stat: np.ndarray
+    status: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+
+
+def method_stats(rows, methods, policy: AdjustmentPolicy = MAX_HALF_LOG) -> dict:
+    """Effective statistic of every method in ``methods`` on a stack of
+    unadjusted profile psi rows (N, n, k); returns method -> MethodStats.
+
+    "el" and "tb" give W, "ael" the adjusted W* (solved on the rows with
+    the pseudo-observation appended under ``policy``), "eb" the
+    Bartlett-scaled W/(1 + b_hat/n).  The methods built on W share one solve.
+    "eb" needs k = 1; a degenerate psi column makes its status STATUS_FAILED.
+    """
+    out = {}
+    if any(m != "ael" for m in methods):
+        el = solve_duals(rows)
+    for method in methods:
         if method == "ael":
-            return solve_dual(adjust(psi, policy)).stat, STATUS_OK
-        w = solve_dual(psi).stat
+            adj = solve_duals(*adjust_rows(rows, policy))
+            out[method] = MethodStats(adj.stat, adj.status, adj.iterations, adj.residual)
+            continue
+        stat, status = el.stat, el.status
         if method == "eb":
+            if rows.shape[2] != 1:
+                raise InputError(
+                    f"estimated Bartlett correction is scalar-parameter only, got k={rows.shape[2]}")
             # b_hat >= 1/2 (see estimate_bartlett), so the scale exceeds 1.
-            return w / (1.0 + estimate_bartlett(psi).b / psi.m), STATUS_OK
-        return w, STATUS_OK
-    except NoSolutionError:
-        return np.nan, STATUS_NO_SOLUTION
-    except (ConvergenceError, DegenerateInputError):
-        return np.nan, STATUS_FAILED
+            stat = stat / (1.0 + bartlett_constants(rows[:, :, 0]) / rows.shape[1])
+            status = np.where((status == STATUS_OK) & np.isnan(stat), STATUS_FAILED, status)
+        out[method] = MethodStats(stat, status, el.iterations, el.residual)
+    return out
 
 
 def _method_threshold(method, k, alpha, tb_factor, n):
@@ -122,7 +151,10 @@ def scan_region(
 
     ``box`` is a per-parameter sequence of (lo, hi) ranges and ``steps`` the
     matching node counts (a single int is broadcast).  Per-node solver
-    failures are flagged in ``status`` without aborting the scan.
+    failures are flagged in ``status`` without aborting the scan.  All
+    nodes are validated at once; the valid ones are solved in batches of a
+    few hundred nodes (fewer for long series) by one
+    :func:`elspec.el.solve_duals` call each.
     """
     p, q = order
     k = p + q
@@ -152,20 +184,27 @@ def scan_region(
     tb_factor = supplied_bartlett(tb_constant) if tb_constant is not None else None
     threshold = _method_threshold(method, k, alpha, tb_factor, pg.n)
 
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
+    ar, ma = nodes[:, :p], nodes[:, p:]
+    valid = stationary_invertible(ar, ma)
+    stat = np.full(len(nodes), np.nan)
+    status = np.where(valid, STATUS_OK, STATUS_INVALID)
+    iterations = np.full(len(nodes), -1)
+    residual = np.full(len(nodes), np.nan)
+    solved = np.flatnonzero(valid)
+    for part in batch_slices(solved.size, (pg.n + 1) * k):
+        at = solved[part]
+        rows = psi_profile_rows(pg.freqs, pg.ords, ar[at], ma[at])
+        res = method_stats(rows, (method,), policy)[method]
+        ok = res.status == STATUS_OK
+        stat[at], status[at] = res.stat, res.status
+        iterations[at] = np.where(ok, res.iterations, -1)
+        residual[at] = np.where(ok, res.residual, np.nan)
     shape = tuple(len(ax) for ax in axes)
-    stat = np.full(shape, np.nan)
-    status = np.full(shape, STATUS_OK, dtype=int)
-    for idx in np.ndindex(*shape):
-        vec = np.array([axes[d][idx[d]] for d in range(k)])
-        try:
-            spec = ArmaSpec.from_beta1(order, vec)
-        except InvalidModelError:
-            status[idx] = STATUS_INVALID
-            continue
-        stat[idx], status[idx] = _stat_for_method(pg, spec, method, policy)
     return RegionGrid(
-        axes=axes, stat=stat, status=status, threshold=threshold,
-        method=method, alpha=alpha, order=order,
+        axes=axes, stat=stat.reshape(shape), status=status.reshape(shape), threshold=threshold,
+        method=method, alpha=alpha, order=order, iterations=iterations.reshape(shape),
+        residual=residual.reshape(shape),
     )
 
 
@@ -230,10 +269,11 @@ def interval_1d(
             spec = ArmaSpec.from_beta1(order, [b])
         except InvalidModelError:
             return _BIG
-        value, st = _stat_for_method(pg, spec, method, policy)
-        if st != STATUS_OK:
+        rows = psi_profile_rows(pg.freqs, pg.ords, spec.ar[None], spec.ma[None])
+        res = method_stats(rows, (method,), policy)[method]
+        if res.status[0] != STATUS_OK:
             return _BIG
-        return value - threshold
+        return float(res.stat[0]) - threshold
 
     def find_edge(direction):
         # direction +1 for the upper endpoint, -1 for the lower

@@ -18,18 +18,11 @@ import numpy as np
 from scipy.stats import chi2
 
 from .arma import ArmaSpec, NoiseKind, simulate
-from .bartlett import estimate_bartlett
-from .confidence import METHODS
-from .el import AdjustmentPolicy, adjust, solve_dual
-from .errors import (
-    ConvergenceError,
-    DegenerateInputError,
-    InputError,
-    InvalidModelError,
-    NoSolutionError,
-)
-from .periodogram import compute_periodogram
-from .whittle import psi_profile
+from .confidence import METHODS, method_stats
+from .el import STATUS_FAILED, STATUS_NO_SOLUTION, AdjustmentPolicy, batch_slices
+from .errors import InputError, InvalidModelError
+from .periodogram import periodogram_stack
+from .whittle import psi_profile_rows
 
 MODEL_ORDERS = {"ma1": (0, 1), "ar1": (1, 0), "arma11": (1, 1)}
 NOISE_BY_NAME = {
@@ -177,7 +170,10 @@ def run_coverage(plan: ExperimentPlan) -> CoverageReport:
 
     Within one replication every method sees the same simulated series and
     the same estimating-function rows at the true parameter, so method
-    comparisons are paired.
+    comparisons are paired.  Replication r of a cell draws its series from
+    its own seed ``derive_seed(plan.seed, cell, r)``; the replications of a
+    cell then share one FFT, one psi construction and one dual solve per
+    method, in batches of a few hundred replications (fewer for long series).
     """
     order = plan.order
     k = sum(order)
@@ -187,53 +183,34 @@ def run_coverage(plan: ExperimentPlan) -> CoverageReport:
     cells = []
     cell_index = 0
     for T in plan.sample_sizes:
+        n = (T - 1) // 2
         for noise_name in plan.noises:
             noise = NOISE_BY_NAME[noise_name]
             for param in plan.params:
                 spec_true = ArmaSpec.from_beta1(order, param)
+                limit = {m: threshold * (1.0 + tb_map[param] / n) if m == "tb" else threshold
+                         for m in plan.methods}
                 hits = {m: 0 for m in plan.methods}
                 nosol = {m: 0 for m in plan.methods}
                 fails = {m: 0 for m in plan.methods}
-                for rep in range(plan.replications):
-                    seed = derive_seed(plan.seed, cell_index, rep)
-                    series = simulate(spec_true, T, noise, seed, center=plan.noise_centering)
-                    pg = compute_periodogram(series)
-                    psi = psi_profile(pg, spec_true)
-                    n = psi.m
-                    w = None
-                    el_nosol = el_fail = False
-                    if any(m in plan.methods for m in ("el", "eb", "tb")):
-                        try:
-                            w = solve_dual(psi).stat
-                        except NoSolutionError:
-                            el_nosol = True
-                        except ConvergenceError:
-                            el_fail = True
+                # The FFT's complex buffers (about 5 T doubles a series)
+                # outweigh a replication's (n + 1) k psi entries, so they size
+                # the batches.
+                for part in batch_slices(plan.replications, max((n + 1) * k, 2 * T)):
+                    freqs, ords = periodogram_stack(
+                        simulate(spec_true, T, noise, derive_seed(plan.seed, cell_index, rep),
+                                 center=plan.noise_centering)
+                        for rep in range(part.start, part.stop)
+                    )
+                    rows = psi_profile_rows(freqs, ords, spec_true.ar[None], spec_true.ma[None])
+                    stats = method_stats(rows, plan.methods, policy)
                     for m in plan.methods:
-                        if m == "ael":
-                            try:
-                                wstar = solve_dual(adjust(psi, policy)).stat
-                                hits[m] += wstar <= threshold
-                            except (NoSolutionError, ConvergenceError):
-                                fails[m] += 1
-                            continue
-                        if el_nosol:
-                            nosol[m] += 1  # counted as non-coverage
-                            continue
-                        if el_fail or w is None:
-                            fails[m] += el_fail
-                            continue
-                        if m == "el":
-                            hits[m] += w <= threshold
-                        elif m == "eb":
-                            try:
-                                b = estimate_bartlett(psi).b
-                            except DegenerateInputError:
-                                fails[m] += 1
-                                continue
-                            hits[m] += w <= threshold * (1.0 + b / n)
-                        elif m == "tb":
-                            hits[m] += w <= threshold * (1.0 + tb_map[param] / n)
+                        res = stats[m]
+                        # stat is NaN unless solved: an unsolved replication
+                        # counts as non-coverage.
+                        hits[m] += int(np.count_nonzero(res.stat <= limit[m]))
+                        nosol[m] += int(np.count_nonzero(res.status == STATUS_NO_SOLUTION))
+                        fails[m] += int(np.count_nonzero(res.status == STATUS_FAILED))
                 for m in plan.methods:
                     phat = hits[m] / plan.replications
                     se = float(np.sqrt(phat * (1.0 - phat) / plan.replications))

@@ -30,12 +30,18 @@ class Periodogram:
         return int(self.ords.size)
 
 
-def _ordinates(series: TimeSeries, count: int) -> np.ndarray:
-    # |sum_t (z_t - zbar) e^{-i w_j t}|^2 / (2*pi*T) for j = 1..count by FFT.
-    # The modulus does not depend on where t starts, so numpy's t = 0..T-1
-    # gives the same ordinates as t = 1..T.
-    dft = np.fft.fft(series.values - series.mean)[1 : count + 1]
-    return (dft.real**2 + dft.imag**2) / (2.0 * np.pi * series.T)
+def _ordinates(centered: np.ndarray, count: int) -> np.ndarray:
+    # |sum_t c_t e^{-i w_j t}|^2 / (2*pi*T) for j = 1..count by FFT along the
+    # last axis of the mean-centred values.  The modulus does not depend on
+    # where t starts, so numpy's t = 0..T-1 gives the same ordinates as
+    # t = 1..T.
+    dft = np.fft.fft(centered, axis=-1)[..., 1 : count + 1]
+    return (dft.real**2 + dft.imag**2) / (2.0 * np.pi * centered.shape[-1])
+
+
+def _retained_freqs(T: int) -> np.ndarray:
+    n = (T - 1) // 2
+    return 2.0 * np.pi * np.arange(1, n + 1, dtype=float) / T
 
 
 def compute_periodogram(series: TimeSeries) -> Periodogram:
@@ -45,9 +51,18 @@ def compute_periodogram(series: TimeSeries) -> Periodogram:
     T = series.T
     if T < 4:
         raise InputError(f"need T >= 4, got {T}")
-    n = (T - 1) // 2
-    freqs = 2.0 * np.pi * np.arange(1, n + 1, dtype=float) / T
-    return Periodogram(freqs=freqs, ords=_ordinates(series, n), T=T)
+    freqs = _retained_freqs(T)
+    return Periodogram(freqs=freqs, ords=_ordinates(series.values - series.mean, freqs.size), T=T)
+
+
+def periodogram_stack(series) -> tuple[np.ndarray, np.ndarray]:
+    """Retained frequencies (n,) and ordinates (R, n) of R series of one
+    length, row r exactly as :func:`compute_periodogram` gives it for the
+    r-th series; one FFT call covers the whole stack.  ``series`` may be a
+    generator: only each series' centred values are kept."""
+    centered = np.stack([s.values - s.mean for s in series])
+    freqs = _retained_freqs(centered.shape[1])
+    return freqs, _ordinates(centered, freqs.size)
 
 
 def all_fourier_ordinates(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
@@ -59,4 +74,4 @@ def all_fourier_ordinates(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
     """
     T = series.T
     freqs = 2.0 * np.pi * np.arange(1, T, dtype=float) / T
-    return freqs, _ordinates(series, T - 1)
+    return freqs, _ordinates(series.values - series.mean, T - 1)

@@ -20,9 +20,9 @@ from scipy.optimize import minimize
 
 from .arma import (
     ArmaSpec,
-    _shape_and_gradient,
     log_spectral_gradient,
     max_companion_modulus,
+    shape_and_gradient_stack,
     spectral_density,
     spectrum_shape,
     STATIONARITY_MARGIN,
@@ -88,12 +88,25 @@ def psi_profile(pg: Periodogram, spec: ArmaSpec) -> PsiMatrix:
     internal Gram matrix by the squared mean of the ordinate ratios and
     roughly halves the statistic.  sigma2 of ``spec`` is ignored.
     """
-    g1, grad = _shape_and_gradient(spec, pg.freqs)
-    if grad.shape[1] == 0:
-        return PsiMatrix(np.empty((pg.n, 0)))
-    ratio = pg.ords / g1
-    centered = grad - grad.mean(axis=0)
-    return PsiMatrix((ratio / ratio.mean() - 1.0)[:, None] * centered)
+    return PsiMatrix(psi_profile_rows(pg.freqs, pg.ords, spec.ar[None], spec.ma[None])[0])
+
+
+def psi_profile_rows(freqs, ords, ar, ma) -> np.ndarray:
+    """:func:`psi_profile` rows for a stack of problems, shape (N, n, p + q).
+
+    ``ords`` is one periodogram (n,) or a stack (R, n) at the common
+    frequencies ``freqs``; ``ar`` (N', p) and ``ma`` (N', q) hold one model
+    per row.  Stacks of length 1 broadcast against the other, so one series
+    can be scanned over many models or many series taken at one model.
+    Each problem's rows do not depend on the stack it is in.
+    """
+    g1, grad = shape_and_gradient_stack(ar, ma, freqs)
+    ratio = ords / g1
+    del g1
+    grad -= grad.mean(axis=1, keepdims=True)
+    ratio /= ratio.mean(axis=-1, keepdims=True)
+    ratio -= 1.0
+    return ratio[..., None] * grad
 
 
 def el_stat(pg: Periodogram, spec: ArmaSpec, adjusted: bool = True, profile: bool = True,

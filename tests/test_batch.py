@@ -1,0 +1,200 @@
+"""The batched dual kernel and the stacked paths built on it: batch
+invariance, the rank-deficient Newton matrix at phi = theta, grid telemetry,
+stacked model validation and stored coverage payloads (generated by the
+per-replication implementation this kernel replaced, R = 50 each)."""
+
+import logging
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from elspec import (
+    ArmaSpec,
+    ConvergenceError,
+    InvalidModelError,
+    NoSolutionError,
+    NoiseKind,
+    compute_periodogram,
+    max_companion_modulus,
+    scan_region,
+    simulate,
+)
+from elspec.arma import stationary_invertible
+from elspec.cli import main
+from elspec.confidence import STATUS_FAILED, STATUS_INVALID, STATUS_NO_SOLUTION, STATUS_OK
+from elspec.el import (
+    MAX_HALF_LOG,
+    PsiMatrix,
+    adjust,
+    adjust_rows,
+    solve_dual,
+    solve_duals,
+)
+from elspec.whittle import psi_profile
+
+GOLDEN = Path(__file__).parent / "data" / "golden_coverage"
+
+
+@st.composite
+def psi_batches(draw):
+    """Random (N, m, k) stacks mixing solvable problems, one-sided ones
+    (zero far outside the hull of the rows) and exactly collinear ones."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(4, 30))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, m, k)) + rng.choice([0.0, 0.4, 4.0], size=(n, 1, k))
+    if k >= 2:
+        collinear = rng.random(n) < 0.25
+        rows[collinear, :, 1] = -rows[collinear, :, 0]
+    return rows, int(rng.integers(0, n + 1))
+
+
+def _same(a, b, i, j):
+    assert a.status[i] == b.status[j]
+    assert a.iterations[i] == b.iterations[j]
+    if a.status[i] == STATUS_OK:
+        assert abs(a.stat[i] - b.stat[j]) <= 1e-12 * max(1.0, abs(a.stat[i]))
+
+
+@given(psi_batches())
+@settings(max_examples=60, deadline=None)
+def test_batch_invariance_and_nesting(batch):
+    rows, cut = batch
+    for stack, adjusted in ((rows, False), adjust_rows(rows, MAX_HALF_LOG)):
+        whole = solve_duals(stack, adjusted)
+        halves = [solve_duals(part, adjusted) for part in (stack[:cut], stack[cut:])]
+        for i in range(len(stack)):
+            _same(whole, solve_duals(stack[i : i + 1], adjusted), i, 0)
+            part, j = (halves[0], i) if i < cut else (halves[1], i - cut)
+            _same(whole, part, i, j)
+    el = solve_duals(rows)
+    ael = solve_duals(*adjust_rows(rows, MAX_HALF_LOG))
+    both = (el.status == STATUS_OK) & (ael.status == STATUS_OK)
+    assert np.all(ael.stat[both] <= el.stat[both] + 1e-9 * np.maximum(1.0, np.abs(el.stat[both])))
+    assert not np.any(ael.status == STATUS_NO_SOLUTION)
+
+
+def test_solve_dual_is_the_single_problem_kernel():
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((40, 2)) + 0.3
+    sol = solve_dual(PsiMatrix(rows))
+    res = solve_duals(rows[None])
+    assert sol.stat == res.stat[0] and sol.inner_iterations == res.iterations[0]
+    assert sol.residual == res.residual[0]
+    with pytest.raises(NoSolutionError):
+        solve_dual(PsiMatrix(rng.uniform(0.5, 2.0, size=(40, 2))))
+
+
+def test_diagonal_nodes_match_single_solves(caplog):
+    # At phi = theta the two psi columns are exact negatives of each other, so
+    # the Newton matrix is exactly singular and the least-squares step runs.
+    pg = compute_periodogram(simulate(ArmaSpec(ar=[0.5], ma=[0.3]), 60, NoiseKind.STANDARD_NORMAL,
+                                      seed=11))
+    box = [(0.0, 1.0), (0.0, 1.0)]
+    for method in ("ael", "el"):
+        with caplog.at_level(logging.DEBUG, logger="elspec"):
+            caplog.clear()
+            grid = scan_region(pg, (1, 1), box, 9, method=method)
+        assert any("least-squares" in r.getMessage() for r in caplog.records)
+        quiet = scan_region(pg, (1, 1), box, 9, method=method)
+        np.testing.assert_array_equal(quiet.stat, grid.stat)
+        np.testing.assert_array_equal(quiet.status, grid.status)
+        for i, value in enumerate(grid.axes[0]):
+            psi = psi_profile(pg, ArmaSpec(ar=[value], ma=[value]))
+            try:
+                want = solve_dual(adjust(psi, MAX_HALF_LOG) if method == "ael" else psi).stat
+                status = STATUS_OK
+            except NoSolutionError:
+                want, status = np.nan, STATUS_NO_SOLUTION
+            except ConvergenceError:
+                want, status = np.nan, STATUS_FAILED
+            assert grid.status[i, i] == status
+            if status == STATUS_OK:
+                assert grid.stat[i, i] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_grid_telemetry():
+    # the T=50 EL grid has nosolution nodes; non-ok nodes carry -1 and NaN
+    ts = simulate(ArmaSpec(ar=[0.7], ma=[0.5]), 50, NoiseKind.STANDARD_NORMAL, seed=2)
+    pg = compute_periodogram(ts)
+    seen_other = False
+    for method in ("el", "ael"):
+        grid = scan_region(pg, (1, 1), [(0.0, 1.0), (0.0, 1.0)], 20, method=method)
+        ok = grid.status == STATUS_OK
+        assert grid.iterations.shape == grid.stat.shape == grid.residual.shape
+        assert np.all(grid.residual[ok] < 1e-9)
+        assert np.all(grid.iterations[ok] >= 0)
+        assert np.all(grid.iterations[~ok] == -1)
+        assert np.all(np.isnan(grid.residual[~ok]))
+        seen_other |= bool((~ok).any())
+    assert seen_other
+
+
+def _roots_modulus(c):
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    if c.size == 0 or not np.any(c):
+        return 0.0
+    return float(np.max(np.abs(np.roots(np.concatenate(([1.0], -c))))))
+
+
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_stacked_modulus_equals_roots(seed, r):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(-1.6, 1.6, size=(40, r))
+    coeffs[rng.random(coeffs.shape) < 0.3] = 0.0  # trailing and interior zeros
+    coeffs[:3] = 0.0  # all-zero rows
+    want = np.array([_roots_modulus(c) for c in coeffs])
+    np.testing.assert_array_equal(max_companion_modulus(coeffs), want)
+    assert max_companion_modulus(coeffs[5]) == want[5]
+
+
+def test_stacked_validation_matches_armaspec_on_ar2_grid():
+    # the grid reaches past the stationarity triangle of AR(2)
+    phi1, phi2 = np.meshgrid(np.linspace(-2.2, 2.2, 45), np.linspace(-1.2, 1.2, 25), indexing="ij")
+    ar = np.stack([phi1.ravel(), phi2.ravel()], axis=1)
+    want = []
+    for vec in ar:
+        try:
+            ArmaSpec(ar=vec)
+            want.append(True)
+        except InvalidModelError:
+            want.append(False)
+    got = stationary_invertible(ar, np.empty((len(ar), 0)))
+    np.testing.assert_array_equal(got, want)
+    assert 0 < got.sum() < got.size
+
+
+def test_ar2_scan_statuses_match_per_node_specs():
+    pg = compute_periodogram(simulate(ArmaSpec(ar=[0.5, 0.3]), 80, NoiseKind.STANDARD_NORMAL,
+                                      seed=4))
+    box = [(-0.5, 0.9), (-0.9, 0.05)]  # corners near the edges of the triangle
+    grid = scan_region(pg, (2, 0), box, 15, method="el")
+    for i, a in enumerate(grid.axes[0]):
+        for j, b in enumerate(grid.axes[1]):
+            try:
+                spec = ArmaSpec(ar=[a, b])
+            except InvalidModelError:
+                assert grid.status[i, j] == STATUS_INVALID
+                continue
+            try:
+                stat, status = solve_dual(psi_profile(pg, spec)).stat, STATUS_OK
+            except NoSolutionError:
+                stat, status = np.nan, STATUS_NO_SOLUTION
+            except ConvergenceError:
+                stat, status = np.nan, STATUS_FAILED
+            assert grid.status[i, j] == status
+            if status == STATUS_OK:
+                assert grid.stat[i, j] == pytest.approx(stat, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("plan", sorted(p.stem for p in GOLDEN.glob("*.json")))
+def test_golden_coverage_payload(plan, tmp_path):
+    out = tmp_path / "coverage.csv"
+    assert main(["coverage", "--plan", str(GOLDEN / f"{plan}.json"), "--out", str(out)]) == 0
+    payload = "".join(ln for ln in out.read_text().splitlines(keepends=True) if not ln.startswith("#"))
+    assert payload == (GOLDEN / f"{plan}.csv").read_text()
