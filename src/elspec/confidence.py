@@ -152,8 +152,8 @@ def scan_region(
     ``box`` is a per-parameter sequence of (lo, hi) ranges and ``steps`` the
     matching node counts (a single int is broadcast).  Per-node solver
     failures are flagged in ``status`` without aborting the scan.  All
-    nodes are validated at once; the valid ones are solved in batches of a
-    few hundred nodes (fewer for long series) by one
+    nodes are validated at once; the valid ones are solved in batches of up
+    to several hundred nodes (fewer for long series) by one
     :func:`elspec.el.solve_duals` call each.
     """
     p, q = order

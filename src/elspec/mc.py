@@ -173,7 +173,8 @@ def run_coverage(plan: ExperimentPlan) -> CoverageReport:
     comparisons are paired.  Replication r of a cell draws its series from
     its own seed ``derive_seed(plan.seed, cell, r)``; the replications of a
     cell then share one FFT, one psi construction and one dual solve per
-    method, in batches of a few hundred replications (fewer for long series).
+    method, in batches of up to several hundred replications (fewer for long
+    series).
     """
     order = plan.order
     k = sum(order)
