@@ -152,13 +152,13 @@ class ArmaSpec:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Observed real-valued series with its sample mean cached."""
+    """Observed real-valued series (an owned 1-D copy) with its sample mean cached."""
 
     values: np.ndarray
     mean: float = field(init=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).ravel()
+        vals = np.asarray(self.values, dtype=float).flatten()
         if vals.size < 4:
             raise InputError(f"series must have at least 4 observations, got {vals.size}")
         if not np.all(np.isfinite(vals)):

@@ -15,11 +15,12 @@ import argparse
 import datetime
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .arma import ArmaSpec, TimeSeries
+from .arma import TimeSeries
 from .confidence import METHODS, STATUS_LABELS, STATUS_OK, extract_contour, scan_region
 from .el import AdjustmentPolicy
 from .errors import (
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .mc import load_plan, paired_summary, run_coverage
 from .periodogram import compute_periodogram
-from .whittle import profile_sigma2, sandwich, whittle_fit
+from .whittle import sandwich, whittle_fit
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -131,9 +132,10 @@ def cmd_periodogram(args) -> int:
 def cmd_fit(args) -> int:
     series = read_series(args.input)
     pg = compute_periodogram(series)
-    fit = whittle_fit(pg, args.order, profile=args.profile, seed=args.seed)
+    fit = whittle_fit(pg, args.order, profile=args.profile)
     p, q = args.order
     est = fit.estimate
+    spec = fit.to_spec(pg)
     result = {
         "version": __version__,
         "order": list(args.order),
@@ -145,17 +147,11 @@ def cmd_fit(args) -> int:
         "loglik": fit.loglik,
         "converged": fit.converged,
         "iterations": fit.iterations,
+        "sigma2_hat": spec.sigma2,
     }
-    if args.profile:
-        if p + q > 0:
-            result["sigma2_hat"] = profile_sigma2(pg, ArmaSpec.from_beta1(args.order, est))
-        else:
-            result["sigma2_hat"] = profile_sigma2(pg, ArmaSpec())
-    else:
-        result["sigma2_hat"] = float(est[-1])
     if p + q > 0 or not args.profile:
         try:
-            diag = sandwich(pg, fit.to_spec(pg), profile=args.profile)
+            diag = sandwich(pg, spec, profile=args.profile)
             result["v_hat"] = diag.v_hat.tolist()
         except (SingularMatrixError, InvalidModelError, ElspecError) as exc:
             result["v_hat"] = None
@@ -215,7 +211,7 @@ def cmd_region(args) -> int:
             closed = int(len(poly) > 2 and np.allclose(poly[0], poly[-1]))
             for vid, (x, y) in enumerate(poly):
                 crows.append((pid, vid, f"{x:.12g}", f"{y:.12g}", closed))
-        _write_csv(args.out + ".contours.csv", meta, ("polyline", "vertex", "param1", "param2", "closed"), crows)
+        _write_csv(contour_path, meta, ("polyline", "vertex", "param1", "param2", "closed"), crows)
 
     n_undef = int(np.sum(grid.status != STATUS_OK))
     print(f"region: method={args.method}, threshold={grid.threshold:.5f}, "
@@ -228,8 +224,6 @@ def cmd_region(args) -> int:
 def cmd_coverage(args) -> int:
     plan = load_plan(args.plan)
     if args.replications is not None:
-        from dataclasses import replace
-
         plan = replace(plan, replications=args.replications)
     report = run_coverage(plan)
     meta = _metadata(
@@ -286,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     sf.add_argument("--order", type=_parse_order, required=True, metavar="p,q")
     sf.add_argument("--profile", action=argparse.BooleanOptionalAction, default=True,
                     help="profile sigma2 out (default) or fit it jointly")
-    sf.add_argument("--seed", type=int, default=0, help="seed for multi-start jitter")
     sf.add_argument("--out", default=None)
     sf.set_defaults(func=cmd_fit)
 

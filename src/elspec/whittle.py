@@ -13,6 +13,7 @@ the variance-free shape g1_j = g_j / sigma2.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,6 @@ from scipy.optimize import minimize
 from .arma import (
     ArmaSpec,
     log_spectral_gradient,
-    max_companion_modulus,
     shape_and_gradient_stack,
     spectral_density,
     spectrum_shape,
@@ -31,8 +31,12 @@ from .el import MAX_HALF_LOG, AdjustmentPolicy, ElSolution, PsiMatrix, adjust, s
 from .errors import InputError, SingularMatrixError
 from .periodogram import Periodogram
 
-_PENALTY = 1e6
 _MAX_COND = 1e12
+_SANDWICH_STEP = 1e-6  # relative central-difference step of sandwich's a_hat
+_SCORE_TOL = 1e-7  # max-norm of a converged fit's mean score in u
+# Saturated partial autocorrelations (tanh(u) rounds to +-1 for |u| > 19) put
+# roots on this radius, one STATIONARITY_MARGIN inside what ArmaSpec accepts.
+_RADIUS = 1.0 - 2.0 * STATIONARITY_MARGIN
 
 
 def whittle_loglik(pg: Periodogram, spec: ArmaSpec) -> float:
@@ -152,14 +156,35 @@ class FitResult:
         return ArmaSpec.from_beta1(self.order, self.estimate, sigma2=profile_sigma2(pg, spec1))
 
 
-def _region_violation(x: np.ndarray, order: tuple[int, int], profile: bool) -> float:
-    p, q = order
-    v = 0.0
-    v += max(0.0, max_companion_modulus(x[:p]) - (1.0 - STATIONARITY_MARGIN))
-    v += max(0.0, max_companion_modulus(x[p : p + q]) - (1.0 - STATIONARITY_MARGIN))
-    if not profile:
-        v += max(0.0, 1e-12 - x[-1])
-    return v
+def _pacf_coefficients(u):
+    """Weights c_j of 1 - sum_j c_j B^j with partial autocorrelations
+    r = tanh(u) (Durbin-Levinson: c_j <- c_j - r_k c_{k-j}, c_k = r_k), scaled
+    by _RADIUS^j, and dc/du from the same recursion.  |r_k| < 1 keeps every
+    root outside the unit circle (Barndorff-Nielsen & Schou 1973; Monahan
+    1984); several r_k near +-1 cluster roots that float weights fix only to
+    about eps^(1/multiplicity)."""
+    r = np.tanh(u)
+    c, jac = np.zeros(r.size), np.zeros((r.size, r.size))
+    for k, rk in enumerate(r):
+        jac[:k] -= rk * jac[:k][::-1]
+        jac[:k, k] = -c[:k][::-1]
+        jac[k, k] = 1.0
+        c[:k] -= rk * c[:k][::-1]
+        c[k] = rk
+    scale = _RADIUS ** np.arange(1.0, r.size + 1.0)
+    return scale * c, scale[:, None] * jac * (1.0 - r * r)
+
+
+def _pacf_from_coefficients(c) -> np.ndarray:
+    """Inverse of :func:`_pacf_coefficients` by the step-down recursion."""
+    c = np.asarray(c, dtype=float) / _RADIUS ** np.arange(1.0, np.size(c) + 1.0)
+    r = np.empty(c.size)
+    for k in range(c.size - 1, -1, -1):
+        r[k] = c[k]
+        if not abs(r[k]) < 1.0:
+            raise InputError("init lies outside the stationarity/invertibility region")
+        c = (c[:k] + r[k] * c[:k][::-1]) / (1.0 - r[k] * r[k])
+    return np.arctanh(r)
 
 
 def whittle_fit(
@@ -167,18 +192,18 @@ def whittle_fit(
     order: tuple[int, int],
     profile: bool = True,
     init=None,
-    seed: int = 0,
     max_iter: int = 2000,
 ) -> FitResult:
-    """Maximize the Whittle log-likelihood (or its profile) by Nelder-Mead.
-
-    The simplex is kept inside the stationarity/invertibility region by a
-    penalty of 1e6*(1 + violation) outside it.  Multi-parameter searches use
-    five starts (region center plus four seed-jittered points, the surface
-    can be multimodal at small T); one-parameter searches use a single start;
-    an explicit ``init`` replaces the start list.  Convergence means the
-    final simplex collapsed below 1e-7; failure to converge within
-    ``max_iter`` iterations is reported via the flag, never silently.
+    """Maximize the Whittle log-likelihood (or its profile) by BFGS over
+    unconstrained u mapped by :func:`_pacf_coefficients` to AR and MA weights,
+    so every point is stationary and invertible; full fits take
+    sigma2 = exp(s).  The gradient is the exact score, the column sums of the
+    psi rows, times the map's Jacobian.  Starts are u = 0 and, for
+    p + q >= 2, the 2^(p+q) corners at partial autocorrelation +-1/2; the best
+    end point wins, so the fit is deterministic.  An explicit ``init`` (beta
+    coordinates, strictly inside the region) is the only start.  ``converged``
+    means the mean score in u has max-norm <= 1e-7 within ``max_iter``
+    iterations; otherwise the estimate is the best point found.
     """
     p, q = order
     if p < 0 or q < 0:
@@ -190,48 +215,41 @@ def whittle_fit(
         value = profile_loglik(pg, ArmaSpec())
         return FitResult(np.empty(0), True, 0, value, order, profile)
 
-    def objective(x):
-        viol = _region_violation(x, order, profile)
-        if viol > 0.0:
-            return _PENALTY * (1.0 + viol)
-        spec = (
-            ArmaSpec.from_beta1(order, x, validate=False)
-            if profile
-            else ArmaSpec.from_beta(order, x, validate=False)
-        )
-        return -loglik(pg, spec)
+    def spec_at(x):
+        ar, jar = _pacf_coefficients(x[:p])
+        ma, jma = _pacf_coefficients(x[p : p + q])
+        sigma2 = 1.0 if profile else np.exp(x[-1])
+        return ArmaSpec(ar, ma, sigma2, validate=False), jar, jma
 
-    sigma2_0 = 2.0 * np.pi * float(np.mean(pg.ords))  # white-noise variance estimate
+    def objective(x):
+        spec, jar, jma = spec_at(x)
+        score = (psi_profile(pg, spec) if profile else psi_full(pg, spec)).rows.sum(axis=0)
+        grad = np.concatenate([score[:p] @ jar, score[p : p + q] @ jma, score[p + q :] * spec.sigma2])
+        return -loglik(pg, spec) / pg.n, -grad / pg.n
+
     if init is not None:
         init = np.asarray(init, dtype=float)
-        if init.size != dim:
-            raise InputError(f"init must have length {dim}, got {init.size}")
-        starts = [init]
+        if init.size != dim or not (profile or init[-1] > 0.0):
+            raise InputError(f"init must be {dim} values (sigma2 > 0 last in full fits), got {init}")
+        starts = [np.concatenate([_pacf_from_coefficients(init[:p]),
+                                  _pacf_from_coefficients(init[p : p + q]), np.log(init[p + q :])])]
     else:
-        center = np.zeros(p + q)
-        base = center if profile else np.append(center, sigma2_0)
-        starts = [base]
-        if p + q >= 2:
-            rng = np.random.default_rng(seed)
-            for _ in range(4):
-                jit = np.clip(rng.uniform(-0.45, 0.45, size=p + q), -0.9, 0.9)
-                starts.append(jit if profile else np.append(jit, sigma2_0 * rng.uniform(0.5, 2.0)))
+        s0 = [] if profile else [np.log(2.0 * np.pi * np.mean(pg.ords))]
+        corners = itertools.product((-1.0, 1.0), repeat=p + q) if p + q >= 2 else ()
+        starts = [np.append(np.arctanh(0.5) * np.array(c), s0) for c in [[0.0] * (p + q), *corners]]
 
     best = None
     for x0 in starts:
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options=dict(xatol=1e-7, fatol=1e-10, maxiter=max_iter, maxfev=4 * max_iter),
-        )
+        res = minimize(objective, x0, jac=True, method="BFGS",
+                       options=dict(gtol=1e-9, maxiter=max_iter))
         if best is None or res.fun < best.fun:
             best = res
+    spec = spec_at(best.x)[0]
     return FitResult(
-        estimate=np.asarray(best.x, dtype=float),
-        converged=bool(best.success),
+        estimate=spec.beta1 if profile else spec.beta,
+        converged=bool(np.abs(best.jac).max() <= _SCORE_TOL and best.nit < max_iter),
         iterations=int(best.nit),
-        loglik=float(-best.fun),
+        loglik=loglik(pg, spec),
         order=order,
         profile=profile,
     )
@@ -267,7 +285,6 @@ def sandwich(
     spec: ArmaSpec,
     profile: bool = True,
     policy: AdjustmentPolicy = MAX_HALF_LOG,
-    step: float = 1e-6,
 ) -> SandwichDiag:
     """Finite-difference sandwich matrices of the (adjusted) psi rows at
     ``spec``.
@@ -285,7 +302,7 @@ def sandwich(
         raise InputError("sandwich diagnostics need at least one parameter")
     a_hat = np.empty((k, k))
     for i in range(k):
-        h = step * max(1.0, abs(vec[i]))
+        h = _SANDWICH_STEP * max(1.0, abs(vec[i]))
         up, dn = vec.copy(), vec.copy()
         up[i] += h
         dn[i] -= h

@@ -254,6 +254,11 @@ class TestSimulate:
         c = simulate(ArmaSpec(ar=[0.4]), 200, NoiseKind.CENTERED_CHI2_5, seed=6)
         assert not np.array_equal(a.values, c.values)
 
+    def test_series_owns_its_values(self):
+        # the retained slice is a copy, so the burn-in buffer is not kept alive
+        ts = simulate(ArmaSpec(ar=[0.4]), 50, NoiseKind.STANDARD_NORMAL, seed=3)
+        assert ts.values.base is None
+
     def test_chi2_noise_mean_and_skewness(self):
         ts = simulate(ArmaSpec(), 100_000, NoiseKind.CENTERED_CHI2_5, seed=13)
         assert abs(ts.mean) < 0.05

@@ -96,6 +96,10 @@ class TestFitCommand:
         assert doc["converged"] is True
         assert doc["v_hat"] is not None
 
+    def test_seed_flag_rejected(self, ma1_file):
+        # the fit's starts are fixed, so it takes no seed
+        assert main(["fit", ma1_file, "--order", "0,1", "--seed", "3"]) == 2
+
     def test_out_file_written(self, ma1_file, tmp_path, capsys):
         out = tmp_path / "fit.json"
         main(["fit", ma1_file, "--order", "0,1", "--out", str(out)])

@@ -184,7 +184,7 @@ class TestSolveDual:
 class TestElStat:
     def test_zero_at_whittle_estimate(self, ma1_pg_t2000):
         fit = whittle_fit(ma1_pg_t2000, (0, 1), profile=True)
-        # polish the Nelder-Mead point so the score is tiny at the test point
+        # polish the fitted point so the score is tiny at the test point
         from scipy.optimize import minimize
         from elspec import profile_loglik
 

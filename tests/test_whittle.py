@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
 from elspec import (
@@ -20,6 +21,9 @@ from elspec import (
     whittle_fit,
     whittle_loglik,
 )
+from elspec.arma import STATIONARITY_MARGIN, max_companion_modulus
+from elspec.errors import InputError
+from elspec.whittle import _pacf_coefficients, _pacf_from_coefficients
 
 TWO_PI = 2.0 * math.pi
 
@@ -147,7 +151,7 @@ class TestPsiFull:
         spec_hat = ArmaSpec.from_beta((0, 1), sol.x)
         colsums = psi_full(pg, spec_hat).rows.sum(axis=0)
         assert np.linalg.norm(colsums) < 1e-8
-        # the root is the Nelder-Mead maximizer (within its tolerance) and no
+        # the root is the fitted maximizer (within its tolerance) and no
         # nearby point has higher likelihood
         np.testing.assert_allclose(sol.x, fit.estimate, atol=1e-3)
         base = whittle_loglik(pg, spec_hat)
@@ -238,7 +242,7 @@ class TestWhittleFit:
         ts = simulate(ArmaSpec(ar=[0.6], ma=[0.3]), 2000, NoiseKind.STANDARD_NORMAL, seed=21)
         pg = compute_periodogram(ts)
         from_truth = whittle_fit(pg, (1, 1), profile=True, init=[0.6, 0.3])
-        multi = whittle_fit(pg, (1, 1), profile=True, seed=5)
+        multi = whittle_fit(pg, (1, 1), profile=True)
         assert from_truth.converged
         np.testing.assert_allclose(from_truth.estimate, multi.estimate, atol=1e-3)
 
@@ -250,11 +254,59 @@ class TestWhittleFit:
         fit = whittle_fit(ma1_pg_t70, (0, 0), profile=True)
         assert fit.converged and fit.estimate.size == 0
 
+    @pytest.mark.parametrize("profile", [True, False])
+    def test_repeat_fit_bitwise_equal(self, arma11_pg_t60, profile):
+        a = whittle_fit(arma11_pg_t60, (1, 1), profile=profile)
+        b = whittle_fit(arma11_pg_t60, (1, 1), profile=profile)
+        assert np.array_equal(a.estimate, b.estimate)
+        assert (a.loglik, a.iterations, a.converged) == (b.loglik, b.iterations, b.converged)
+
+    def test_init_outside_region_rejected(self, ma1_pg_t70):
+        with pytest.raises(InputError):
+            whittle_fit(ma1_pg_t70, (0, 1), init=[1.5])
+
     def test_joint_white_noise_sigma2(self, ma1_pg_t70):
         # order (0,0) joint fit: sigma2_hat = 2 pi mean(I)
         fit = whittle_fit(ma1_pg_t70, (0, 0), profile=False)
         assert fit.converged
         assert fit.estimate[0] == pytest.approx(TWO_PI * np.mean(ma1_pg_t70.ords), rel=1e-4)
+
+
+def _u_vectors(bound):
+    """Unconstrained coordinates of orders 1-4."""
+    return st.lists(st.floats(-bound, bound), min_size=1, max_size=4).map(np.array)
+
+
+class TestPacfMap:
+    @given(u=_u_vectors(3.0), big=st.floats(-20.0, 20.0), pos=st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_images_pass_validation(self, u, big, pos):
+        # One coordinate anywhere up to saturation (tanh rounds to +-1 for
+        # |u| > 19), the others moderate.  With several coordinates near
+        # saturation the roots cluster on the circle of radius
+        # 1 - 2 STATIONARITY_MARGIN, and the float weights fix clustered roots
+        # only to eps^(1/multiplicity) (about 1e-4 at order 4), so those
+        # images can land outside; a fit's boundary maximum has one unit root.
+        u[pos % u.size] = big
+        c, _ = _pacf_coefficients(u)
+        assert max_companion_modulus(c) < 1.0 - STATIONARITY_MARGIN
+
+    @given(u=_u_vectors(5.0))
+    @settings(max_examples=200, deadline=None)
+    def test_jacobian_matches_central_differences(self, u):
+        _, jac = _pacf_coefficients(u)
+        h = 1e-6
+        fd = np.column_stack([
+            (_pacf_coefficients(u + h * e)[0] - _pacf_coefficients(u - h * e)[0]) / (2 * h)
+            for e in np.eye(u.size)
+        ])
+        np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-7)
+
+    @given(u=_u_vectors(3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_step_down_inverts_the_map(self, u):
+        np.testing.assert_allclose(_pacf_from_coefficients(_pacf_coefficients(u)[0]), u,
+                                   rtol=0, atol=1e-6)
 
 
 class TestSandwich:
