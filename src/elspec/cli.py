@@ -153,7 +153,7 @@ def cmd_fit(args) -> int:
         try:
             diag = sandwich(pg, spec, profile=args.profile)
             result["v_hat"] = diag.v_hat.tolist()
-        except (SingularMatrixError, InvalidModelError, ElspecError) as exc:
+        except ElspecError as exc:
             result["v_hat"] = None
             result["v_hat_error"] = str(exc)
     text = json.dumps(result, indent=1)

@@ -12,10 +12,17 @@ condition is the multiplier equation sum_j psi_j / (1 + xi' psi_j) = 0, the
 implied weights are p_j = 1 / (m (1 + xi' psi_j)), and the log-ratio statistic
 is 2 sum_j ln(1 + xi' psi_j) at the minimizer.
 
-The inner problem is solvable only when zero is interior to the convex hull
-of the rows.  Appending the pseudo-observation -a_n * psibar (the mean row
-scaled by -a_n) pulls zero inside the hull whenever psibar != 0, so the
-adjusted problem always has a solution.
+The inner problem has a solution exactly when zero lies in the relative
+interior of the convex hull of the rows (Owen 2001, ch. 3): some strictly
+positive weights combine the rows to zero.  "Relative" means interior within
+the linear span of the rows, which is all of R^k only when the rows have
+rank k; at phi = theta, say, the two profile psi columns are collinear and
+the hull is a segment.  :func:`solve_duals` certifies this condition for
+every problem before any Newton step, in coordinates of the span of its rows,
+and runs Newton only on the certified problems.  Appending the
+pseudo-observation -a_n * psibar (the mean row scaled by -a_n) always puts
+zero there: the weights 1, ..., 1, n / a_n combine the n rows and the
+pseudo-observation to zero (Chen, Variyath & Abraham 2008).
 
 Scans and Monte Carlo cells solve many unrelated problems of one shape; they
 stack them into an (N, m, k) array and call :func:`solve_duals`, which runs
@@ -25,11 +32,11 @@ its N = 1 call.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .errors import ConvergenceError, InputError, NoSolutionError
 
@@ -39,7 +46,6 @@ DUAL_GRAD_TOL = 1e-9
 MAX_NEWTON_STEPS = 100
 _FEAS_SLACK = 1e-12
 _ARMIJO_C1 = 1e-4
-_STALL_LIMIT = 10
 # Callers batch at most about this many psi entries (N * m * k) per
 # solve_duals call, which keeps the solver's temporaries near 1 MB.
 _BATCH_ENTRIES = 1 << 15
@@ -49,19 +55,13 @@ STATUS_OK = 0
 STATUS_NO_SOLUTION = 1
 STATUS_FAILED = 2
 
-# DualBatch.reason: the rule that stopped an unsolved problem (0 if solved).
-_ONE_SIDED, _RECESSION, _UNBOUNDED, _PINNED, _NO_PROGRESS, _MAX_STEPS = range(1, 7)
+# DualBatch.reason: why a problem is unsolved (0 if solved).
+_OUTSIDE_HULL, _NO_PROGRESS, _MAX_STEPS = range(1, 4)
 _REASON_TEXT = {
-    _ONE_SIDED: "all estimating-function values share one sign",
-    _RECESSION: "dual gradient vanishes along a recession direction "
-                "(the weights do not sum to one)",
-    _UNBOUNDED: "dual objective is unbounded below",
-    _PINNED: "dual iterates pinned against the feasibility boundary without progress",
+    _OUTSIDE_HULL: "zero is not in the relative interior of the convex hull of the psi rows",
     _NO_PROGRESS: "dual line search made no progress",
     _MAX_STEPS: f"dual solver did not converge in {MAX_NEWTON_STEPS} steps",
 }
-
-log = logging.getLogger("elspec")
 
 # The ufunc reductions behind ndarray.sum/.min, called directly: they give
 # the same values without the method wrappers, whose cost dominates the
@@ -159,13 +159,14 @@ class DualBatch:
     """Per-problem outcome of :func:`solve_duals` on N stacked problems.
 
     ``stat`` is the log-ratio statistic 2 sum_j ln t_j (NaN unless
-    ``status`` is STATUS_OK); ``iterations`` counts Newton steps (for an
-    unsolved problem, the step at which it stopped; 0 when the one-sign test
-    decides before any step); ``residual`` is the multiplier-equation norm at
-    the end (NaN when no step ran).  ``xi`` (N, k) holds the multipliers of
-    solved problems (zeros otherwise); ``reason`` is 0 or the code of the
-    rule that stopped an unsolved problem; ``traces`` holds, when asked for, each problem's dual
-    objective before the first and after every accepted step.
+    ``status`` is STATUS_OK).  ``iterations`` counts Newton steps: for a
+    failed problem, the step at which it stopped; 0 for STATUS_NO_SOLUTION,
+    which the hull certificate decides before any step.  ``residual`` is the
+    multiplier-equation norm at the end (NaN for STATUS_NO_SOLUTION).  ``xi``
+    (N, k) holds the multipliers of solved problems (zeros otherwise);
+    ``reason`` is 0 or the code of why a problem is unsolved; ``traces``
+    holds, when asked for, each problem's dual objective before the first
+    and after every accepted step.
     """
 
     stat: np.ndarray
@@ -216,13 +217,6 @@ def batch_slices(count: int, entries: int):
     return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
-def _where(mask):
-    """Index of the True entries of ``mask``: None when there are none, a
-    full slice (views, no copies) when every entry is True."""
-    count = np.count_nonzero(mask)
-    return None if count == 0 else slice(None) if count == mask.size else mask
-
-
 def _gradient_and_hessian(cols, t):
     """g = sum_j psi_j / t_j (the dual gradient is -g) and the Newton matrix
     h = sum_j psi_j psi_j' / t_j^2 of every problem."""
@@ -239,32 +233,51 @@ def _affine(cols, x):
     return 1.0 + (x[:, None, :] @ cols)[:, 0]
 
 
-def _newton_directions(h, g, polish, fallbacks):
-    """Solve h d = g for every problem.  An exactly singular h (LU meets a
-    zero pivot, as for collinear psi columns) gets the least-squares step, or
-    no step at all when ``polish``; the others are solved together."""
-    try:
-        return np.linalg.solve(h, g[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        pass
-    # slogdet runs the same LU factorization: a zero sign marks exactly the
-    # problems whose solve failed.
-    singular = np.linalg.slogdet(h)[0] == 0.0
-    d = np.zeros_like(g)
-    regular = ~singular
-    if np.count_nonzero(regular):
-        d[regular] = np.linalg.solve(h[regular], g[regular][:, :, None])[:, :, 0]
-    if not polish:
-        for j in np.flatnonzero(singular):
-            d[j] = np.linalg.lstsq(h[j], g[j], rcond=None)[0]
-    fallbacks["polish" if polish else "lstsq"] += int(np.count_nonzero(singular))
-    return d
+def _newton_directions(h, g):
+    """Solve h d = g for every problem; h is positive definite because the
+    rows of every problem have full column rank."""
+    return np.linalg.solve(h, g[:, :, None])[:, :, 0]
+
+
+def _in_relative_interior(x):
+    """Whether zero is interior to the convex hull of each problem's rows, for
+    an (N, m, r) stack in which every problem has rank r >= 1.
+
+    r = 1: the values take both signs.  r = 2: sorted by angle, the nonzero
+    rows leave no gap of pi or more (the wrap-around gap included).  r >= 3:
+    no direction d has x_j'd >= 0 for every row and > 0 for some; one linear
+    program per problem maximizes the margin of such a d over the unit box on
+    the normalized nonzero rows, and a d it returns counts only when it
+    separates in floating point.
+    """
+    n, m, r = x.shape
+    if r == 1:
+        return (_min(x[:, :, 0], axis=1) < 0.0) & (np.maximum.reduce(x[:, :, 0], axis=1) > 0.0)
+    zero = ~np.any(x != 0.0, axis=2)
+    if r == 2:
+        angle = np.arctan2(x[:, :, 1], x[:, :, 0])
+        if np.count_nonzero(zero):  # a zero row takes the angle of a nonzero one
+            angle = np.where(zero, angle[np.arange(n), np.argmin(zero, axis=1)][:, None], angle)
+        angle.sort(axis=1)
+        wrap = 2.0 * np.pi - (angle[:, -1] - angle[:, 0])
+        return np.maximum(np.diff(angle, axis=1).max(axis=1), wrap) < np.pi
+    inside = np.ones(n, dtype=bool)
+    for i in range(n):
+        rows = x[i][~zero[i]]
+        unit = rows / np.sqrt(_sum(rows * rows, axis=1))[:, None]
+        # maximize s over (d, s) subject to unit @ d >= s and |d_l| <= 1
+        lp = linprog(np.r_[np.zeros(r), -1.0], A_ub=np.c_[-unit, np.ones(len(unit))],
+                     b_ub=np.zeros(len(unit)), bounds=[(-1.0, 1.0)] * r + [(None, None)])
+        if lp.status == 0:
+            side = rows @ lp.x[:r]
+            inside[i] = not (np.all(side >= 0.0) and np.any(side > 0.0))
+    return inside
 
 
 class _Active:
     """Iterates of the problems still running and their batch positions."""
 
-    FIELDS = ("pos", "cols", "xi", "t", "f", "resid_prev", "stall")
+    FIELDS = ("pos", "cols", "xi", "t", "f")
 
     def __init__(self, pos, cols):
         a, k, m = cols.shape
@@ -273,8 +286,6 @@ class _Active:
         self.xi = np.zeros((a, k))
         self.t = np.ones((a, m))
         self.f = np.zeros(a)
-        self.resid_prev = np.full(a, np.inf)
-        self.stall = np.zeros(a, dtype=int)
 
     def keep(self, mask):
         for name in self.FIELDS:
@@ -309,9 +320,9 @@ def _line_search(w, d, slope, resid, min_t):
     """Backtracking for every active problem: halve each problem's step until
     its iterate is feasible and passes the Armijo test (or, near the optimum,
     the residual test), or the step falls below 1e-16.  Accepted iterates
-    replace xi, t and f.  Returns the accepted and boundary-hit masks, or
-    None when every problem took its full step: that common case costs no
-    masked bookkeeping.
+    replace xi, t and f.  Returns the accepted mask, or None when every
+    problem took its full step: that common case costs no masked
+    bookkeeping.
 
     All problems still searching have been halved equally often, so they
     share one scalar step; while none has been accepted nothing is gathered.
@@ -319,7 +330,7 @@ def _line_search(w, d, slope, resid, min_t):
     n = len(w.f)
     step = 1.0
     live = None  # indices of the problems still searching; None for all
-    hit = accepted = None  # allocated once some problem backtracks
+    accepted = None  # allocated once some problem backtracks
     while step >= 1e-16:
         if live is None:
             cols, xi, f, dl, sl, rs = w.cols, w.xi, w.f, d, slope, resid
@@ -328,7 +339,7 @@ def _line_search(w, d, slope, resid, min_t):
                 w.cols[live], w.xi[live], w.f[live], d[live], slope[live], resid[live])
         xin = xi + dl if step == 1.0 else xi + step * dl
         tn = _affine(cols, xin)
-        if hit is None and _min(tn, axis=None) >= min_t:  # first trial, all feasible
+        if accepted is None and _min(tn, axis=None) >= min_t:  # first trial, all feasible
             fn = -_sum(np.log(tn), axis=1)
             acc = fn <= f - _ARMIJO_C1 * sl
             if np.count_nonzero(acc) == n:
@@ -342,11 +353,9 @@ def _line_search(w, d, slope, resid, min_t):
                 with np.errstate(divide="ignore", invalid="ignore"):
                     fn = -_sum(np.log(tn), axis=1)
                 acc = feas & (fn <= f - _ARMIJO_C1 * step * sl)
-        if hit is None:
-            hit, accepted = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        idx = np.arange(n) if live is None else live
+        if accepted is None:
+            accepted = np.zeros(n, dtype=bool)
         if not n_feas:  # every searching problem hit the boundary
-            hit[idx] = True
             step *= 0.5
             continue
         # Near the optimum the Armijo decrease falls below the rounding
@@ -358,8 +367,8 @@ def _line_search(w, d, slope, resid, min_t):
             fj = f[near]
             acc[near] = (rn <= rs[near] * (1.0 - 1e-4)) & (
                 fn[near] <= fj + 1e-10 * (1.0 + np.abs(fj)))
-        hit[idx[~feas]] = True
         if np.count_nonzero(acc):
+            idx = np.arange(n) if live is None else live
             won = idx[acc]
             w.xi[won], w.t[won], w.f[won] = xin[acc], tn[acc], fn[acc]
             accepted[won] = True
@@ -367,29 +376,98 @@ def _line_search(w, d, slope, resid, min_t):
             if not live.size:
                 break
         step *= 0.5
-    return accepted, hit
+    return accepted
+
+
+def _newton(x, pos, out, traces):
+    """Damped Newton on certified problems whose (N', m, r) rows ``x`` have
+    rank r: fills their entries at batch positions ``pos`` of ``out`` (and
+    of ``traces``, a list per problem or None), except ``xi``, and returns
+    their multipliers (N', r)."""
+    n, m, r = x.shape
+    eta = np.zeros((n, r))
+    w = _Active(np.arange(n), np.ascontiguousarray(x.transpose(0, 2, 1)))
+    min_t = 1.0 / m + _FEAS_SLACK
+
+    def stop(mask, code, resid, it):
+        at = pos[w.pos[mask]]
+        out.status[at], out.reason[at] = STATUS_FAILED, code
+        out.residual[at], out.iterations[at] = resid[mask], it
+
+    for it in range(1, MAX_NEWTON_STEPS + 1):
+        g, h = _gradient_and_hessian(w.cols, w.t)
+        resid = _norm(g)
+        done = resid < DUAL_GRAD_TOL
+        n_done = np.count_nonzero(done)
+        if n_done:
+            sel = slice(None) if n_done == len(done) else done  # a view when all are done
+            xi, t, res = _polish(w.cols[sel], w.xi[sel], w.t[sel], resid[sel],
+                                 _newton_directions(h[sel], g[sel]), min_t)
+            eta[w.pos[sel]] = xi
+            at = pos[w.pos[sel]]
+            out.stat[at] = np.maximum(0.0, 2.0 * _sum(np.log(t), axis=1))
+            out.iterations[at], out.residual[at] = it - 1, res
+            if n_done == len(done):
+                break
+            keep = ~done
+            w.keep(keep)
+            g, resid, h = g[keep], resid[keep], h[keep]
+
+        d = _newton_directions(h, g)
+        slope = _sum(g * d, axis=1)  # = -grad f . d; positive for a descent direction
+        uphill = slope <= 0.0
+        if np.count_nonzero(uphill):
+            d[uphill] = g[uphill]
+            slope[uphill] = _sum(g[uphill] * g[uphill], axis=1)
+        accepted = _line_search(w, d, slope, resid, min_t)
+        if traces is not None:
+            for j in range(len(w.f)) if accepted is None else np.flatnonzero(accepted):
+                traces[pos[w.pos[j]]].append(float(w.f[j]))
+        if accepted is None:  # every problem stepped
+            continue
+        # A problem with no accepted trial keeps its iterate, so it would
+        # repeat the same search: it stops here.
+        n_acc = np.count_nonzero(accepted)
+        if n_acc < len(accepted):
+            stop(~accepted, _NO_PROGRESS, resid, it)
+            if not n_acc:
+                break
+            w.keep(accepted)
+            resid = resid[accepted]
+    else:
+        stop(np.ones(w.pos.size, dtype=bool), _MAX_STEPS, resid, MAX_NEWTON_STEPS)
+    return eta
 
 
 def solve_duals(rows, adjusted: bool = False, keep_trace: bool = False) -> DualBatch:
     """Solve N stacked EL duals, problem i having the m x k rows ``rows[i]``.
 
-    Damped Newton on f(xi) = -sum ln(1 + xi'psi_j), every problem on its own
-    path: Newton steps are halved until the iterate is feasible
-    (1 + xi'psi_j >= 1/m + 1e-12 for all j) and satisfies an Armijo
-    decrease, which keeps f strictly decreasing across accepted steps.  A
-    problem converges when its multiplier-equation residual
-    ||sum psi_j / (1 + xi'psi_j)|| drops below 1e-9; one full polishing step
-    then tightens the constraints well past that tolerance.
+    Each problem is first certified: with r the rank of its rows (numpy's
+    ``matrix_rank`` tolerance), it is solvable exactly when zero lies in the
+    relative interior of the convex hull of its rows, that is, when strictly
+    positive weights combine the rows to zero.  A problem of rank r < k is
+    expressed in the coordinates x_j = V_r' psi_j of the span of its rows
+    (V_r: its leading r right singular vectors), where its hull test and
+    Newton run; its multipliers are mapped back as xi = V_r eta.  Rows of
+    rank 0 (all zero) give stat 0 with xi = 0.  The hull test: for r = 1 the
+    values take both signs; for r = 2 the largest angular gap between the
+    nonzero rows is below pi; for r >= 3 a linear program finds no direction
+    d with x_j'd >= 0 for all rows and > 0 for some.  An uncertified problem
+    is STATUS_NO_SOLUTION, with ``iterations`` 0 and ``residual`` NaN.  The
+    test is skipped when ``adjusted`` is set: the weights 1, ..., 1, n / a_n
+    combine n rows and their pseudo-observation -a_n psibar to zero.  (A
+    trimmed psibar is not covered by that argument.)
 
-    A problem is STATUS_NO_SOLUTION when, on unadjusted rows (``adjusted``
-    False), zero is outside the convex hull of its rows: for k = 1 its
-    values share one sign; otherwise its gradient vanishes while the implied
-    weights do not sum to one (a recession direction), its objective falls
-    below -1e3 m, or its iterates pin against the feasibility boundary
-    without residual progress for 10 consecutive steps.  It is STATUS_FAILED
-    when the line search makes no progress, after 100 Newton steps, or when
-    an adjusted problem diverges.  Each problem's outcome is the one it would
-    have alone: the batch only shares the numpy calls.
+    Certified problems run damped Newton on f(xi) = -sum ln(1 + xi'psi_j),
+    every problem on its own path: Newton steps are halved until the iterate
+    is feasible (1 + xi'psi_j >= 1/m + 1e-12 for all j) and satisfies an
+    Armijo decrease, which keeps f strictly decreasing across accepted steps.
+    A problem converges when its multiplier-equation residual
+    ||sum psi_j / (1 + xi'psi_j)|| drops below 1e-9; one full polishing step
+    then tightens the constraints well past that tolerance.  It is
+    STATUS_FAILED when its line search accepts no trial step or after 100
+    Newton steps.  Each problem's outcome is the one it would have alone: the
+    batch only shares the numpy calls.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 3:
@@ -399,139 +477,51 @@ def solve_duals(rows, adjusted: bool = False, keep_trace: bool = False) -> DualB
     n, m, k = rows.shape
     if m == 0:
         raise InputError("psi matrix has no rows")
-    stat, residual = np.empty(n), np.empty(n)
-    stat.fill(np.nan)
-    residual.fill(np.nan)
-    status = np.zeros(n, dtype=int)
-    iterations = np.zeros(n, dtype=int)
-    xi_out = np.zeros((n, k))
-    reason = np.zeros(n, dtype=int)
+    out = DualBatch(stat=np.full(n, np.nan), status=np.zeros(n, dtype=int),
+                    iterations=np.zeros(n, dtype=int), residual=np.full(n, np.nan),
+                    xi=np.zeros((n, k)), reason=np.zeros(n, dtype=int))
     traces = [[0.0] for _ in range(n)] if keep_trace else None
 
-    def result():
-        return DualBatch(stat, status, iterations, residual, xi_out, reason,
-                         tuple(map(tuple, traces)) if keep_trace else ())
-
-    if k == 0:
-        stat[:] = residual[:] = 0.0
-        return result()
-
-    pos = np.arange(n)
-    if not adjusted and k == 1:
-        one_sided = (rows[:, :, 0].min(axis=1) > 0.0) | (rows[:, :, 0].max(axis=1) < 0.0)
-        if np.count_nonzero(one_sided):
-            status[one_sided], reason[one_sided] = STATUS_NO_SOLUTION, _ONE_SIDED
-            pos = pos[~one_sided]
-    w = _Active(pos, np.ascontiguousarray((rows if pos.size == n else rows[pos]).transpose(0, 2, 1)))
-    if not pos.size:
-        return result()
-    min_t = 1.0 / m + _FEAS_SLACK
-    fallbacks = {"lstsq": 0, "polish": 0}
-
-    def stop(mask, code, resid, it):
-        if not np.count_nonzero(mask):
-            return
-        at = w.pos[mask]
-        hull = not adjusted and code in (_RECESSION, _UNBOUNDED, _PINNED)
-        status[at] = STATUS_NO_SOLUTION if hull else STATUS_FAILED
-        reason[at], residual[at], iterations[at] = code, resid[mask], it
-
-    resid = np.zeros(0)
-    for it in range(1, MAX_NEWTON_STEPS + 1):
-        g, h = _gradient_and_hessian(w.cols, w.t)
-        resid = _norm(g)
-        done = resid < DUAL_GRAD_TOL
-        ended = done | (w.f < -1e3 * m)
-        n_ended = np.count_nonzero(ended)
-        if n_ended:
-            sel = _where(done)
-            if sel is not None:
-                # A vanishing gradient certifies a solution only together
-                # with the weight-sum identity sum_j 1/(m t_j) = 1; along a
-                # recession direction of an unsolvable problem the gradient
-                # also vanishes but the weights collapse.
-                off = np.abs(_sum(1.0 / w.t[sel], axis=1) / m - 1.0) > 1e-6
-                if np.count_nonzero(off):
-                    diverged = np.zeros_like(done)
-                    diverged[sel] = off
-                    stop(diverged, _RECESSION, resid, it)
-                    sel = _where(done & ~diverged)
-            if sel is not None:
-                xi, t, res = _polish(w.cols[sel], w.xi[sel], w.t[sel], resid[sel],
-                                     _newton_directions(h[sel], g[sel], True, fallbacks), min_t)
-                at = w.pos[sel]
-                stat[at] = np.maximum(0.0, 2.0 * _sum(np.log(t), axis=1))
-                iterations[at], residual[at], xi_out[at] = it - 1, res, xi
-            # Dual objective unbounded below: no primal solution exists.
-            stop(ended & ~done, _UNBOUNDED, resid, it)
-            if n_ended == len(ended):
-                break
-            keep = ~ended
-            w.keep(keep)
-            g, resid, h = g[keep], resid[keep], h[keep]
-
-        d = _newton_directions(h, g, False, fallbacks)
-        slope = _sum(g * d, axis=1)  # = -grad f . d; positive for a descent direction
-        uphill = slope <= 0.0
-        if np.count_nonzero(uphill):
-            d[uphill] = g[uphill]
-            slope[uphill] = _sum(g[uphill] * g[uphill], axis=1)
-        searched = _line_search(w, d, slope, resid, min_t)
-        if searched is None:  # every problem stepped: no boundary hit, no stop
-            w.stall.fill(0)
-            w.resid_prev = resid
-            if keep_trace:
-                for j, f in zip(w.pos, w.f):
-                    traces[j].append(float(f))
+    # numpy's matrix_rank, without its wrapper's cost on small stacks
+    sv = np.linalg.svd(rows, compute_uv=False)
+    rank = np.count_nonzero(sv > sv[:, :1] * (max(m, k) * np.finfo(float).eps), axis=1)
+    for r in np.unique(rank):
+        pos = np.flatnonzero(rank == r)
+        if r == 0:  # all rows zero: xi = 0 solves the dual
+            out.stat[pos] = out.residual[pos] = 0.0
             continue
-        accepted, hit = searched
-        if keep_trace:
-            for j in np.flatnonzero(accepted):
-                traces[w.pos[j]].append(float(w.f[j]))
-        w.stall = np.where(hit & (resid >= w.resid_prev - 1e-12), w.stall + 1, 0)
-        w.resid_prev = resid
-        pinned = (w.stall >= _STALL_LIMIT) & (not adjusted)
-        stuck = ~accepted & ~hit
-        ended = pinned | stuck
-        if np.count_nonzero(ended):
-            stop(pinned, _PINNED, resid, it)
-            stop(stuck, _NO_PROGRESS, resid, it)
-            if np.count_nonzero(ended) == len(ended):
-                break
-            w.keep(~ended)
-            resid = resid[~ended]
-    else:
-        stop(np.ones(w.pos.size, dtype=bool), _MAX_STEPS, resid, MAX_NEWTON_STEPS)
-
-    if fallbacks["lstsq"]:
-        log.debug("dual: exactly singular Newton matrix, least-squares step used %d time(s)",
-                  fallbacks["lstsq"])
-    if fallbacks["polish"]:
-        log.debug("dual: exactly singular Newton matrix, polishing step skipped for %d "
-                  "problem(s)", fallbacks["polish"])
-    return result()
+        x, basis = (rows if pos.size == n else rows[pos]), None
+        if r < k:  # span coordinates x_j = V_r' psi_j
+            basis = np.linalg.svd(x, full_matrices=False)[2][:, :r].transpose(0, 2, 1)
+            x = x @ basis
+        if not adjusted:
+            inside = _in_relative_interior(x)
+            if np.count_nonzero(inside) < pos.size:
+                out.status[pos[~inside]] = STATUS_NO_SOLUTION
+                out.reason[pos[~inside]] = _OUTSIDE_HULL
+                pos, x = pos[inside], x[inside]
+                basis = None if basis is None else basis[inside]
+        if pos.size:
+            eta = _newton(x, pos, out, traces)
+            out.xi[pos] = eta if basis is None else (basis @ eta[:, :, None])[:, :, 0]
+    return replace(out, traces=tuple(map(tuple, traces))) if keep_trace else out
 
 
 def solve_dual(psi: PsiMatrix, keep_trace: bool = False) -> ElSolution:
     """Solve one EL Lagrange dual: the N = 1 call of :func:`solve_duals`.
 
-    Raises NoSolutionError when zero is outside the convex hull of the rows
-    of an unadjusted matrix, and ConvergenceError (carrying the residual and
-    iteration count) when the iteration fails; :func:`solve_duals` gives the
-    rules.
+    Raises NoSolutionError when zero is not in the relative interior of the
+    convex hull of the rows of an unadjusted matrix, and ConvergenceError
+    (carrying the residual and iteration count) when the iteration fails;
+    :func:`solve_duals` gives the rules.
     """
     res = solve_duals(psi.rows[None], psi.adjusted, keep_trace)
-    status = int(res.status[0])
+    status, text = int(res.status[0]), _REASON_TEXT.get(int(res.reason[0]))
     if status == STATUS_NO_SOLUTION:
-        raise NoSolutionError(
-            f"{_REASON_TEXT[int(res.reason[0])]}; zero is outside the convex hull of the psi rows"
-        )
+        raise NoSolutionError(text)
     if status == STATUS_FAILED:
         resid, it = float(res.residual[0]), int(res.iterations[0])
-        prefix = "adjusted dual diverged: " if psi.adjusted and res.reason[0] in (
-            _RECESSION, _UNBOUNDED) else ""
-        raise ConvergenceError(f"{prefix}{_REASON_TEXT[int(res.reason[0])]} "
-                               f"(residual {resid:.3e})", residual=resid, iterations=it)
+        raise ConvergenceError(f"{text} (residual {resid:.3e})", residual=resid, iterations=it)
     xi = res.xi[0]
     return ElSolution(
         xi=xi,

@@ -25,6 +25,8 @@ from .periodogram import periodogram_stack
 from .whittle import psi_profile_rows
 
 MODEL_ORDERS = {"ma1": (0, 1), "ar1": (1, 0), "arma11": (1, 1)}
+# The a_n rules a coverage plan accepts, as documented in the README.
+_A_N_RULES = ("half_log", "max_half_log")
 NOISE_BY_NAME = {
     "normal": NoiseKind.STANDARD_NORMAL,
     "chi2_5": NoiseKind.CENTERED_CHI2_5,
@@ -102,7 +104,8 @@ class ExperimentPlan:
         object.__setattr__(self, "methods", methods)
         if self.noise_centering not in ("exact", "empirical"):
             raise InputError(f"noise_centering must be 'exact' or 'empirical', got {self.noise_centering!r}")
-        AdjustmentPolicy(self.a_n, constant=1.0, trim=self.trim)  # validates the rule name
+        if self.a_n not in _A_N_RULES:
+            raise InputError(f"a_n must be one of {_A_N_RULES}, got {self.a_n!r}")
         tb = {}
         raw = self.tb_constants
         if isinstance(raw, dict):
@@ -125,7 +128,7 @@ class ExperimentPlan:
 
     @property
     def policy(self) -> AdjustmentPolicy:
-        return AdjustmentPolicy(self.a_n, constant=1.0, trim=self.trim)
+        return AdjustmentPolicy(self.a_n, trim=self.trim)
 
 
 @dataclass(frozen=True)

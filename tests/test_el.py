@@ -13,7 +13,17 @@ from elspec import (
     el_stat,
     whittle_fit,
 )
-from elspec.el import HALF_LOG, MAX_HALF_LOG, UNADJUSTED, PsiMatrix, adjust, solve_dual
+from elspec.el import (
+    HALF_LOG,
+    MAX_HALF_LOG,
+    STATUS_NO_SOLUTION,
+    STATUS_OK,
+    UNADJUSTED,
+    PsiMatrix,
+    adjust,
+    solve_dual,
+    solve_duals,
+)
 
 
 class TestAdjustmentPolicy:
@@ -119,6 +129,36 @@ class TestSolveDual:
         sol = solve_dual(adjust(PsiMatrix(rows), MAX_HALF_LOG))
         assert sol.converged
         assert sol.stat > 0.0
+
+    @staticmethod
+    def _collinear_k3(seed):
+        # drawn like the stacks of tests/test_batch.py, with column 1 the
+        # negated column 0: the rows span a plane in R^3
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((20, 3)) + rng.choice([0.0, 0.4, 4.0], size=(1, 3))
+        rows[:, 1] = -rows[:, 0]
+        return rows
+
+    def test_rank_deficient_k3_outside_hull(self):
+        rows = self._collinear_k3(142)
+        assert rows[:, 2].min() > 0.0  # d = e_3 separates zero from the rows
+        res = solve_duals(rows[None])
+        assert res.status[0] == STATUS_NO_SOLUTION
+        assert res.iterations[0] == 0 and np.isnan(res.residual[0])
+        with pytest.raises(NoSolutionError):
+            solve_dual(PsiMatrix(rows))
+
+    def test_rank_deficient_k3_inside_hull(self):
+        rows = self._collinear_k3(163)
+        res = solve_duals(rows[None])
+        assert res.status[0] == STATUS_OK
+        t = 1.0 + rows @ res.xi[0]
+        assert np.linalg.norm((rows / t[:, None]).sum(axis=0)) < 1e-9
+        sol = solve_dual(PsiMatrix(rows))
+        assert sol.stat == res.stat[0] > 0.0
+        assert np.all(sol.weights > 0)
+        assert abs(sol.weights.sum() - 1.0) < 1e-12
+        assert np.linalg.norm(sol.weights @ rows) < 1e-8
 
     def test_dual_objective_monotone_over_accepted_steps(self):
         rng = np.random.default_rng(4)

@@ -179,6 +179,15 @@ class TestPlanFile:
         with pytest.raises(InputError, match="JSON"):
             load_plan(path)
 
+    @pytest.mark.parametrize("rule", ["none", "constant", "bogus"])
+    def test_undocumented_a_n_rejected(self, tmp_path, rule):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({
+            "model": "ma1", "params": [0.5], "sample_sizes": [20], "a_n": rule,
+        }))
+        with pytest.raises(InputError, match="a_n"):
+            load_plan(path)
+
     def test_tb_constants_mapping(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps({
