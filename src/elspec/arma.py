@@ -18,6 +18,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
+from .el import batch_slices
 from .errors import InputError, InvalidModelError
 
 # Root-modulus slack used by the stationarity/invertibility test; avoids
@@ -271,35 +272,54 @@ def simulate(
     seed: int = 0,
     center: str = "exact",
 ) -> TimeSeries:
-    """Simulate a length-T realization of phi(B) Z_t = theta(B) a_t.
+    """Simulate a length-T realization of phi(B) Z_t = theta(B) a_t: the
+    one-seed call of :func:`simulate_stack`, which gives the rules.
+    Centering is "exact" by default.  Deterministic given ``seed``."""
+    return TimeSeries(simulate_stack(spec, T, [seed], noise, center)[0])
+
+
+def simulate_stack(spec: ArmaSpec, T: int, seeds, noise: NoiseKind, center: str) -> np.ndarray:
+    """Simulate one length-T realization of phi(B) Z_t = theta(B) a_t per
+    seed; returns an (R, T) array, row i drawn from ``seeds[i]`` alone
+    (``seeds`` is a sequence of integers).
 
     Innovations are sqrt(sigma2) times a standard-normal draw or a centered
     chi-square(5) draw (five squared standard normals minus 5; variance 10
     before scaling, not re-standardized).  ``center`` selects exact-mean
-    centering ("exact", the default: chi-square draws have their mean 5
-    removed) or additional per-sample centering ("empirical": the realized
-    innovation mean is subtracted too).  A presample of 500 + 10*(p+q) steps,
-    started from zero, is discarded.  Deterministic given ``seed``.
+    centering ("exact": chi-square draws have their mean 5
+    removed) or additional per-sample centering ("empirical": each row's
+    realized innovation mean is subtracted too).  A presample of
+    500 + 10*(p+q) steps, started from zero, is discarded.
+
+    Each row's random stream comes from ``np.random.default_rng(seed)``;
+    scaling, centring and the filter run on a whole chunk of rows at once,
+    with every row bitwise what it would be alone.  A chunk holds at most
+    ``el._BATCH_ENTRIES`` innovation samples, so the innovation buffer stays
+    near the solver batches' size however many seeds are given.
     """
     if T < 4:
         raise InputError(f"need T >= 4, got {T}")
     if center not in ("exact", "empirical"):
         raise InputError(f"unknown centering {center!r}; use 'exact' or 'empirical'")
-    rng = np.random.default_rng(seed)
+    if noise not in (NoiseKind.STANDARD_NORMAL, NoiseKind.CENTERED_CHI2_5):
+        raise InputError(f"unknown noise kind {noise!r}")
     burn = 500 + 10 * (spec.p + spec.q)
     m = T + burn
-    if noise is NoiseKind.STANDARD_NORMAL:
-        a = rng.standard_normal(m)
-    elif noise is NoiseKind.CENTERED_CHI2_5:
-        a = np.sum(rng.standard_normal((m, 5)) ** 2, axis=1) - 5.0
-    else:
-        raise InputError(f"unknown noise kind {noise!r}")
-    a *= np.sqrt(spec.sigma2)
-    if center == "empirical":
-        a = a - a.mean()
     # lfilter applies z_t = sum phi_i z_{t-i} + a_t - sum theta_m a_{t-m}
     # with zero initial conditions.
     b = np.concatenate(([1.0], -spec.ma))
     a_poly = np.concatenate(([1.0], -spec.ar))
-    z = lfilter(b, a_poly, a)
-    return TimeSeries(z[burn:])
+    out = np.empty((len(seeds), T))
+    for part in batch_slices(len(seeds), m):
+        buf = np.empty((part.stop - part.start, m))
+        for row, seed in zip(buf, seeds[part]):
+            rng = np.random.default_rng(seed)
+            if noise is NoiseKind.STANDARD_NORMAL:
+                rng.standard_normal(out=row)
+            else:
+                row[:] = np.sum(rng.standard_normal((m, 5)) ** 2, axis=1) - 5.0
+        buf *= np.sqrt(spec.sigma2)
+        if center == "empirical":
+            buf -= buf.mean(axis=1, keepdims=True)
+        out[part] = lfilter(b, a_poly, buf, axis=1)[:, burn:]
+    return out

@@ -244,6 +244,11 @@ def interval_1d(
     side that reaches the stationarity boundary (or the user ``bounds``)
     without crossing is clamped there and flagged.  Points where the EL
     problem has no solution count as beyond the region boundary.
+
+    Raises ConvergenceError when the fit did not converge, and when the
+    statistic at the estimate itself exceeds the threshold (possible for an
+    estimate hugging the stationarity boundary, where the profile score
+    need not vanish): the interval then has no interior to expand from.
     """
     p, q = order
     if p + q != 1:
@@ -275,6 +280,14 @@ def interval_1d(
             return _BIG
         return float(res.stat[0]) - threshold
 
+    def check_estimate_inside():
+        gap = excess(bhat)
+        if gap > 0.0:
+            value = "undefined (no dual solution)" if gap == _BIG else f"{gap + threshold:.6g}"
+            raise ConvergenceError(
+                f"{method} statistic at the Whittle estimate {bhat:.8g} is {value}, above "
+                f"the threshold {threshold:.6g}: the estimate lies outside its own region")
+
     def find_edge(direction):
         # direction +1 for the upper endpoint, -1 for the lower
         bound = hi_bound if direction > 0 else lo_bound
@@ -288,6 +301,8 @@ def interval_1d(
             if (direction > 0 and nxt >= bound) or (direction < 0 and nxt <= bound):
                 nxt = bound
             if excess(nxt) > 0.0:
+                if prev == bhat:  # brentq would start from the estimate
+                    check_estimate_inside()
                 left, right = (prev, nxt) if direction > 0 else (nxt, prev)
                 root = brentq(excess, left, right, xtol=1e-12, rtol=8.9e-16)
                 return float(root), False
@@ -407,21 +422,21 @@ def extract_contour(grid: RegionGrid) -> list[np.ndarray]:
         if np.all(grid.stat > level):
             return []
 
+    # Marching squares needs only the cells whose four corners are defined
+    # and lie on both sides of the level; find them all at once and visit
+    # them in row-major (i, j) order.
+    stat = grid.stat
+    below = stat <= level
+    corners_ok = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
+    n_inside = below[:-1, :-1].astype(int) + below[1:, :-1] + below[1:, 1:] + below[:-1, 1:]
     segments = []
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            ok = valid[i, j] and valid[i + 1, j] and valid[i + 1, j + 1] and valid[i, j + 1]
-            if not ok:
-                continue
-            corners = (
-                (xs[i], ys[j]), (xs[i + 1], ys[j]),
-                (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1]),
-            )
-            values = (
-                grid.stat[i, j], grid.stat[i + 1, j],
-                grid.stat[i + 1, j + 1], grid.stat[i, j + 1],
-            )
-            segments.extend(_cell_segments(corners, values, level))
+    for i, j in np.argwhere(corners_ok & (n_inside > 0) & (n_inside < 4)):
+        corners = (
+            (xs[i], ys[j]), (xs[i + 1], ys[j]),
+            (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1]),
+        )
+        values = (stat[i, j], stat[i + 1, j], stat[i + 1, j + 1], stat[i, j + 1])
+        segments.extend(_cell_segments(corners, values, level))
     if not segments:
         return []
     span = max(xs[-1] - xs[0], ys[-1] - ys[0])

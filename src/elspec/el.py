@@ -47,7 +47,8 @@ MAX_NEWTON_STEPS = 100
 _FEAS_SLACK = 1e-12
 _ARMIJO_C1 = 1e-4
 # Callers batch at most about this many psi entries (N * m * k) per
-# solve_duals call, which keeps the solver's temporaries near 1 MB.
+# solve_duals call, and arma.simulate_stack this many innovation samples per
+# chunk, which keeps the temporaries near 1 MB.
 _BATCH_ENTRIES = 1 << 15
 
 # Per-problem outcome of the dual.
@@ -56,11 +57,12 @@ STATUS_NO_SOLUTION = 1
 STATUS_FAILED = 2
 
 # DualBatch.reason: why a problem is unsolved (0 if solved).
-_OUTSIDE_HULL, _NO_PROGRESS, _MAX_STEPS = range(1, 4)
+_OUTSIDE_HULL, _NO_PROGRESS, _MAX_STEPS, _SINGULAR = range(1, 5)
 _REASON_TEXT = {
     _OUTSIDE_HULL: "zero is not in the relative interior of the convex hull of the psi rows",
     _NO_PROGRESS: "dual line search made no progress",
     _MAX_STEPS: f"dual solver did not converge in {MAX_NEWTON_STEPS} steps",
+    _SINGULAR: "dual Newton matrix is numerically singular",
 }
 
 # The ufunc reductions behind ndarray.sum/.min, called directly: they give
@@ -234,9 +236,24 @@ def _affine(cols, x):
 
 
 def _newton_directions(h, g):
-    """Solve h d = g for every problem; h is positive definite because the
-    rows of every problem have full column rank."""
-    return np.linalg.solve(h, g[:, :, None])[:, :, 0]
+    """Solve h d = g for every problem.  h is positive definite because the
+    rows of every problem have full column rank, but rows of wildly
+    different scales can still make it singular in floating point.  Returns
+    the directions and None, or, when the batched solve raises, the
+    directions solved one problem at a time and the mask of the problems
+    whose h is singular (their directions are NaN)."""
+    try:
+        return np.linalg.solve(h, g[:, :, None])[:, :, 0], None
+    except np.linalg.LinAlgError:
+        pass
+    d = np.full(g.shape, np.nan)
+    singular = np.zeros(len(g), dtype=bool)
+    for i in range(len(g)):
+        try:  # the same (1, r, r) call as the problem's own N = 1 solve
+            d[i] = np.linalg.solve(h[i : i + 1], g[i : i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return d, singular
 
 
 def _in_relative_interior(x):
@@ -401,8 +418,9 @@ def _newton(x, pos, out, traces):
         n_done = np.count_nonzero(done)
         if n_done:
             sel = slice(None) if n_done == len(done) else done  # a view when all are done
+            # a singular h gives a NaN polishing step, which _polish rejects
             xi, t, res = _polish(w.cols[sel], w.xi[sel], w.t[sel], resid[sel],
-                                 _newton_directions(h[sel], g[sel]), min_t)
+                                 _newton_directions(h[sel], g[sel])[0], min_t)
             eta[w.pos[sel]] = xi
             at = pos[w.pos[sel]]
             out.stat[at] = np.maximum(0.0, 2.0 * _sum(np.log(t), axis=1))
@@ -413,7 +431,14 @@ def _newton(x, pos, out, traces):
             w.keep(keep)
             g, resid, h = g[keep], resid[keep], h[keep]
 
-        d = _newton_directions(h, g)
+        d, singular = _newton_directions(h, g)
+        if singular is not None:
+            stop(singular, _SINGULAR, resid, it)
+            keep = ~singular
+            if not np.count_nonzero(keep):
+                break
+            w.keep(keep)
+            g, d, resid = g[keep], d[keep], resid[keep]
         slope = _sum(g * d, axis=1)  # = -grad f . d; positive for a descent direction
         uphill = slope <= 0.0
         if np.count_nonzero(uphill):
@@ -465,9 +490,10 @@ def solve_duals(rows, adjusted: bool = False, keep_trace: bool = False) -> DualB
     A problem converges when its multiplier-equation residual
     ||sum psi_j / (1 + xi'psi_j)|| drops below 1e-9; one full polishing step
     then tightens the constraints well past that tolerance.  It is
-    STATUS_FAILED when its line search accepts no trial step or after 100
-    Newton steps.  Each problem's outcome is the one it would have alone: the
-    batch only shares the numpy calls.
+    STATUS_FAILED when its line search accepts no trial step, when its Newton
+    matrix is numerically singular (LAPACK finds an exactly zero pivot), or
+    after 100 Newton steps.  Each problem's outcome is the one it would have
+    alone: the batch only shares the numpy calls.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 3:

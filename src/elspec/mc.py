@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2
 
-from .arma import ArmaSpec, NoiseKind, simulate
+from .arma import ArmaSpec, NoiseKind, simulate_stack
 from .confidence import METHODS, method_stats
 from .el import STATUS_FAILED, STATUS_NO_SOLUTION, AdjustmentPolicy, batch_slices
 from .errors import InputError, InvalidModelError
@@ -174,10 +174,12 @@ def run_coverage(plan: ExperimentPlan) -> CoverageReport:
     Within one replication every method sees the same simulated series and
     the same estimating-function rows at the true parameter, so method
     comparisons are paired.  Replication r of a cell draws its series from
-    its own seed ``derive_seed(plan.seed, cell, r)``; the replications of a
-    cell then share one FFT, one psi construction and one dual solve per
-    method, in batches of up to several hundred replications (fewer for long
-    series).
+    its own seed ``derive_seed(plan.seed, cell, r)``.  The replications of a
+    cell run in batches of up to several hundred (fewer for long series):
+    a batch's series come from one :func:`elspec.arma.simulate_stack` call
+    on its list of seeds, as one (R, T) array, and share one FFT, one psi
+    construction and one dual solve per method.  No replication builds a
+    TimeSeries.
     """
     order = plan.order
     k = sum(order)
@@ -199,13 +201,14 @@ def run_coverage(plan: ExperimentPlan) -> CoverageReport:
                 fails = {m: 0 for m in plan.methods}
                 # The FFT's complex buffers (about 5 T doubles a series)
                 # outweigh a replication's (n + 1) k psi entries, so they size
-                # the batches.
+                # the batches; simulate_stack fills each batch's series in
+                # chunks of its own, since an innovation row (T plus the
+                # burn-in) is longer still.
                 for part in batch_slices(plan.replications, max((n + 1) * k, 2 * T)):
+                    seeds = [derive_seed(plan.seed, cell_index, rep)
+                             for rep in range(part.start, part.stop)]
                     freqs, ords = periodogram_stack(
-                        simulate(spec_true, T, noise, derive_seed(plan.seed, cell_index, rep),
-                                 center=plan.noise_centering)
-                        for rep in range(part.start, part.stop)
-                    )
+                        simulate_stack(spec_true, T, seeds, noise, plan.noise_centering))
                     rows = psi_profile_rows(freqs, ords, spec_true.ar[None], spec_true.ma[None])
                     stats = method_stats(rows, plan.methods, policy)
                     for m in plan.methods:

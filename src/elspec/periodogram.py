@@ -55,13 +55,14 @@ def compute_periodogram(series: TimeSeries) -> Periodogram:
     return Periodogram(freqs=freqs, ords=_ordinates(series.values - series.mean, freqs.size), T=T)
 
 
-def periodogram_stack(series) -> tuple[np.ndarray, np.ndarray]:
-    """Retained frequencies (n,) and ordinates (R, n) of R series of one
-    length, row r exactly as :func:`compute_periodogram` gives it for the
-    r-th series; one FFT call covers the whole stack.  ``series`` may be a
-    generator: only each series' centred values are kept."""
-    centered = np.stack([s.values - s.mean for s in series])
-    freqs = _retained_freqs(centered.shape[1])
+def periodogram_stack(values) -> tuple[np.ndarray, np.ndarray]:
+    """Retained frequencies (n,) and ordinates (R, n) of the R rows of an
+    (R, T) array of series, row r exactly as :func:`compute_periodogram`
+    gives it for a TimeSeries of row r: each row is centred by its own mean
+    and one FFT call covers the whole stack."""
+    values = np.asarray(values, dtype=float)
+    centered = values - values.mean(axis=1, keepdims=True)
+    freqs = _retained_freqs(values.shape[1])
     return freqs, _ordinates(centered, freqs.size)
 
 

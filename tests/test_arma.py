@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.signal
 from scipy.integrate import simpson
 from scipy.stats import skew
 
@@ -16,6 +17,8 @@ from elspec import (
     simulate,
     spectral_density,
 )
+from elspec.arma import simulate_stack
+from elspec.el import batch_slices
 from conftest import rng_specs
 
 TWO_PI = 2.0 * math.pi
@@ -285,6 +288,10 @@ class TestSimulate:
             simulate(ArmaSpec(), 3, NoiseKind.STANDARD_NORMAL, seed=0)
         with pytest.raises(InputError):
             simulate(ArmaSpec(), 50, NoiseKind.STANDARD_NORMAL, seed=0, center="nope")
+        with pytest.raises(InputError):
+            simulate(ArmaSpec(), 50, "normal", seed=0)  # a name, not a NoiseKind
+        with pytest.raises(InputError):
+            simulate_stack(ArmaSpec(), 3, [0, 1], NoiseKind.STANDARD_NORMAL, "exact")
 
     def test_ar1_empirical_autocorrelation(self):
         phi = 0.7
@@ -292,3 +299,55 @@ class TestSimulate:
         x = ts.values - ts.mean
         rho1 = float(x[:-1] @ x[1:] / (x @ x))
         assert rho1 == pytest.approx(phi, abs=0.01)
+
+
+def _reference_series(spec, T, noise, seed, center):
+    """The one-series simulation loop, written out independently."""
+    rng = np.random.default_rng(seed)
+    burn = 500 + 10 * (spec.p + spec.q)
+    if noise is NoiseKind.STANDARD_NORMAL:
+        a = rng.standard_normal(T + burn)
+    else:
+        a = np.sum(rng.standard_normal((T + burn, 5)) ** 2, axis=1) - 5.0
+    a *= np.sqrt(spec.sigma2)
+    if center == "empirical":
+        a = a - a.mean()
+    z = scipy.signal.lfilter(np.r_[1.0, -spec.ma], np.r_[1.0, -spec.ar], a)
+    return z[burn:]
+
+
+STACK_SPECS = {
+    (0, 0): ArmaSpec(sigma2=2.0),
+    (1, 0): ArmaSpec(ar=[0.6]),
+    (0, 1): ArmaSpec(ma=[-0.5], sigma2=0.7),
+    (1, 1): ArmaSpec(ar=[0.7], ma=[0.4]),
+    (2, 1): ArmaSpec(ar=[0.5, -0.3], ma=[0.4], sigma2=1.5),
+}
+
+
+@pytest.mark.parametrize("order", sorted(STACK_SPECS))
+@pytest.mark.parametrize("noise", list(NoiseKind))
+@pytest.mark.parametrize("center", ["exact", "empirical"])
+@pytest.mark.parametrize("T", [4, 20, 500])
+def test_simulate_stack_rows_equal_single_seeds(order, noise, center, T):
+    spec = STACK_SPECS[order]
+    seeds = [3, 11, 2**63 + 5]
+    stack = simulate_stack(spec, T, seeds, noise, center)
+    assert stack.shape == (len(seeds), T)
+    for row, seed in zip(stack, seeds):
+        single = simulate(spec, T, noise, seed, center).values
+        assert np.array_equal(row, single)
+        assert np.array_equal(row, _reference_series(spec, T, noise, seed, center))
+
+
+@pytest.mark.parametrize("noise", list(NoiseKind))
+@pytest.mark.parametrize("center", ["exact", "empirical"])
+def test_simulate_stack_across_chunks(noise, center):
+    # an ARMA(1,1) innovation row at T = 20 holds 540 samples, so a chunk
+    # takes 60 rows and 150 seeds fill three chunks, the last one partly
+    spec = STACK_SPECS[(1, 1)]
+    assert [s.stop - s.start for s in batch_slices(150, 20 + 520)] == [60, 60, 30]
+    seeds = list(range(100, 250))
+    stack = simulate_stack(spec, 20, seeds, noise, center)
+    for row, seed in zip(stack, seeds):
+        assert np.array_equal(row, simulate(spec, 20, noise, seed, center).values)

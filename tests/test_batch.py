@@ -26,6 +26,7 @@ from elspec.arma import stationary_invertible
 from elspec.cli import main
 from elspec.confidence import STATUS_FAILED, STATUS_INVALID, STATUS_NO_SOLUTION, STATUS_OK
 from elspec.el import (
+    _SINGULAR,
     MAX_HALF_LOG,
     PsiMatrix,
     adjust,
@@ -128,6 +129,26 @@ def test_solve_dual_is_the_single_problem_kernel():
     assert sol.residual == res.residual[0]
     with pytest.raises(NoSolutionError):
         solve_dual(PsiMatrix(rng.uniform(0.5, 2.0, size=(40, 2))))
+
+
+def test_singular_newton_matrix_fails_only_its_problem():
+    # one row a trillion times the others: the first Newton matrix has an
+    # exactly zero pivot in floating point; at 1e10 the same rows still solve
+    rows = np.array([[1.0, 0.0], [-1.0, 0.5], [0.2, -1.0], [-0.3, -0.4], [0.5, 0.9], [1e12, 1e9]])
+    milder = rows.copy()
+    milder[-1] = [1e10, 1e7]
+    assert solve_duals(milder[None]).status[0] == STATUS_OK
+    healthy = np.random.default_rng(0).standard_normal((6, 2)) + [0.1, 0.2]
+    res = solve_duals(np.stack([healthy, rows, healthy]))
+    assert list(res.status) == [STATUS_OK, STATUS_FAILED, STATUS_OK]
+    assert res.reason[1] == _SINGULAR
+    alone = solve_duals(healthy[None])
+    for i in (0, 2):
+        assert np.array_equal(res.xi[i], alone.xi[0])
+        assert (res.stat[i], res.iterations[i], res.residual[i]) == (
+            alone.stat[0], alone.iterations[0], alone.residual[0])
+    with pytest.raises(ConvergenceError, match="singular"):
+        solve_dual(PsiMatrix(rows))
 
 
 def test_diagonal_nodes_match_single_solves(caplog):

@@ -6,6 +6,7 @@ from scipy.stats import chi2
 
 from elspec import (
     ArmaSpec,
+    ConvergenceError,
     InputError,
     NoiseKind,
     NoSolutionError,
@@ -19,7 +20,14 @@ from elspec import (
     simulate,
     whittle_fit,
 )
-from elspec.confidence import STATUS_NO_SOLUTION, STATUS_OK, RegionGrid
+from elspec.confidence import (
+    STATUS_INVALID,
+    STATUS_NO_SOLUTION,
+    STATUS_OK,
+    RegionGrid,
+    _cell_segments,
+    _chain_segments,
+)
 from elspec.el import MAX_HALF_LOG, adjust, solve_dual
 from elspec.whittle import psi_profile
 
@@ -195,6 +203,81 @@ class TestInterval1d:
         target = 2.0 * 1.645 * math.sqrt(diag.v_hat[0, 0] / pg.n)
         width = iv.hi - iv.lo
         assert abs(width - target) / target < 0.15
+
+
+    @pytest.mark.parametrize("seed", [6, 14])
+    @pytest.mark.parametrize("method", ["el", "ael", "eb", "tb"])
+    def test_estimate_outside_its_region_raises(self, seed, method):
+        # the fit hugs the unit root, where the profile score need not
+        # vanish: the statistic at the estimate already exceeds the threshold
+        ts = simulate(ArmaSpec(ar=[0.97]), 60, NoiseKind.STANDARD_NORMAL, seed=seed)
+        pg = compute_periodogram(ts)
+        fit = whittle_fit(pg, (1, 0), profile=True)
+        assert fit.converged and fit.estimate[0] > 0.9999
+        with pytest.raises(ConvergenceError, match="outside its own region"):
+            interval_1d(pg, (1, 0), method=method, fit=fit,
+                        tb_constant=1.0 if method == "tb" else None)
+
+
+def _reference_contour(grid):
+    """extract_contour with every cell visited in a Python loop."""
+    xs, ys = grid.axes
+    level = grid.threshold
+    valid = grid.status == STATUS_OK
+    if valid.all():
+        if np.all(grid.stat <= level):
+            x0, x1, y0, y1 = xs[0], xs[-1], ys[0], ys[-1]
+            return [np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)])]
+        if np.all(grid.stat > level):
+            return []
+    segments = []
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            ok = valid[i, j] and valid[i + 1, j] and valid[i + 1, j + 1] and valid[i, j + 1]
+            if not ok:
+                continue
+            corners = (
+                (xs[i], ys[j]), (xs[i + 1], ys[j]),
+                (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1]),
+            )
+            values = (
+                grid.stat[i, j], grid.stat[i + 1, j],
+                grid.stat[i + 1, j + 1], grid.stat[i, j + 1],
+            )
+            segments.extend(_cell_segments(corners, values, level))
+    if not segments:
+        return []
+    span = max(xs[-1] - xs[0], ys[-1] - ys[0])
+    return _chain_segments(segments, tol=1e-9 * span)
+
+
+def _contour_grids():
+    rng = np.random.default_rng(20)
+    nx, ny = 17, 23
+    smooth = np.add.outer(np.linspace(-2.0, 2.0, nx) ** 2, np.linspace(-1.5, 1.5, ny) ** 2)
+    # a checkerboard of values below and above the level: every cell is a
+    # saddle, case 5 or case 10, with centre averages on both sides
+    parity = np.add.outer(np.arange(nx), np.arange(ny)) % 2 == 0
+    checker = np.where(parity, rng.uniform(0.0, 1.0, (nx, ny)), rng.uniform(1.0, 3.0, (nx, ny)))
+    fields = {"smooth": smooth, "checker": checker, "uniform": rng.uniform(0.0, 2.0, (nx, ny)),
+              "inside": np.zeros((nx, ny)), "outside": np.full((nx, ny), 5.0)}
+    for name, stat in fields.items():
+        for share in (0.0, 0.1, 0.4):
+            status = np.where(rng.random((nx, ny)) < share,
+                              rng.choice([STATUS_NO_SOLUTION, STATUS_INVALID], (nx, ny)), STATUS_OK)
+            yield pytest.param(stat, status, id=f"{name}-undefined{share}")
+
+
+@pytest.mark.parametrize("stat,status", list(_contour_grids()))
+def test_contour_matches_all_cells_loop(stat, status):
+    stat = np.where(status == STATUS_OK, stat, np.nan)
+    grid = RegionGrid(axes=(grid_axis(-1.0, 1.0, stat.shape[0]), grid_axis(0.0, 1.0, stat.shape[1])),
+                      stat=stat, status=status, threshold=1.0, method="el", alpha=0.1,
+                      order=(1, 1))
+    got, want = extract_contour(grid), _reference_contour(grid)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 class TestExtractContour:

@@ -18,7 +18,9 @@ from elspec import (
     run_coverage,
     simulate,
 )
-from elspec.el import HALF_LOG, adjust, solve_dual
+from elspec.el import HALF_LOG, adjust, batch_slices, solve_dual
+from elspec.errors import ConvergenceError
+from elspec.mc import NOISE_BY_NAME
 
 
 def small_plan(**overrides):
@@ -130,6 +132,38 @@ class TestRunCoverage:
         el = rep.cell(30, "normal", (0.5,), "el")
         tb = rep.cell(30, "normal", (0.5,), "tb")
         assert tb.coverage >= el.coverage
+
+
+    def test_stacked_run_matches_per_replication_loop(self):
+        # T = 20 simulates in chunks of 61 series within one dual batch;
+        # T = 300 runs three dual batches of 54 against chunks of 40 series
+        plan = small_plan(sample_sizes=(20, 300), noises=("normal", "chi2_5"),
+                          replications=150, noise_centering="empirical")
+        assert len(batch_slices(150, 20 + 510)) == 3
+        assert len(batch_slices(150, 2 * 300)) == 3
+        report = run_coverage(plan)
+        spec = ArmaSpec(ma=[0.5])
+        thr = chi2.ppf(plan.level, 1)
+        cell_index = 0
+        for T in plan.sample_sizes:
+            for noise in plan.noises:
+                tally = {m: [0, 0, 0] for m in plan.methods}  # hits, nosolution, failures
+                for rep in range(plan.replications):
+                    ts = simulate(spec, T, NOISE_BY_NAME[noise],
+                                  derive_seed(plan.seed, cell_index, rep), plan.noise_centering)
+                    psi = psi_profile(compute_periodogram(ts), spec)
+                    for m, mat in (("el", psi), ("ael", adjust(psi, plan.policy))):
+                        try:
+                            tally[m][0] += solve_dual(mat).stat <= thr
+                        except NoSolutionError:
+                            tally[m][1] += 1
+                        except ConvergenceError:
+                            tally[m][2] += 1
+                for m, (hits, nosol, fails) in tally.items():
+                    cell = report.cell(T, noise, (0.5,), m)
+                    assert cell.coverage == hits / plan.replications
+                    assert (cell.nosolution, cell.failures) == (nosol, fails)
+                cell_index += 1
 
 
 class TestPairedSummary:

@@ -10,6 +10,7 @@ from elspec import (
     all_fourier_ordinates,
     compute_periodogram,
 )
+from elspec.periodogram import periodogram_stack
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,3 +125,14 @@ def test_matches_direct_sums_long_series(T):
         expected = ((x @ np.sin(arg)) ** 2 + (x @ np.cos(arg)) ** 2) / (TWO_PI * T)
         assert pg.freqs[j - 1] == TWO_PI * j / T
         assert pg.ords[j - 1] == pytest.approx(expected, rel=1e-12, abs=1e-12 * pg.ords.mean())
+
+
+@pytest.mark.parametrize("T", [4, 9, 70, 501])
+def test_stack_rows_equal_single_periodograms(T):
+    values = np.random.default_rng(T).standard_normal((7, T)) * 3.0 + 1.5
+    freqs, ords = periodogram_stack(values)
+    assert ords.shape == (7, (T - 1) // 2)
+    for row, o in zip(values, ords):
+        pg = compute_periodogram(TimeSeries(row))
+        assert np.array_equal(freqs, pg.freqs)
+        assert np.array_equal(o, pg.ords)
