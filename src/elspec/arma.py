@@ -16,7 +16,6 @@ import enum
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .el import batch_slices
 from .errors import InputError, InvalidModelError
@@ -303,6 +302,8 @@ def simulate_stack(spec: ArmaSpec, T: int, seeds, noise: NoiseKind, center: str)
         raise InputError(f"unknown centering {center!r}; use 'exact' or 'empirical'")
     if noise not in (NoiseKind.STANDARD_NORMAL, NoiseKind.CENTERED_CHI2_5):
         raise InputError(f"unknown noise kind {noise!r}")
+    from scipy.signal import lfilter
+
     burn = 500 + 10 * (spec.p + spec.q)
     m = T + burn
     # lfilter applies z_t = sum phi_i z_{t-i} + a_t - sum theta_m a_{t-m}

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .el import PsiMatrix
 from .errors import DegenerateInputError, InputError
@@ -69,15 +68,34 @@ def supplied_bartlett(b: float) -> BartlettFactor:
     return BartlettFactor(b=float(b), source="supplied")
 
 
+def chi2_quantile(level: float, k: int) -> float:
+    """The level-quantile of the chi-square distribution with k degrees of
+    freedom, for 0 < level < 1 (InputError otherwise).
+
+    2 gammaincinv(k/2, level) is the formula ``scipy.stats.chi2.ppf``
+    evaluates, so the two agree bitwise; calling ``scipy.special`` directly
+    keeps ``scipy.stats`` out of the process.
+    """
+    if not 0.0 < level < 1.0:
+        raise InputError(f"confidence level must be in (0, 1), got {level}")
+    from scipy.special import gammaincinv
+
+    return float(2.0 * gammaincinv(k / 2, level))
+
+
+def bartlett_scale(b: float, n: int) -> float:
+    """The threshold scale 1 + b/n of a Bartlett constant b at n ordinates;
+    a scale <= 0 is rejected with InputError."""
+    scale = 1.0 + b / n
+    if scale <= 0.0:
+        raise InputError(f"Bartlett scale 1 + b/n = {scale:.3e} (b = {b:g}, n = {n}) must be positive")
+    return scale
+
+
 def corrected_threshold(factor: BartlettFactor, k: int, alpha: float, n: int) -> float:
     """Bartlett-scaled threshold chi2_{k,1-alpha} * (1 + b/n).
 
-    With b = 0 this is the plain chi-square quantile.  A scale factor
-    (1 + b/n) <= 0 is rejected.
+    With b = 0 this is the plain chi-square quantile.  An alpha outside
+    (0, 1) and a scale factor (1 + b/n) <= 0 are rejected.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must be in (0, 1), got {alpha}")
-    scale = 1.0 + factor.b / n
-    if scale <= 0.0:
-        raise InputError(f"Bartlett scale 1 + b/n = {scale:.3e} must be positive")
-    return float(chi2.ppf(1.0 - alpha, df=k) * scale)
+    return chi2_quantile(1.0 - alpha, k) * bartlett_scale(factor.b, n)

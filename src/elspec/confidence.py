@@ -16,11 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import chi2
 
 from .arma import ArmaSpec, STATIONARITY_MARGIN, stationary_invertible
-from .bartlett import bartlett_constants, corrected_threshold, supplied_bartlett
+from .bartlett import bartlett_constants, chi2_quantile, corrected_threshold, supplied_bartlett
 from .el import (
     MAX_HALF_LOG,
     STATUS_FAILED,
@@ -134,7 +132,7 @@ def _method_threshold(method, k, alpha, tb_factor, n):
         if tb_factor is None:
             raise InputError("method 'tb' requires a supplied Bartlett constant")
         return corrected_threshold(tb_factor, k, alpha, n)
-    return float(chi2.ppf(1.0 - alpha, df=k))
+    return chi2_quantile(1.0 - alpha, k)
 
 
 def scan_region(
@@ -255,6 +253,8 @@ def interval_1d(
         raise InputError(f"interval_1d handles exactly one free parameter, got order {order}")
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; choose from {METHODS}")
+    tb_factor = supplied_bartlett(tb_constant) if tb_constant is not None else None
+    threshold = _method_threshold(method, 1, alpha, tb_factor, pg.n)
     fitres = fit if fit is not None else whittle_fit(pg, order, profile=True)
     if not fitres.converged:
         raise ConvergenceError("Whittle fit did not converge; no center for the interval scan")
@@ -265,9 +265,7 @@ def interval_1d(
     lo_bound, hi_bound = max(lo_bound, -limit), min(hi_bound, limit)
     if not lo_bound < bhat < hi_bound:
         raise InputError(f"estimate {bhat:.6g} is outside the search bounds")
-
-    tb_factor = supplied_bartlett(tb_constant) if tb_constant is not None else None
-    threshold = _method_threshold(method, 1, alpha, tb_factor, pg.n)
+    from scipy.optimize import brentq
 
     def excess(b):
         try:

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import ConvergenceError, InputError, NoSolutionError
 
@@ -278,6 +277,8 @@ def _in_relative_interior(x):
         angle.sort(axis=1)
         wrap = 2.0 * np.pi - (angle[:, -1] - angle[:, 0])
         return np.maximum(np.diff(angle, axis=1).max(axis=1), wrap) < np.pi
+    from scipy.optimize import linprog
+
     inside = np.ones(n, dtype=bool)
     for i in range(n):
         rows = x[i][~zero[i]]

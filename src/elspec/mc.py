@@ -15,9 +15,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .arma import ArmaSpec, NoiseKind, simulate_stack
+from .bartlett import bartlett_scale, chi2_quantile
 from .confidence import METHODS, method_stats
 from .el import STATUS_FAILED, STATUS_NO_SOLUTION, AdjustmentPolicy, batch_slices
 from .errors import InputError, InvalidModelError
@@ -114,6 +114,11 @@ class ExperimentPlan:
             raw = tuple((p, float(raw)) for p in self.params)
         for key, b in raw:
             tb[_as_param_tuple(self.model, key)] = float(b)
+        for param, b in tb.items():
+            try:  # a negative b shrinks 1 + b/n most at the smallest n
+                bartlett_scale(b, (min(sizes) - 1) // 2)
+            except InputError as exc:
+                raise InputError(f"tb_constants for {param}: {exc}")
         object.__setattr__(self, "tb_constants", tuple(sorted(tb.items())))
         if "tb" in methods:
             missing = [p for p in self.params if p not in dict(self.tb_constants)]
@@ -184,7 +189,7 @@ def run_coverage(plan: ExperimentPlan) -> CoverageReport:
     order = plan.order
     k = sum(order)
     policy = plan.policy
-    threshold = float(chi2.ppf(plan.level, df=k))
+    threshold = chi2_quantile(plan.level, k)
     tb_map = dict(plan.tb_constants)
     cells = []
     cell_index = 0
@@ -194,7 +199,7 @@ def run_coverage(plan: ExperimentPlan) -> CoverageReport:
             noise = NOISE_BY_NAME[noise_name]
             for param in plan.params:
                 spec_true = ArmaSpec.from_beta1(order, param)
-                limit = {m: threshold * (1.0 + tb_map[param] / n) if m == "tb" else threshold
+                limit = {m: threshold * bartlett_scale(tb_map[param], n) if m == "tb" else threshold
                          for m in plan.methods}
                 hits = {m: 0 for m in plan.methods}
                 nosol = {m: 0 for m in plan.methods}

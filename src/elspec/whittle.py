@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .arma import (
     ArmaSpec,
@@ -237,6 +236,8 @@ def whittle_fit(
         s0 = [] if profile else [np.log(2.0 * np.pi * np.mean(pg.ords))]
         corners = itertools.product((-1.0, 1.0), repeat=p + q) if p + q >= 2 else ()
         starts = [np.append(np.arctanh(0.5) * np.array(c), s0) for c in [[0.0] * (p + q), *corners]]
+
+    from scipy.optimize import minimize
 
     best = None
     for x0 in starts:

@@ -12,7 +12,17 @@ from elspec import (
     estimate_bartlett,
     supplied_bartlett,
 )
+from elspec.bartlett import chi2_quantile
 from elspec.el import MAX_HALF_LOG, PsiMatrix, adjust
+
+# The levels the callers pass (plan levels and the 1.0 - alpha forms) plus a
+# grid over (0, 1) that reaches into both tails.
+QUANTILE_LEVELS = sorted(
+    {0.5, 0.8, 0.9, 0.95, 0.99, 0.999}
+    | {1.0 - a for a in (0.2, 0.1, 0.05, 0.01, 0.001)}
+    | {float(x) for x in np.linspace(0.001, 0.999, 41)}
+    | {1e-12, 1e-6, 1.0 - 1e-6, 1.0 - 1e-12}
+)
 
 
 class TestEstimateBartlett:
@@ -76,6 +86,18 @@ class TestEstimateBartlett:
         except DegenerateInputError:
             return
         assert b >= 0.5 - 1e-12
+
+class TestChi2Quantile:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_bitwise_equal_to_scipy_stats(self, k):
+        for level in QUANTILE_LEVELS:
+            assert chi2_quantile(level, k) == float(chi2.ppf(level, k)), level
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5, float("nan"), float("inf")])
+    def test_level_outside_open_unit_interval_rejected(self, level):
+        with pytest.raises(InputError):
+            chi2_quantile(level, 2)
+
 
 class TestCorrectedThreshold:
     def test_plain_chi2_quantile_df2(self):

@@ -153,6 +153,12 @@ class TestRegionCommand:
         assert main(["region", wn_file, "--order", "0,1", "--method", "tb",
                      "--box", "0:0.5", "--steps", "5", "--out", str(tmp_path / "g.csv")]) == 2
 
+    def test_alpha_outside_unit_interval_exit_2(self, tmp_path, wn_file, capsys):
+        assert main(["region", wn_file, "--order", "0,1", "--alpha", "1.5",
+                     "--box", "0:0.5", "--steps", "5", "--out", str(tmp_path / "g.csv")]) == 2
+        assert "level" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
     def test_nosolution_cells_carry_sentinel(self, tmp_path, capsys):
         # k=2 EL scans far from the estimate produce undefined cells on some
         # draws; the status column must record them rather than a number

@@ -95,6 +95,12 @@ class TestScanRegion:
         with pytest.raises(InputError):
             scan_region(arma11_pg_t60, (1, 1), [(0.5, 1.5), (0.1, 0.9)], 5, method="ael")
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1])
+    def test_alpha_outside_unit_interval_rejected(self, arma11_pg_t60, alpha):
+        # alpha = 1.5 used to give threshold nan and an empty region
+        with pytest.raises(InputError):
+            scan_region(arma11_pg_t60, (1, 1), [(0.1, 0.9), (0.1, 0.9)], 5, alpha=alpha)
+
     def test_region_shrinks_as_alpha_grows(self, ma1_pg_t70):
         box = [(-0.6, 0.9)]
         wide = scan_region(ma1_pg_t70, (0, 1), box, 60, method="ael", alpha=0.05)
@@ -131,6 +137,12 @@ class TestInterval1d:
     def test_requires_scalar_order(self, arma11_pg_t60):
         with pytest.raises(InputError):
             interval_1d(arma11_pg_t60, (1, 1))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_alpha_outside_unit_interval_rejected(self, ma1_pg_t70, alpha):
+        # alpha = 0 used to give threshold inf and both ends clamped
+        with pytest.raises(InputError):
+            interval_1d(ma1_pg_t70, (0, 1), method="ael", alpha=alpha)
 
     def test_boundary_truncation_flagged(self):
         # persistence near the unit root with a short series: the level-set

@@ -1,0 +1,73 @@
+"""Import budget: which scipy modules a fresh interpreter loads.
+
+``import elspec`` pulls in numpy only; each subcommand loads the scipy
+modules it calls, and nothing loads ``scipy.stats`` or, outside
+``coverage``, ``scipy.signal``.  The checks read ``sys.modules`` in a child
+process rather than timing it, so they do not depend on host load.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import elspec
+
+SRC = str(Path(elspec.__file__).resolve().parents[1])
+
+# Prints the scipy modules loaded after the child's code has run; exits with
+# ``code`` when the child sets it.
+REPORT = """
+import json, sys
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print("SCIPY_MODULES " + json.dumps(loaded))
+sys.exit(globals().get("code", 0))
+"""
+
+
+def scipy_after(code, *argv):
+    """scipy modules loaded by a fresh interpreter that runs ``code``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code + REPORT, *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    line = [ln for ln in proc.stdout.splitlines() if ln.startswith("SCIPY_MODULES ")][-1]
+    return set(json.loads(line.split(" ", 1)[1]))
+
+
+def scipy_modules(*argv):
+    """scipy modules loaded by ``elspec <argv>`` in a fresh interpreter."""
+    return scipy_after("import sys\nfrom elspec.cli import main\ncode = main(sys.argv[1:])\n", *argv)
+
+
+@pytest.fixture(scope="module")
+def series_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("imports") / "series.txt"
+    values = np.random.default_rng(5).standard_normal(120)
+    path.write_text("\n".join(repr(float(v)) for v in values) + "\n")
+    return str(path)
+
+
+def test_import_loads_no_scipy():
+    assert scipy_after("import elspec, elspec.cli\n") == set()
+
+
+def test_periodogram_loads_no_scipy(series_file, tmp_path):
+    assert scipy_modules("periodogram", series_file, "--out", str(tmp_path / "pg.csv")) == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit", "--order", "1,0"),
+    ("region", "--order", "1,1", "--box", "0:1,0:1", "--steps", "6"),
+])
+def test_fit_and_region_skip_stats_and_signal(series_file, tmp_path, argv):
+    command, *options = argv
+    out = ["--out", str(tmp_path / "out.csv")]
+    loaded = scipy_modules(command, series_file, *options, *out)
+    assert "scipy.stats" not in loaded
+    assert "scipy.signal" not in loaded

@@ -64,6 +64,16 @@ class TestExperimentPlan:
         plan = small_plan(methods=("el", "tb"), tb_constants=((0.5, 2.0),))
         assert dict(plan.tb_constants)[(0.5,)] == 2.0
 
+    def test_tb_constant_with_nonpositive_scale_rejected(self):
+        # T = 20 gives n = 9, so b = -50 makes 1 + b/n < 0 and every tb
+        # replication would count as non-coverage.
+        with pytest.raises(InputError, match="Bartlett scale"):
+            small_plan(methods=("el", "tb"), sample_sizes=(200, 20), tb_constants=-50.0)
+        with pytest.raises(InputError, match="Bartlett scale"):
+            small_plan(methods=("el", "tb"), sample_sizes=(20,), tb_constants=-9.0)
+        plan = small_plan(methods=("el", "tb"), sample_sizes=(200,), tb_constants=-50.0)
+        assert dict(plan.tb_constants)[(0.5,)] == -50.0
+
 
 class TestRunCoverage:
     def test_deterministic_given_plan(self):
