@@ -13,19 +13,19 @@ from .arma import (
     spectral_density,
     spectrum_shape,
 )
-from .bartlett import BartlettFactor, corrected_threshold, estimate_bartlett, supplied_bartlett
+from .bartlett import estimate_bartlett
 from .confidence import (
     Interval,
     RegionGrid,
     extract_contour,
     grid_axis,
     interval_1d,
+    method_threshold,
     scan_region,
 )
 from .el import (
     HALF_LOG,
     MAX_HALF_LOG,
-    UNADJUSTED,
     AdjustmentPolicy,
     ElSolution,
     PsiMatrix,
@@ -72,10 +72,10 @@ __all__ = [
     "spectrum_shape", "log_spectral_gradient", "max_companion_modulus",
     "Periodogram", "compute_periodogram", "all_fourier_ordinates",
     "PsiMatrix", "AdjustmentPolicy", "ElSolution", "adjust", "solve_dual",
-    "el_stat", "MAX_HALF_LOG", "HALF_LOG", "UNADJUSTED",
+    "el_stat", "MAX_HALF_LOG", "HALF_LOG",
     "whittle_loglik", "profile_loglik", "profile_sigma2", "psi_full",
     "psi_profile", "whittle_fit", "FitResult", "sandwich", "SandwichDiag",
-    "BartlettFactor", "estimate_bartlett", "supplied_bartlett", "corrected_threshold",
+    "estimate_bartlett", "method_threshold",
     "RegionGrid", "Interval", "scan_region", "interval_1d", "extract_contour", "grid_axis",
     "ExperimentPlan", "CoverageCell", "CoverageReport", "run_coverage",
     "paired_summary", "PairedSummary", "load_plan", "derive_seed",

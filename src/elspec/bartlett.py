@@ -12,8 +12,6 @@ are accepted as user-supplied values only; deriving them is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .el import PsiMatrix
@@ -22,17 +20,9 @@ from .errors import DegenerateInputError, InputError
 _MIN_MU2 = 1e-12
 
 
-@dataclass(frozen=True)
-class BartlettFactor:
-    """Correction constant b with its provenance; the scaled rejection rule
-    is W > chi2_{k,1-alpha} * (1 + b/n)."""
-
-    b: float
-    source: str  # "estimated" | "supplied"
-
-
-def estimate_bartlett(psi: PsiMatrix) -> BartlettFactor:
-    """Moment-based Bartlett constant from an unadjusted scalar PsiMatrix.
+def estimate_bartlett(psi: PsiMatrix) -> float:
+    """Moment-based Bartlett constant b from an unadjusted scalar PsiMatrix;
+    the scaled rejection rule is W > chi2_{k,1-alpha} * (1 + b/n).
 
     The psi column is centered before the moments are taken, so the estimate
     is invariant to rescaling psi.  Pearson's inequality for the sample
@@ -47,7 +37,7 @@ def estimate_bartlett(psi: PsiMatrix) -> BartlettFactor:
     b = float(bartlett_constants(psi.rows[None, :, 0])[0])
     if np.isnan(b):
         raise DegenerateInputError("psi column variance is degenerate")
-    return BartlettFactor(b=b, source="estimated")
+    return b
 
 
 def bartlett_constants(columns) -> np.ndarray:
@@ -61,11 +51,6 @@ def bartlett_constants(columns) -> np.ndarray:
     mu2 = np.where(degenerate, 1.0, mu2)
     b = mu4 / (2.0 * mu2**2) - mu3**2 / (3.0 * mu2**3)
     return np.where(degenerate, np.nan, b)
-
-
-def supplied_bartlett(b: float) -> BartlettFactor:
-    """Wrap an externally supplied (theoretical) correction constant."""
-    return BartlettFactor(b=float(b), source="supplied")
 
 
 def chi2_quantile(level: float, k: int) -> float:
@@ -91,11 +76,3 @@ def bartlett_scale(b: float, n: int) -> float:
         raise InputError(f"Bartlett scale 1 + b/n = {scale:.3e} (b = {b:g}, n = {n}) must be positive")
     return scale
 
-
-def corrected_threshold(factor: BartlettFactor, k: int, alpha: float, n: int) -> float:
-    """Bartlett-scaled threshold chi2_{k,1-alpha} * (1 + b/n).
-
-    With b = 0 this is the plain chi-square quantile.  An alpha outside
-    (0, 1) and a scale factor (1 + b/n) <= 0 are rejected.
-    """
-    return chi2_quantile(1.0 - alpha, k) * bartlett_scale(factor.b, n)

@@ -165,8 +165,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_region(args) -> int:
-    if args.method == "tb" and args.tb_constant is None:
-        raise InputError("--method tb requires --tb-constant")
     series = read_series(args.input)
     pg = compute_periodogram(series)
     k = sum(args.order)
@@ -291,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sr.add_argument("--box", type=_parse_box, required=True, metavar="lo:hi[,lo:hi]")
     sr.add_argument("--steps", type=_parse_steps, default=[60], metavar="n[,n]")
     sr.add_argument("--tb-constant", type=float, default=None)
-    sr.add_argument("--a-n", dest="a_n", choices=("max_half_log", "half_log"),
+    sr.add_argument("--a-n", dest="a_n", choices=AdjustmentPolicy.RULES,
                     default="max_half_log")
     sr.add_argument("--out", required=True)
     sr.set_defaults(func=cmd_region)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arma import ArmaSpec, STATIONARITY_MARGIN, stationary_invertible
-from .bartlett import bartlett_constants, chi2_quantile, corrected_threshold, supplied_bartlett
+from .bartlett import bartlett_constants, bartlett_scale, chi2_quantile
 from .el import (
     MAX_HALF_LOG,
     STATUS_FAILED,
@@ -112,7 +112,9 @@ def method_stats(rows, methods, policy: AdjustmentPolicy = MAX_HALF_LOG) -> dict
         el = solve_duals(rows)
     for method in methods:
         if method == "ael":
-            adj = solve_duals(*adjust_rows(rows, policy))
+            # Only an untrimmed psibar guarantees a solution (see
+            # el.solve_duals), so trimmed problems are certified.
+            adj = solve_duals(adjust_rows(rows, policy), adjusted=not policy.trim)
             out[method] = MethodStats(adj.stat, adj.status, adj.iterations, adj.residual)
             continue
         stat, status = el.stat, el.status
@@ -127,12 +129,21 @@ def method_stats(rows, methods, policy: AdjustmentPolicy = MAX_HALF_LOG) -> dict
     return out
 
 
-def _method_threshold(method, k, alpha, tb_factor, n):
-    if method == "tb":
-        if tb_factor is None:
-            raise InputError("method 'tb' requires a supplied Bartlett constant")
-        return corrected_threshold(tb_factor, k, alpha, n)
-    return chi2_quantile(1.0 - alpha, k)
+def method_threshold(method: str, k: int, level: float, n: int,
+                     tb_constant: float | None = None) -> float:
+    """Threshold of ``method`` for a statistic with k degrees of freedom at
+    confidence ``level`` on n ordinates: the chi-square quantile
+    chi2_{k,level}, times the Bartlett scale 1 + b/n for "tb" with the
+    supplied constant b = ``tb_constant``.  An unknown method, "tb" without
+    a constant, a level outside (0, 1) and a scale <= 0 raise InputError."""
+    if method not in METHODS:
+        raise InputError(f"unknown method {method!r}; choose from {METHODS}")
+    threshold = chi2_quantile(level, k)
+    if method != "tb":
+        return threshold
+    if tb_constant is None:
+        raise InputError("method 'tb' requires a supplied Bartlett constant")
+    return threshold * bartlett_scale(tb_constant, n)
 
 
 def scan_region(
@@ -158,8 +169,7 @@ def scan_region(
     k = p + q
     if k < 1:
         raise InputError("scan_region needs at least one free parameter")
-    if method not in METHODS:
-        raise InputError(f"unknown method {method!r}; choose from {METHODS}")
+    threshold = method_threshold(method, k, 1.0 - alpha, pg.n, tb_constant)
     box = [tuple(map(float, rng)) for rng in box]
     if len(box) != k:
         raise InputError(f"box must give {k} ranges for order {order}, got {len(box)}")
@@ -178,9 +188,6 @@ def scan_region(
             ArmaSpec.from_beta1(order, vec)
         except InvalidModelError as exc:
             raise InputError(f"grid box leaves the stationarity/invertibility region: {exc}")
-
-    tb_factor = supplied_bartlett(tb_constant) if tb_constant is not None else None
-    threshold = _method_threshold(method, k, alpha, tb_factor, pg.n)
 
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
     ar, ma = nodes[:, :p], nodes[:, p:]
@@ -251,10 +258,7 @@ def interval_1d(
     p, q = order
     if p + q != 1:
         raise InputError(f"interval_1d handles exactly one free parameter, got order {order}")
-    if method not in METHODS:
-        raise InputError(f"unknown method {method!r}; choose from {METHODS}")
-    tb_factor = supplied_bartlett(tb_constant) if tb_constant is not None else None
-    threshold = _method_threshold(method, 1, alpha, tb_factor, pg.n)
+    threshold = method_threshold(method, 1, 1.0 - alpha, pg.n, tb_constant)
     fitres = fit if fit is not None else whittle_fit(pg, order, profile=True)
     if not fitres.converged:
         raise ConvergenceError("Whittle fit did not converge; no center for the interval scan")

@@ -22,7 +22,9 @@ every problem before any Newton step, in coordinates of the span of its rows,
 and runs Newton only on the certified problems.  Appending the
 pseudo-observation -a_n * psibar (the mean row scaled by -a_n) always puts
 zero there: the weights 1, ..., 1, n / a_n combine the n rows and the
-pseudo-observation to zero (Chen, Variyath & Abraham 2008).
+pseudo-observation to zero (Chen, Variyath & Abraham 2008).  A winsorized
+psibar (``AdjustmentPolicy.trim``) is not the mean row, so trimmed adjusted
+problems are certified like unadjusted ones.
 
 Scans and Monte Carlo cells solve many unrelated problems of one shape; they
 stack them into an (N, m, k) array and call :func:`solve_duals`, which runs
@@ -33,7 +35,7 @@ its N = 1 call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,34 +100,26 @@ class PsiMatrix:
 class AdjustmentPolicy:
     """Rule for the pseudo-observation constant a_n.
 
-    rule: "max_half_log" (a_n = max(1, ln(n)/2)), "half_log" (a_n = ln(n)/2),
-    "none", or "constant" (a_n = ``constant``).  Values are capped at n/2 so
+    rule: "max_half_log" (a_n = max(1, ln(n)/2)) or "half_log"
+    (a_n = ln(n)/2), the choices in ``RULES``.  Values are capped at n/2 so
     a_n stays o(n).  ``trim`` winsorizes each psi column at its empirical
     1st/99th percentiles before forming psibar (the data rows themselves are
     never altered); off by default.
     """
 
     rule: str = "max_half_log"
-    constant: float = 0.0
     trim: bool = False
 
-    _RULES = ("max_half_log", "half_log", "none", "constant")
+    RULES = ("max_half_log", "half_log")
 
     def __post_init__(self):
-        if self.rule not in self._RULES:
-            raise InputError(f"unknown adjustment rule {self.rule!r}; choose from {self._RULES}")
-        if self.rule == "constant" and self.constant <= 0.0:
-            raise InputError("constant adjustment requires a positive constant")
+        if self.rule not in self.RULES:
+            raise InputError(f"unknown adjustment rule {self.rule!r}; choose from {self.RULES}")
 
     def a_n(self, n: int) -> float:
-        if self.rule == "none":
-            return 0.0
+        raw = math.log(n) / 2.0
         if self.rule == "max_half_log":
-            raw = max(1.0, math.log(n) / 2.0)
-        elif self.rule == "half_log":
-            raw = math.log(n) / 2.0
-        else:
-            raw = self.constant
+            raw = max(1.0, raw)
         capped = min(raw, n / 2.0)
         if capped <= 0.0:
             raise InputError(f"adjustment constant must be positive, got {capped} for n={n}")
@@ -134,7 +128,6 @@ class AdjustmentPolicy:
 
 MAX_HALF_LOG = AdjustmentPolicy("max_half_log")
 HALF_LOG = AdjustmentPolicy("half_log")
-UNADJUSTED = AdjustmentPolicy("none")
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +145,6 @@ class ElSolution:
     converged: bool
     residual: float
     inner_iterations: int
-    trace: tuple = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,9 +157,7 @@ class DualBatch:
     which the hull certificate decides before any step.  ``residual`` is the
     multiplier-equation norm at the end (NaN for STATUS_NO_SOLUTION).  ``xi``
     (N, k) holds the multipliers of solved problems (zeros otherwise);
-    ``reason`` is 0 or the code of why a problem is unsolved; ``traces``
-    holds, when asked for, each problem's dual objective before the first
-    and after every accepted step.
+    ``reason`` is 0 or the code of why a problem is unsolved.
     """
 
     stat: np.ndarray
@@ -176,17 +166,10 @@ class DualBatch:
     residual: np.ndarray
     xi: np.ndarray
     reason: np.ndarray
-    traces: tuple = ()
 
 
-def adjust_rows(rows, policy: AdjustmentPolicy = MAX_HALF_LOG):
-    """Append -a_n * psibar to every problem of an (..., m, k) stack.
-
-    Returns the stacked rows and whether they were adjusted (the "none"
-    policy returns the input unchanged).
-    """
-    if policy.rule == "none":
-        return rows, False
+def adjust_rows(rows, policy: AdjustmentPolicy = MAX_HALF_LOG) -> np.ndarray:
+    """Append -a_n * psibar to every problem of an (..., m, k) stack."""
     if policy.trim:
         lo = np.percentile(rows, 1.0, axis=-2, keepdims=True)
         hi = np.percentile(rows, 99.0, axis=-2, keepdims=True)
@@ -194,21 +177,15 @@ def adjust_rows(rows, policy: AdjustmentPolicy = MAX_HALF_LOG):
     else:
         psibar = rows.mean(axis=-2, keepdims=True)
     a_n = policy.a_n(rows.shape[-2])
-    return np.concatenate([rows, -a_n * psibar], axis=-2), True
+    return np.concatenate([rows, -a_n * psibar], axis=-2)
 
 
 def adjust(psi: PsiMatrix, policy: AdjustmentPolicy = MAX_HALF_LOG) -> PsiMatrix:
-    """Append the pseudo-observation row -a_n * psibar.
-
-    With the "none" policy the input is returned unchanged.  Adjusting an
-    already-adjusted matrix is an error.
-    """
+    """Append the pseudo-observation row -a_n * psibar.  Adjusting an
+    already-adjusted matrix is an error."""
     if psi.adjusted:
         raise InputError("psi matrix is already adjusted")
-    if policy.rule == "none":
-        return psi
-    rows, _ = adjust_rows(psi.rows, policy)
-    return PsiMatrix(rows, adjusted=True, a_n=policy.a_n(psi.m))
+    return PsiMatrix(adjust_rows(psi.rows, policy), adjusted=True, a_n=policy.a_n(psi.m))
 
 
 def batch_slices(count: int, entries: int):
@@ -397,11 +374,10 @@ def _line_search(w, d, slope, resid, min_t):
     return accepted
 
 
-def _newton(x, pos, out, traces):
+def _newton(x, pos, out):
     """Damped Newton on certified problems whose (N', m, r) rows ``x`` have
-    rank r: fills their entries at batch positions ``pos`` of ``out`` (and
-    of ``traces``, a list per problem or None), except ``xi``, and returns
-    their multipliers (N', r)."""
+    rank r: fills their entries at batch positions ``pos`` of ``out``,
+    except ``xi``, and returns their multipliers (N', r)."""
     n, m, r = x.shape
     eta = np.zeros((n, r))
     w = _Active(np.arange(n), np.ascontiguousarray(x.transpose(0, 2, 1)))
@@ -446,9 +422,6 @@ def _newton(x, pos, out, traces):
             d[uphill] = g[uphill]
             slope[uphill] = _sum(g[uphill] * g[uphill], axis=1)
         accepted = _line_search(w, d, slope, resid, min_t)
-        if traces is not None:
-            for j in range(len(w.f)) if accepted is None else np.flatnonzero(accepted):
-                traces[pos[w.pos[j]]].append(float(w.f[j]))
         if accepted is None:  # every problem stepped
             continue
         # A problem with no accepted trial keeps its iterate, so it would
@@ -465,7 +438,7 @@ def _newton(x, pos, out, traces):
     return eta
 
 
-def solve_duals(rows, adjusted: bool = False, keep_trace: bool = False) -> DualBatch:
+def solve_duals(rows, adjusted: bool = False) -> DualBatch:
     """Solve N stacked EL duals, problem i having the m x k rows ``rows[i]``.
 
     Each problem is first certified: with r the rank of its rows (numpy's
@@ -480,9 +453,11 @@ def solve_duals(rows, adjusted: bool = False, keep_trace: bool = False) -> DualB
     nonzero rows is below pi; for r >= 3 a linear program finds no direction
     d with x_j'd >= 0 for all rows and > 0 for some.  An uncertified problem
     is STATUS_NO_SOLUTION, with ``iterations`` 0 and ``residual`` NaN.  The
-    test is skipped when ``adjusted`` is set: the weights 1, ..., 1, n / a_n
-    combine n rows and their pseudo-observation -a_n psibar to zero.  (A
-    trimmed psibar is not covered by that argument.)
+    test is skipped when ``adjusted`` is set, for rows whose last row is the
+    pseudo-observation -a_n psibar of an untrimmed mean: the weights 1, ...,
+    1, n / a_n combine them to zero.  A trimmed psibar is not covered by
+    that argument, so trimmed adjusted rows are passed with ``adjusted``
+    False.
 
     Certified problems run damped Newton on f(xi) = -sum ln(1 + xi'psi_j),
     every problem on its own path: Newton steps are halved until the iterate
@@ -507,7 +482,6 @@ def solve_duals(rows, adjusted: bool = False, keep_trace: bool = False) -> DualB
     out = DualBatch(stat=np.full(n, np.nan), status=np.zeros(n, dtype=int),
                     iterations=np.zeros(n, dtype=int), residual=np.full(n, np.nan),
                     xi=np.zeros((n, k)), reason=np.zeros(n, dtype=int))
-    traces = [[0.0] for _ in range(n)] if keep_trace else None
 
     # numpy's matrix_rank, without its wrapper's cost on small stacks
     sv = np.linalg.svd(rows, compute_uv=False)
@@ -529,20 +503,21 @@ def solve_duals(rows, adjusted: bool = False, keep_trace: bool = False) -> DualB
                 pos, x = pos[inside], x[inside]
                 basis = None if basis is None else basis[inside]
         if pos.size:
-            eta = _newton(x, pos, out, traces)
+            eta = _newton(x, pos, out)
             out.xi[pos] = eta if basis is None else (basis @ eta[:, :, None])[:, :, 0]
-    return replace(out, traces=tuple(map(tuple, traces))) if keep_trace else out
+    return out
 
 
-def solve_dual(psi: PsiMatrix, keep_trace: bool = False) -> ElSolution:
+def solve_dual(psi: PsiMatrix) -> ElSolution:
     """Solve one EL Lagrange dual: the N = 1 call of :func:`solve_duals`.
 
-    Raises NoSolutionError when zero is not in the relative interior of the
-    convex hull of the rows of an unadjusted matrix, and ConvergenceError
-    (carrying the residual and iteration count) when the iteration fails;
-    :func:`solve_duals` gives the rules.
+    Every problem is certified, adjusted or not, since a PsiMatrix does not
+    record whether its psibar was trimmed.  Raises NoSolutionError when zero
+    is not in the relative interior of the convex hull of the rows, and
+    ConvergenceError (carrying the residual and iteration count) when the
+    iteration fails; :func:`solve_duals` gives the rules.
     """
-    res = solve_duals(psi.rows[None], psi.adjusted, keep_trace)
+    res = solve_duals(psi.rows[None])
     status, text = int(res.status[0]), _REASON_TEXT.get(int(res.reason[0]))
     if status == STATUS_NO_SOLUTION:
         raise NoSolutionError(text)
@@ -557,5 +532,4 @@ def solve_dual(psi: PsiMatrix, keep_trace: bool = False) -> ElSolution:
         converged=True,
         residual=float(res.residual[0]),
         inner_iterations=int(res.iterations[0]),
-        trace=res.traces[0] if keep_trace else (),
     )

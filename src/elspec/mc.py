@@ -17,16 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arma import ArmaSpec, NoiseKind, simulate_stack
-from .bartlett import bartlett_scale, chi2_quantile
-from .confidence import METHODS, method_stats
+from .bartlett import bartlett_scale
+from .confidence import METHODS, method_stats, method_threshold
 from .el import STATUS_FAILED, STATUS_NO_SOLUTION, AdjustmentPolicy, batch_slices
 from .errors import InputError, InvalidModelError
 from .periodogram import periodogram_stack
 from .whittle import psi_profile_rows
 
 MODEL_ORDERS = {"ma1": (0, 1), "ar1": (1, 0), "arma11": (1, 1)}
-# The a_n rules a coverage plan accepts, as documented in the README.
-_A_N_RULES = ("half_log", "max_half_log")
 NOISE_BY_NAME = {
     "normal": NoiseKind.STANDARD_NORMAL,
     "chi2_5": NoiseKind.CENTERED_CHI2_5,
@@ -104,8 +102,10 @@ class ExperimentPlan:
         object.__setattr__(self, "methods", methods)
         if self.noise_centering not in ("exact", "empirical"):
             raise InputError(f"noise_centering must be 'exact' or 'empirical', got {self.noise_centering!r}")
-        if self.a_n not in _A_N_RULES:
-            raise InputError(f"a_n must be one of {_A_N_RULES}, got {self.a_n!r}")
+        try:
+            AdjustmentPolicy(self.a_n)
+        except InputError as exc:
+            raise InputError(f"a_n: {exc}")
         tb = {}
         raw = self.tb_constants
         if isinstance(raw, dict):
@@ -189,7 +189,6 @@ def run_coverage(plan: ExperimentPlan) -> CoverageReport:
     order = plan.order
     k = sum(order)
     policy = plan.policy
-    threshold = chi2_quantile(plan.level, k)
     tb_map = dict(plan.tb_constants)
     cells = []
     cell_index = 0
@@ -199,7 +198,7 @@ def run_coverage(plan: ExperimentPlan) -> CoverageReport:
             noise = NOISE_BY_NAME[noise_name]
             for param in plan.params:
                 spec_true = ArmaSpec.from_beta1(order, param)
-                limit = {m: threshold * bartlett_scale(tb_map[param], n) if m == "tb" else threshold
+                limit = {m: method_threshold(m, k, plan.level, n, tb_map.get(param))
                          for m in plan.methods}
                 hits = {m: 0 for m in plan.methods}
                 nosol = {m: 0 for m in plan.methods}

@@ -8,9 +8,8 @@ from scipy.stats import chi2
 from elspec import (
     DegenerateInputError,
     InputError,
-    corrected_threshold,
     estimate_bartlett,
-    supplied_bartlett,
+    method_threshold,
 )
 from elspec.bartlett import chi2_quantile
 from elspec.el import MAX_HALF_LOG, PsiMatrix, adjust
@@ -29,9 +28,8 @@ class TestEstimateBartlett:
     def test_symmetric_two_point(self):
         # psi in {-1, +1} equally: mu3 = 0, mu4 = mu2^2 = 1 => b = 1/2
         rows = np.array([[-1.0], [1.0]] * 10)
-        fac = estimate_bartlett(PsiMatrix(rows))
-        assert fac.b == pytest.approx(0.5, rel=1e-12)
-        assert fac.source == "estimated"
+        b = estimate_bartlett(PsiMatrix(rows))
+        assert b == pytest.approx(0.5, rel=1e-12)
 
     def test_constant_psi_degenerate(self):
         with pytest.raises(DegenerateInputError):
@@ -40,8 +38,8 @@ class TestEstimateBartlett:
     def test_standard_normal_limit(self):
         # normal moments mu4 = 3 mu2^2, mu3 = 0 => b -> 3/2
         rows = np.random.default_rng(0).standard_normal((100_000, 1))
-        fac = estimate_bartlett(PsiMatrix(rows))
-        assert fac.b == pytest.approx(1.5, abs=0.1)
+        b = estimate_bartlett(PsiMatrix(rows))
+        assert b == pytest.approx(1.5, abs=0.1)
 
     def test_rejects_adjusted_or_multivariate(self):
         with pytest.raises(InputError):
@@ -53,8 +51,8 @@ class TestEstimateBartlett:
     @settings(max_examples=25, deadline=None)
     def test_scale_invariance(self, c, seed):
         rows = np.random.default_rng(seed).standard_normal((200, 1))
-        b0 = estimate_bartlett(PsiMatrix(rows)).b
-        b1 = estimate_bartlett(PsiMatrix(c * rows)).b
+        b0 = estimate_bartlett(PsiMatrix(rows))
+        b1 = estimate_bartlett(PsiMatrix(c * rows))
         assert b1 == pytest.approx(b0, rel=1e-9)
 
 
@@ -82,7 +80,7 @@ class TestEstimateBartlett:
         # may leave b a few ulps below it.
         rows = np.asarray(column, dtype=float)[:, None]
         try:
-            b = estimate_bartlett(PsiMatrix(rows)).b
+            b = estimate_bartlett(PsiMatrix(rows))
         except DegenerateInputError:
             return
         assert b >= 0.5 - 1e-12
@@ -102,31 +100,42 @@ class TestChi2Quantile:
 class TestCorrectedThreshold:
     def test_plain_chi2_quantile_df2(self):
         # chi2_{2,0.9} = -2 ln(0.1), exact for two degrees of freedom
-        thr = corrected_threshold(supplied_bartlett(0.0), k=2, alpha=0.1, n=50)
+        thr = method_threshold("tb", 2, 1 - 0.1, 50, 0.0)
         assert thr == pytest.approx(-2.0 * math.log(0.1), rel=1e-12)
         assert thr == pytest.approx(4.60517, abs=1e-5)
 
     def test_scaled_threshold(self):
-        thr = corrected_threshold(supplied_bartlett(1.5), k=1, alpha=0.1, n=30)
+        thr = method_threshold("tb", 1, 1 - 0.1, 30, 1.5)
         assert thr == pytest.approx(chi2.ppf(0.9, 1) * 1.05, rel=1e-12)
         assert thr == pytest.approx(2.84082, abs=1e-5)
 
     def test_pathological_scale_rejected(self):
         with pytest.raises(InputError):
-            corrected_threshold(supplied_bartlett(-30.0), k=1, alpha=0.1, n=30)
+            method_threshold("tb", 1, 1 - 0.1, 30, -30.0)
 
     def test_bad_alpha_rejected(self):
         for alpha in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(InputError):
-                corrected_threshold(supplied_bartlett(0.0), k=1, alpha=alpha, n=30)
+                method_threshold("tb", 1, 1 - alpha, 30, 0.0)
 
     @given(bs=st.lists(st.integers(0, 400), min_size=2, max_size=6, unique=True))
     @settings(max_examples=25, deadline=None)
     def test_monotone_increasing_in_b(self, bs):
-        thrs = [corrected_threshold(supplied_bartlett(b / 20.0), 1, 0.1, 40) for b in sorted(bs)]
+        thrs = [method_threshold("tb", 1, 1 - 0.1, 40, b / 20.0) for b in sorted(bs)]
         assert all(a < b for a, b in zip(thrs, thrs[1:]))
 
     def test_continuous_at_zero(self):
-        base = corrected_threshold(supplied_bartlett(0.0), 1, 0.1, 40)
-        near = corrected_threshold(supplied_bartlett(1e-12), 1, 0.1, 40)
+        base = method_threshold("tb", 1, 1 - 0.1, 40, 0.0)
+        near = method_threshold("tb", 1, 1 - 0.1, 40, 1e-12)
         assert near == pytest.approx(base, rel=1e-10)
+
+
+class TestMethodThreshold:
+    @pytest.mark.parametrize("method", ["el", "ael", "eb"])
+    def test_plain_methods_use_the_chi2_quantile(self, method):
+        # the supplied constant applies to "tb" alone
+        assert method_threshold(method, 2, 0.9, 50, 3.0) == chi2_quantile(0.9, 2)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(InputError, match="unknown method"):
+            method_threshold("bogus", 1, 0.9, 30)

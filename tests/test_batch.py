@@ -66,7 +66,7 @@ def _same(a, b, i, j):
 @settings(max_examples=60, deadline=None)
 def test_batch_invariance_and_nesting(batch):
     rows, cut = batch
-    for stack, adjusted in ((rows, False), adjust_rows(rows, MAX_HALF_LOG)):
+    for stack, adjusted in ((rows, False), (adjust_rows(rows, MAX_HALF_LOG), True)):
         whole = solve_duals(stack, adjusted)
         halves = [solve_duals(part, adjusted) for part in (stack[:cut], stack[cut:])]
         for i in range(len(stack)):
@@ -74,7 +74,7 @@ def test_batch_invariance_and_nesting(batch):
             part, j = (halves[0], i) if i < cut else (halves[1], i - cut)
             _same(whole, part, i, j)
     el = solve_duals(rows)
-    ael = solve_duals(*adjust_rows(rows, MAX_HALF_LOG))
+    ael = solve_duals(adjust_rows(rows, MAX_HALF_LOG), adjusted=True)
     both = (el.status == STATUS_OK) & (ael.status == STATUS_OK)
     assert np.all(ael.stat[both] <= el.stat[both] + 1e-9 * np.maximum(1.0, np.abs(el.stat[both])))
     assert not np.any(ael.status == STATUS_NO_SOLUTION)
@@ -116,7 +116,7 @@ def test_hull_certificate_matches_weight_lp(rows):
     for i in range(len(rows)):
         assert (res.status[i] == STATUS_NO_SOLUTION) == (_max_min_weight(rows[i]) <= 1e-9)
     # the pseudo-observation always certifies: test the adjusted rows as plain ones
-    adjusted, _ = adjust_rows(rows, MAX_HALF_LOG)
+    adjusted = adjust_rows(rows, MAX_HALF_LOG)
     assert not np.any(solve_duals(adjusted).status == STATUS_NO_SOLUTION)
 
 

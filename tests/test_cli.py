@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,9 +73,9 @@ class TestPeriodogramCommand:
         assert len(doc["payload"]) == 99
 
     def test_input_not_mutated(self, tmp_path, wn_file):
-        before = open(wn_file).read()
+        before = Path(wn_file).read_text()
         main(["periodogram", wn_file, "--out", str(tmp_path / "o.csv")])
-        assert open(wn_file).read() == before
+        assert Path(wn_file).read_text() == before
 
 
 class TestFitCommand:

@@ -199,7 +199,7 @@ class TestInterval1d:
                         from elspec import estimate_bartlett
 
                         w = solve_dual(psi).stat
-                        b = estimate_bartlett(psi).b
+                        b = estimate_bartlett(psi)
                         covered = w / (1 + b / psi.m) <= iv.threshold
                 except NoSolutionError:
                     covered = False

@@ -4,21 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import elspec.el
 from elspec import (
     AdjustmentPolicy,
     ArmaSpec,
     ConvergenceError,
     InputError,
+    NoiseKind,
     NoSolutionError,
+    compute_periodogram,
     el_stat,
+    simulate,
     whittle_fit,
 )
+from elspec.confidence import method_stats
 from elspec.el import (
     HALF_LOG,
     MAX_HALF_LOG,
     STATUS_NO_SOLUTION,
     STATUS_OK,
-    UNADJUSTED,
     PsiMatrix,
     adjust,
     solve_dual,
@@ -36,19 +40,18 @@ class TestAdjustmentPolicy:
     def test_half_log(self):
         assert HALF_LOG.a_n(20) == pytest.approx(math.log(20) / 2)
 
-    def test_none_and_constant(self):
-        assert UNADJUSTED.a_n(50) == 0.0
-        assert AdjustmentPolicy("constant", constant=2.5).a_n(50) == 2.5
-
     def test_cap_at_half_n(self):
-        # a_n stays o(n): never exceeds n/2
-        assert AdjustmentPolicy("constant", constant=100.0).a_n(10) == 5.0
+        # a_n stays o(n): never exceeds n/2, which binds at n = 1
+        assert MAX_HALF_LOG.a_n(1) == 0.5
 
     def test_bad_rule_rejected(self):
         with pytest.raises(InputError):
             AdjustmentPolicy("bogus")
+
+    def test_nonpositive_a_n_rejected(self):
+        # ln(1)/2 = 0
         with pytest.raises(InputError):
-            AdjustmentPolicy("constant", constant=-1.0)
+            HALF_LOG.a_n(1)
 
 
 class TestAdjust:
@@ -69,10 +72,6 @@ class TestAdjust:
         out = adjust(PsiMatrix(np.ones((5, 1))), MAX_HALF_LOG)
         with pytest.raises(InputError):
             adjust(out, MAX_HALF_LOG)
-
-    def test_none_policy_identity(self):
-        psi = PsiMatrix(np.ones((5, 1)))
-        assert adjust(psi, UNADJUSTED) is psi
 
     def test_trim_winsorizes_only_the_mean(self):
         rng = np.random.default_rng(0)
@@ -160,11 +159,23 @@ class TestSolveDual:
         assert abs(sol.weights.sum() - 1.0) < 1e-12
         assert np.linalg.norm(sol.weights @ rows) < 1e-8
 
-    def test_dual_objective_monotone_over_accepted_steps(self):
+    def test_dual_objective_monotone_over_accepted_steps(self, monkeypatch):
+        # record the dual objective f at the start (xi = 0) and after every
+        # accepted step of the single problem
+        trace = [0.0]
+        line_search = elspec.el._line_search
+
+        def recording(w, *args):
+            accepted = line_search(w, *args)
+            if accepted is None or accepted[0]:
+                trace.append(float(w.f[0]))
+            return accepted
+
+        monkeypatch.setattr(elspec.el, "_line_search", recording)
         rng = np.random.default_rng(4)
         rows = rng.standard_normal((60, 2)) + 0.4
-        sol = solve_dual(PsiMatrix(rows), keep_trace=True)
-        trace = np.array(sol.trace)
+        solve_dual(PsiMatrix(rows))
+        trace = np.array(trace)
         assert trace.size >= 2
         assert np.all(np.diff(trace) <= 1e-10 * (1.0 + np.abs(trace[:-1])))
 
@@ -220,6 +231,23 @@ class TestSolveDual:
         assert sol.converged
         assert sol.stat >= 0.0
 
+    def test_trimmed_psibar_is_certified(self):
+        # The 99th-percentile clip zeroes the second component of psibar, so
+        # the pseudo-observation lies on the first axis and every row has a
+        # second component >= 0: zero is on the boundary of the hull.
+        rows = np.array([(j, 0.0) for j in range(1, 120)] + [(1.0, 0.2)])
+        trim = AdjustmentPolicy("max_half_log", trim=True)
+        assert adjust(PsiMatrix(rows), trim).rows[-1, 1] == 0.0
+        with pytest.raises(NoSolutionError):
+            solve_dual(adjust(PsiMatrix(rows), trim))
+        res = method_stats(rows[None], ("ael",), trim)["ael"]
+        assert res.status[0] == STATUS_NO_SOLUTION and np.isnan(res.stat[0])
+        # without trim the mean row certifies the same rows
+        plain = method_stats(rows[None], ("ael",), MAX_HALF_LOG)["ael"]
+        assert plain.status[0] == STATUS_OK
+        assert plain.stat[0] == solve_dual(adjust(PsiMatrix(rows), MAX_HALF_LOG)).stat
+        assert plain.stat[0] == pytest.approx(71.3127, abs=1e-4)
+
 
 class TestElStat:
     def test_zero_at_whittle_estimate(self, ma1_pg_t2000):
@@ -260,10 +288,13 @@ class TestElStat:
         assert full.xi.size == 2  # theta and sigma2
         assert prof.xi.size == 1
 
-    def test_propagates_policy(self, ma1_pg_t70):
+    def test_propagates_policy(self):
+        # T = 15 gives n = 7 ordinates, where half_log's a_n = ln(7)/2 is
+        # below max_half_log's 1
+        pg = compute_periodogram(simulate(ArmaSpec(ma=[0.25]), 15, NoiseKind.STANDARD_NORMAL, seed=3))
+        assert pg.n == 7 and HALF_LOG.a_n(pg.n) < MAX_HALF_LOG.a_n(pg.n)
         spec = ArmaSpec(ma=[0.6])
-        a = el_stat(ma1_pg_t70, spec, adjusted=True, profile=True,
-                    policy=AdjustmentPolicy("constant", constant=8.0))
-        b = el_stat(ma1_pg_t70, spec, adjusted=True, profile=True, policy=MAX_HALF_LOG)
-        # a larger pseudo-observation pulls the statistic further down
-        assert a.stat < b.stat
+        a = el_stat(pg, spec, adjusted=True, profile=True, policy=HALF_LOG)
+        b = el_stat(pg, spec, adjusted=True, profile=True, policy=MAX_HALF_LOG)
+        # a smaller pseudo-observation pulls the statistic down less
+        assert a.stat > b.stat
