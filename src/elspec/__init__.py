@@ -47,6 +47,7 @@ from .mc import (
     ExperimentPlan,
     PairedSummary,
     derive_seed,
+    derive_seeds,
     load_plan,
     paired_summary,
     run_coverage,
@@ -78,7 +79,7 @@ __all__ = [
     "estimate_bartlett", "method_threshold",
     "RegionGrid", "Interval", "scan_region", "interval_1d", "extract_contour", "grid_axis",
     "ExperimentPlan", "CoverageCell", "CoverageReport", "run_coverage",
-    "paired_summary", "PairedSummary", "load_plan", "derive_seed",
+    "paired_summary", "PairedSummary", "load_plan", "derive_seed", "derive_seeds",
     "ElspecError", "InputError", "InvalidModelError", "DegenerateInputError",
     "NoSolutionError", "ConvergenceError", "SingularMatrixError",
 ]

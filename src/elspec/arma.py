@@ -13,6 +13,8 @@ beta1 drops sigma2.
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -23,6 +25,14 @@ from .errors import InputError, InvalidModelError
 # Root-modulus slack used by the stationarity/invertibility test; avoids
 # flakiness for coefficients sitting numerically on the unit circle.
 STATIONARITY_MARGIN = 1e-8
+
+# numpy's SeedSequence (O'Neill's seed_seq mixer, PCG report HMC-CS-2014-0905):
+# pool size in uint32 words, and its hash constants.
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 class NoiseKind(enum.Enum):
@@ -264,6 +274,141 @@ def log_spectral_gradient(spec: ArmaSpec, omega, profile: bool = False):
     return grad[0] if np.ndim(omega) == 0 else grad
 
 
+@functools.cache
+def _hash_constants(width: int, n32: int):
+    """Constants of numpy's SeedSequence hash for ``width`` entropy words and
+    ``n32`` uint32 output words, as read-only uint32 arrays.
+
+    Returns the xor and multiply constants of every ``hashmix`` round,
+    (rounds, 4, 1), and those of ``generate_state``, (n32, 1).  Call i of
+    ``hashmix`` xors its word with INIT_A * MULT_A^i and multiplies it by the
+    next power (all modulo 2^32); a round makes four calls side by side:
+    round 0 hashes the pool, round 1 + s mixes pool word s into the three
+    others (its own slot takes a dummy constant) or, past the pool, entropy
+    word s into all four.
+    """
+    def powers(init, mult, count):
+        out = [init]
+        for _ in range(count):
+            out.append(out[-1] * mult & _MASK32)
+        return np.array(out, dtype=np.uint32)
+
+    rounds, call = [list(range(_POOL))], _POOL
+    for src in range(_POOL):
+        rounds.append([])
+        for dst in range(_POOL):
+            rounds[-1].append(call if dst != src else 0)
+            call += dst != src
+    for _ in range(_POOL, width):
+        rounds.append(list(range(call, call + _POOL)))
+        call += _POOL
+    idx = np.array(rounds)[..., None]
+    hash_a, hash_b = powers(_INIT_A, _MULT_A, call), powers(_INIT_B, _MULT_B, n32)[:, None]
+    tables = (hash_a[idx], hash_a[idx + 1], hash_b[:-1], hash_b[1:])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _seed_sequence_state(entropy, n_words: int, dtype=np.uint32) -> np.ndarray:
+    """``np.random.SeedSequence(e).generate_state(n_words, dtype)`` for every
+    row ``e`` of the (N, w) uint32 ``entropy`` array, as an (N, n_words) array.
+
+    numpy's hash steps its constants from call to call whatever the data, so
+    it runs here on whole columns, with the calls that do not feed each
+    other side by side in one array operation (see :func:`_hash_constants`).
+    uint32 array arithmetic wraps as numpy's C code does.
+    """
+    words = np.asarray(entropy, dtype=np.uint32).T  # one row per entropy word
+    width, count = words.shape
+    n32 = 2 * n_words if np.dtype(dtype) == np.uint64 else n_words
+    xor, mul, xor_b, mul_b = _hash_constants(width, n32)
+
+    def hashmix(value, r):
+        value = value ^ xor[r]
+        value *= mul[r]
+        value ^= value >> 16
+        return value
+
+    def mix(pool, value):  # pool <- mix(pool, value), in place
+        pool *= np.uint32(_MIX_MULT_L)
+        value *= np.uint32(_MIX_MULT_R)
+        pool -= value
+        pool ^= pool >> 16
+
+    pool = np.zeros((_POOL, count), dtype=np.uint32)
+    pool[:width] = words[:_POOL]
+    pool = hashmix(pool, 0)
+    for src in range(_POOL):  # mix each pool word into the three others
+        keep = pool[src].copy()
+        mix(pool, hashmix(keep, 1 + src))
+        pool[src] = keep
+    for src in range(_POOL, width):  # entropy wider than the pool
+        mix(pool, hashmix(words[src], 1 + src))
+    state = pool[np.arange(n32) % _POOL] ^ xor_b  # generate_state cycles the pool
+    state *= mul_b
+    state ^= state >> 16
+    state = np.ascontiguousarray(state.T)
+    if n32 == n_words:
+        return state
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _seed_states(prefix, values, n_words: int, dtype=np.uint32) -> np.ndarray:
+    """``np.random.SeedSequence((*prefix, v)).generate_state(n_words, dtype)``
+    for each non-negative integer ``v`` of ``values``, one row per value.
+
+    A SeedSequence's entropy is the little-endian uint32 words of each
+    integer in turn (one word for 0).  Entropy no wider than the 4-word pool
+    hashes as if zero-padded to it, so all such rows share one hash call;
+    wider rows are hashed once per width.
+    """
+    try:
+        head = [operator.index(v) for v in prefix]
+        values = [operator.index(v) for v in values]
+    except TypeError:
+        raise InputError("seeds must be integers")
+    if min(head + values, default=0) < 0:
+        raise InputError("seeds must be non-negative integers")
+
+    def word_count(v):
+        return max(1, -(-v.bit_length() // 32))
+
+    head = [v >> 32 * j & _MASK32 for v in head for j in range(word_count(v))]
+    counts = [word_count(v) for v in values]
+    widths = np.array([max(len(head) + c, _POOL) for c in counts], dtype=int)
+    out = np.empty((len(values), n_words), dtype=dtype)
+    for width in np.unique(widths).tolist():
+        rows = np.flatnonzero(widths == width).tolist()
+        entropy = np.zeros((len(rows), width), dtype=np.uint32)
+        entropy[:, : len(head)] = head
+        for j in range(min(width - len(head), max(counts))):
+            entropy[:, len(head) + j] = [values[i] >> 32 * j & _MASK32 for i in rows]
+        out[rows] = _seed_sequence_state(entropy, n_words, dtype)
+    return out
+
+
+@functools.cache
+def _generator_from_words():
+    """A function that builds ``np.random.default_rng``'s Generator from the
+    four uint64 seed words its SeedSequence would hand PCG64.
+
+    The words pass through numpy's seed-sequence interface
+    ``numpy.random.bit_generator.ISeedSequence``; numpy.random is imported on
+    first use only."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for generate_state(4, np.uint64)
+
+    return lambda words: Generator(PCG64(SeedWords(words)))
+
+
 def simulate(
     spec: ArmaSpec,
     T: int,
@@ -290,11 +435,14 @@ def simulate_stack(spec: ArmaSpec, T: int, seeds, noise: NoiseKind, center: str)
     realized innovation mean is subtracted too).  A presample of
     500 + 10*(p+q) steps, started from zero, is discarded.
 
-    Each row's random stream comes from ``np.random.default_rng(seed)``;
-    scaling, centring and the filter run on a whole chunk of rows at once,
-    with every row bitwise what it would be alone.  A chunk holds at most
-    ``el._BATCH_ENTRIES`` innovation samples, so the innovation buffer stays
-    near the solver batches' size however many seeds are given.
+    Row i draws from the stream of ``np.random.default_rng(seeds[i])``
+    (seeds must be non-negative integers).  Every seed's PCG64 seed words
+    come from one vectorized SeedSequence hash; each row then draws into a
+    chunk of rows, and scaling, centring and the filter run on the whole
+    chunk, with every row bitwise what it would be alone.  A chunk holds at
+    most ``el._BATCH_ENTRIES`` standard-normal draws (five per innovation
+    for chi-square noise), so the buffers stay near the solver batches'
+    size however many seeds are given.
     """
     if T < 4:
         raise InputError(f"need T >= 4, got {T}")
@@ -304,21 +452,26 @@ def simulate_stack(spec: ArmaSpec, T: int, seeds, noise: NoiseKind, center: str)
         raise InputError(f"unknown noise kind {noise!r}")
     from scipy.signal import lfilter
 
+    words = _seed_states((), seeds, 4, np.uint64)  # what default_rng(seed) hands PCG64
+    generator = _generator_from_words()
     burn = 500 + 10 * (spec.p + spec.q)
     m = T + burn
+    draws = 1 if noise is NoiseKind.STANDARD_NORMAL else 5  # per innovation
     # lfilter applies z_t = sum phi_i z_{t-i} + a_t - sum theta_m a_{t-m}
     # with zero initial conditions.
     b = np.concatenate(([1.0], -spec.ma))
     a_poly = np.concatenate(([1.0], -spec.ar))
-    out = np.empty((len(seeds), T))
-    for part in batch_slices(len(seeds), m):
-        buf = np.empty((part.stop - part.start, m))
-        for row, seed in zip(buf, seeds[part]):
-            rng = np.random.default_rng(seed)
-            if noise is NoiseKind.STANDARD_NORMAL:
-                rng.standard_normal(out=row)
-            else:
-                row[:] = np.sum(rng.standard_normal((m, 5)) ** 2, axis=1) - 5.0
+    out = np.empty((len(words), T))
+    for part in batch_slices(len(words), draws * m):
+        buf = np.empty((part.stop - part.start, m, draws))
+        for row, row_words in zip(buf, words[part]):
+            generator(row_words).standard_normal(out=row)
+        if draws == 1:
+            buf = buf[..., 0]
+        else:
+            np.square(buf, out=buf)
+            buf = np.sum(buf, axis=2)
+            buf -= 5.0
         buf *= np.sqrt(spec.sigma2)
         if center == "empirical":
             buf -= buf.mean(axis=1, keepdims=True)

@@ -12,11 +12,12 @@ also tallied separately so its frequency can be audited.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arma import ArmaSpec, NoiseKind, simulate_stack
+from .arma import ArmaSpec, NoiseKind, _seed_states, simulate_stack
 from .bartlett import bartlett_scale
 from .confidence import METHODS, method_stats, method_threshold
 from .el import STATUS_FAILED, STATUS_NO_SOLUTION, AdjustmentPolicy, batch_slices
@@ -93,6 +94,9 @@ class ExperimentPlan:
         if int(self.replications) < 1:
             raise InputError(f"replications must be >= 1, got {self.replications}")
         object.__setattr__(self, "replications", int(self.replications))
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if not 0.0 < self.level < 1.0:
             raise InputError(f"level must be in (0, 1), got {self.level}")
         methods = tuple(self.methods)
@@ -167,10 +171,18 @@ class CoverageReport:
         raise KeyError((sample_size, noise, param, method))
 
 
+def derive_seeds(base_seed: int, cell_index: int, reps) -> np.ndarray:
+    """Deterministic per-replication seeds of replications ``reps`` of a cell,
+    as a uint64 array: entry i is
+    ``np.random.SeedSequence((base_seed, cell_index, reps[i])).generate_state(1, np.uint64)[0]``,
+    all from one vectorized hash.  Every argument must be a non-negative
+    integer (InputError otherwise)."""
+    return _seed_states((base_seed, cell_index), reps, 1, np.uint64)[:, 0]
+
+
 def derive_seed(base_seed: int, cell_index: int, rep: int) -> int:
-    """Deterministic per-replication seed from (base seed, cell, replication)."""
-    ss = np.random.SeedSequence((int(base_seed), int(cell_index), int(rep)))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Deterministic seed of one replication: :func:`derive_seeds` for one rep."""
+    return int(derive_seeds(base_seed, cell_index, [rep])[0])
 
 
 def run_coverage(plan: ExperimentPlan) -> CoverageReport:
@@ -178,13 +190,14 @@ def run_coverage(plan: ExperimentPlan) -> CoverageReport:
 
     Within one replication every method sees the same simulated series and
     the same estimating-function rows at the true parameter, so method
-    comparisons are paired.  Replication r of a cell draws its series from
-    its own seed ``derive_seed(plan.seed, cell, r)``.  The replications of a
-    cell run in batches of up to several hundred (fewer for long series):
-    a batch's series come from one :func:`elspec.arma.simulate_stack` call
-    on its list of seeds, as one (R, T) array, and share one FFT, one psi
-    construction and one dual solve per method.  No replication builds a
-    TimeSeries.
+    comparisons are paired.  Replication r of cell c draws its series from
+    ``np.random.default_rng(derive_seed(plan.seed, c, r))``.  The
+    replications of a cell run in batches of up to several hundred (fewer
+    for long series): a batch's seeds come from one :func:`derive_seeds`
+    hash and its series from one :func:`elspec.arma.simulate_stack` call,
+    as one (R, T) array, and they share one FFT, one psi construction and
+    one dual solve per method.  No replication builds a TimeSeries or a
+    SeedSequence.
     """
     order = plan.order
     k = sum(order)
@@ -209,8 +222,7 @@ def run_coverage(plan: ExperimentPlan) -> CoverageReport:
                 # chunks of its own, since an innovation row (T plus the
                 # burn-in) is longer still.
                 for part in batch_slices(plan.replications, max((n + 1) * k, 2 * T)):
-                    seeds = [derive_seed(plan.seed, cell_index, rep)
-                             for rep in range(part.start, part.stop)]
+                    seeds = derive_seeds(plan.seed, cell_index, range(part.start, part.stop))
                     freqs, ords = periodogram_stack(
                         simulate_stack(spec_true, T, seeds, noise, plan.noise_centering))
                     rows = psi_profile_rows(freqs, ords, spec_true.ar[None], spec_true.ma[None])

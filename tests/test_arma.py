@@ -17,7 +17,7 @@ from elspec import (
     simulate,
     spectral_density,
 )
-from elspec.arma import simulate_stack
+from elspec.arma import _seed_sequence_state, simulate_stack
 from elspec.el import batch_slices
 from conftest import rng_specs
 
@@ -293,6 +293,13 @@ class TestSimulate:
         with pytest.raises(InputError):
             simulate_stack(ArmaSpec(), 3, [0, 1], NoiseKind.STANDARD_NORMAL, "exact")
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "3", None])
+    def test_rejects_negative_and_non_integer_seeds(self, seed):
+        with pytest.raises(InputError, match="seeds must be"):
+            simulate(ArmaSpec(), 20, NoiseKind.STANDARD_NORMAL, seed=seed)
+        with pytest.raises(InputError, match="seeds must be"):
+            simulate_stack(ArmaSpec(), 20, [0, seed], NoiseKind.STANDARD_NORMAL, "exact")
+
     def test_ar1_empirical_autocorrelation(self):
         phi = 0.7
         ts = simulate(ArmaSpec(ar=[phi]), 100_000, NoiseKind.STANDARD_NORMAL, seed=23)
@@ -331,7 +338,7 @@ STACK_SPECS = {
 @pytest.mark.parametrize("T", [4, 20, 500])
 def test_simulate_stack_rows_equal_single_seeds(order, noise, center, T):
     spec = STACK_SPECS[order]
-    seeds = [3, 11, 2**63 + 5]
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 2**130 + 3, 3, 11, 2**63 + 5]
     stack = simulate_stack(spec, T, seeds, noise, center)
     assert stack.shape == (len(seeds), T)
     for row, seed in zip(stack, seeds):
@@ -351,3 +358,15 @@ def test_simulate_stack_across_chunks(noise, center):
     stack = simulate_stack(spec, 20, seeds, noise, center)
     for row, seed in zip(stack, seeds):
         assert np.array_equal(row, simulate(spec, 20, noise, seed, center).values)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 9])
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+def test_seed_sequence_hash_matches_numpy(width, dtype):
+    # widths above 4 run the mixing of entropy beyond SeedSequence's pool
+    entropy = np.random.default_rng(width).integers(0, 2**32, size=(40, width), dtype=np.uint32)
+    entropy[0], entropy[1] = 0, 2**32 - 1
+    got = _seed_sequence_state(entropy, 5, dtype)
+    assert got.dtype == dtype and got.shape == (40, 5)
+    for row, e in zip(got, entropy):
+        assert np.array_equal(row, np.random.SeedSequence(e).generate_state(5, dtype))

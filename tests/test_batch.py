@@ -257,3 +257,15 @@ def test_golden_coverage_payload(plan, tmp_path):
     assert main(["coverage", "--plan", str(GOLDEN / f"{plan}.json"), "--out", str(out)]) == 0
     payload = "".join(ln for ln in out.read_text().splitlines(keepends=True) if not ln.startswith("#"))
     assert payload == (GOLDEN / f"{plan}.csv").read_text()
+
+
+@pytest.mark.parametrize("plan", sorted(p.stem for p in GOLDEN.glob("*.json")))
+def test_golden_coverage_without_numpy_seeding(plan, monkeypatch, tmp_path):
+    # every replication's seeds come from the vectorized hash: a coverage
+    # run that called SeedSequence or default_rng even once would fail here
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-replication numpy seeding")
+
+    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    test_golden_coverage_payload(plan, tmp_path)

@@ -177,14 +177,20 @@ class TestRegionCommand:
 
 
 class TestCoverageCommand:
-    def plan_file(self, tmp_path, reps=20):
+    def plan_file(self, tmp_path, reps=20, seed=99):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps({
             "model": "ma1", "params": [0.5], "sample_sizes": [20],
             "noises": ["normal"], "replications": reps, "level": 0.9,
-            "methods": ["el", "ael"], "seed": 99, "a_n": "half_log",
+            "methods": ["el", "ael"], "seed": seed, "a_n": "half_log",
         }))
         return str(path)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_plan_seed_exit_2(self, tmp_path, capsys, seed):
+        plan = self.plan_file(tmp_path, seed=seed)
+        assert main(["coverage", "--plan", plan, "--out", str(tmp_path / "c.csv")]) == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
 
     def test_r1_coverage_zero_or_one(self, tmp_path, capsys):
         out = tmp_path / "cov.csv"

@@ -1,9 +1,10 @@
 """Import budget: which scipy modules a fresh interpreter loads.
 
-``import elspec`` pulls in numpy only; each subcommand loads the scipy
-modules it calls, and nothing loads ``scipy.stats`` or, outside
-``coverage``, ``scipy.signal``.  The checks read ``sys.modules`` in a child
-process rather than timing it, so they do not depend on host load.
+``import elspec`` pulls in numpy only, and not ``numpy.random``; each
+subcommand loads the scipy modules it calls, and nothing loads
+``scipy.stats`` or, outside ``coverage``, ``scipy.signal``.  The checks read
+``sys.modules`` in a child process rather than timing it, so they do not
+depend on host load.
 """
 
 import json
@@ -19,25 +20,29 @@ import elspec
 
 SRC = str(Path(elspec.__file__).resolve().parents[1])
 
-# Prints the scipy modules loaded after the child's code has run; exits with
+# Prints the modules loaded after the child's code has run; exits with
 # ``code`` when the child sets it.
 REPORT = """
 import json, sys
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print("SCIPY_MODULES " + json.dumps(loaded))
+print("MODULES " + json.dumps(sorted(sys.modules)))
 sys.exit(globals().get("code", 0))
 """
 
 
-def scipy_after(code, *argv):
-    """scipy modules loaded by a fresh interpreter that runs ``code``."""
+def modules_after(code, *argv):
+    """Modules loaded by a fresh interpreter that runs ``code``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code + REPORT, *argv], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    line = [ln for ln in proc.stdout.splitlines() if ln.startswith("SCIPY_MODULES ")][-1]
+    line = [ln for ln in proc.stdout.splitlines() if ln.startswith("MODULES ")][-1]
     return set(json.loads(line.split(" ", 1)[1]))
+
+
+def scipy_after(code, *argv):
+    """scipy modules loaded by a fresh interpreter that runs ``code``."""
+    return {m for m in modules_after(code, *argv) if m == "scipy" or m.startswith("scipy.")}
 
 
 def scipy_modules(*argv):
@@ -55,6 +60,11 @@ def series_file(tmp_path_factory):
 
 def test_import_loads_no_scipy():
     assert scipy_after("import elspec, elspec.cli\n") == set()
+
+
+def test_import_loads_no_numpy_random():
+    # simulate_stack imports numpy.random on its first call
+    assert "numpy.random" not in modules_after("import elspec, elspec.cli\n")
 
 
 def test_periodogram_loads_no_scipy(series_file, tmp_path):

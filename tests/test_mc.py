@@ -12,6 +12,7 @@ from elspec import (
     NoSolutionError,
     compute_periodogram,
     derive_seed,
+    derive_seeds,
     load_plan,
     paired_summary,
     psi_profile,
@@ -54,6 +55,10 @@ class TestExperimentPlan:
             dict(sample_sizes=(3,)),
             dict(noise_centering="sometimes"),
             dict(methods=("tb",)),        # tb without constants
+            dict(seed=-1),
+            dict(seed=1.5),
+            dict(seed=True),
+            dict(seed="7"),
         ],
     )
     def test_invalid_plans_rejected(self, bad):
@@ -243,6 +248,29 @@ class TestPlanFile:
 
 
 class TestDeriveSeed:
+    @pytest.mark.parametrize("base", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100 + 17])
+    @pytest.mark.parametrize("cell", [0, 5, 2**32 + 1])
+    def test_matches_seed_sequence(self, base, cell):
+        # 2**100 + 17 makes the entropy wider than SeedSequence's 4-word pool
+        got = derive_seeds(base, cell, range(300))
+        assert got.dtype == np.uint64 and got.shape == (300,)
+        for r, seed in enumerate(got):
+            ref = np.random.SeedSequence((base, cell, r)).generate_state(1, np.uint64)[0]
+            assert seed == ref
+        assert derive_seed(base, cell, 299) == int(got[-1])
+
+    def test_reps_of_mixed_width(self):
+        reps = [0, 2**32 - 1, 2**32, 2**70 + 3, 5]
+        expected = [np.random.SeedSequence((3, 1, r)).generate_state(1, np.uint64)[0]
+                    for r in reps]
+        assert derive_seeds(3, 1, reps).tolist() == [int(e) for e in expected]
+        assert derive_seeds(3, 1, []).shape == (0,)
+
+    @pytest.mark.parametrize("args", [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (1.5, 0, 0)])
+    def test_rejects_negative_and_non_integers(self, args):
+        with pytest.raises(InputError, match="seeds must be"):
+            derive_seed(*args)
+
     def test_distinct_and_reproducible(self):
         seeds = {derive_seed(1, c, r) for c in range(5) for r in range(50)}
         assert len(seeds) == 250
