@@ -19,12 +19,16 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .el import batch_slices
 from .errors import InputError, InvalidModelError
 
 # Root-modulus slack used by the stationarity/invertibility test; avoids
 # flakiness for coefficients sitting numerically on the unit circle.
 STATIONARITY_MARGIN = 1e-8
+
+# Callers batch at most about this many psi entries (N * m * k) per
+# el.solve_duals call, and simulate_stack this many innovation samples per
+# chunk, which keeps the temporaries near 1 MB.
+_BATCH_ENTRIES = 1 << 15
 
 # numpy's SeedSequence (O'Neill's seed_seq mixer, PCG report HMC-CS-2014-0905):
 # pool size in uint32 words, and its hash constants.
@@ -409,6 +413,13 @@ def _generator_from_words():
     return lambda words: Generator(PCG64(SeedWords(words)))
 
 
+def batch_slices(count: int, entries: int):
+    """Consecutive slices of ``count`` problems with ``entries`` values each,
+    every slice within the batch budget ``_BATCH_ENTRIES``."""
+    size = max(1, _BATCH_ENTRIES // max(1, entries))
+    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
 def simulate(
     spec: ArmaSpec,
     T: int,
@@ -440,7 +451,7 @@ def simulate_stack(spec: ArmaSpec, T: int, seeds, noise: NoiseKind, center: str)
     come from one vectorized SeedSequence hash; each row then draws into a
     chunk of rows, and scaling, centring and the filter run on the whole
     chunk, with every row bitwise what it would be alone.  A chunk holds at
-    most ``el._BATCH_ENTRIES`` standard-normal draws (five per innovation
+    most ``_BATCH_ENTRIES`` standard-normal draws (five per innovation
     for chi-square noise), so the buffers stay near the solver batches'
     size however many seeds are given.
     """

@@ -25,6 +25,7 @@ from .confidence import METHODS, STATUS_LABELS, STATUS_OK, extract_contour, scan
 from .el import AdjustmentPolicy
 from .errors import (
     ConvergenceError,
+    DegenerateInputError,
     ElspecError,
     InputError,
     InvalidModelError,
@@ -311,7 +312,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (InputError, InvalidModelError) as exc:
+    except (InputError, InvalidModelError, DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ConvergenceError, NoSolutionError, SingularMatrixError) as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arma import ArmaSpec, STATIONARITY_MARGIN, stationary_invertible
+from .arma import ArmaSpec, STATIONARITY_MARGIN, batch_slices, stationary_invertible
 from .bartlett import bartlett_constants, bartlett_scale, chi2_quantile
 from .el import (
     MAX_HALF_LOG,
@@ -26,7 +26,6 @@ from .el import (
     STATUS_OK,
     AdjustmentPolicy,
     adjust_rows,
-    batch_slices,
     solve_duals,
 )
 from .errors import ConvergenceError, InputError, InvalidModelError
@@ -169,6 +168,7 @@ def scan_region(
     k = p + q
     if k < 1:
         raise InputError("scan_region needs at least one free parameter")
+    pg.require_power()
     threshold = method_threshold(method, k, 1.0 - alpha, pg.n, tb_constant)
     box = [tuple(map(float, rng)) for rng in box]
     if len(box) != k:
@@ -258,6 +258,7 @@ def interval_1d(
     p, q = order
     if p + q != 1:
         raise InputError(f"interval_1d handles exactly one free parameter, got order {order}")
+    pg.require_power()
     threshold = method_threshold(method, 1, 1.0 - alpha, pg.n, tb_constant)
     fitres = fit if fit is not None else whittle_fit(pg, order, profile=True)
     if not fitres.converged:

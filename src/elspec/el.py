@@ -7,7 +7,7 @@ to sum_j p_j psi_j = 0.  Its Lagrange dual minimizes the convex function
 
     f(xi) = -sum_j ln(1 + xi' psi_j)
 
-over the feasible set {xi : 1 + xi' psi_j > 1/m for all j}; the stationarity
+over its domain {xi : t_j = 1 + xi' psi_j > 0 for all j}; the stationarity
 condition is the multiplier equation sum_j psi_j / (1 + xi' psi_j) = 0, the
 implied weights are p_j = 1 / (m (1 + xi' psi_j)), and the log-ratio statistic
 is 2 sum_j ln(1 + xi' psi_j) at the minimizer.
@@ -28,7 +28,7 @@ problems are certified like unadjusted ones.
 
 Scans and Monte Carlo cells solve many unrelated problems of one shape; they
 stack them into an (N, m, k) array and call :func:`solve_duals`, which runs
-every problem's damped Newton iteration side by side.  :func:`solve_dual` is
+every problem's Newton iteration side by side.  :func:`solve_dual` is
 its N = 1 call.
 """
 
@@ -45,12 +45,6 @@ from .errors import ConvergenceError, InputError, NoSolutionError
 # residual); tight enough that the statistic is stable to ~1e-8.
 DUAL_GRAD_TOL = 1e-9
 MAX_NEWTON_STEPS = 100
-_FEAS_SLACK = 1e-12
-_ARMIJO_C1 = 1e-4
-# Callers batch at most about this many psi entries (N * m * k) per
-# solve_duals call, and arma.simulate_stack this many innovation samples per
-# chunk, which keeps the temporaries near 1 MB.
-_BATCH_ENTRIES = 1 << 15
 
 # Per-problem outcome of the dual.
 STATUS_OK = 0
@@ -58,10 +52,9 @@ STATUS_NO_SOLUTION = 1
 STATUS_FAILED = 2
 
 # DualBatch.reason: why a problem is unsolved (0 if solved).
-_OUTSIDE_HULL, _NO_PROGRESS, _MAX_STEPS, _SINGULAR = range(1, 5)
+_OUTSIDE_HULL, _MAX_STEPS, _SINGULAR = range(1, 4)
 _REASON_TEXT = {
     _OUTSIDE_HULL: "zero is not in the relative interior of the convex hull of the psi rows",
-    _NO_PROGRESS: "dual line search made no progress",
     _MAX_STEPS: f"dual solver did not converge in {MAX_NEWTON_STEPS} steps",
     _SINGULAR: "dual Newton matrix is numerically singular",
 }
@@ -152,7 +145,8 @@ class DualBatch:
     """Per-problem outcome of :func:`solve_duals` on N stacked problems.
 
     ``stat`` is the log-ratio statistic 2 sum_j ln t_j (NaN unless
-    ``status`` is STATUS_OK).  ``iterations`` counts Newton steps: for a
+    ``status`` is STATUS_OK).  ``iterations`` counts Newton steps, the
+    trailing step after the residual meets the tolerance included; for a
     failed problem, the step at which it stopped; 0 for STATUS_NO_SOLUTION,
     which the hull certificate decides before any step.  ``residual`` is the
     multiplier-equation norm at the end (NaN for STATUS_NO_SOLUTION).  ``xi``
@@ -188,13 +182,6 @@ def adjust(psi: PsiMatrix, policy: AdjustmentPolicy = MAX_HALF_LOG) -> PsiMatrix
     return PsiMatrix(adjust_rows(psi.rows, policy), adjusted=True, a_n=policy.a_n(psi.m))
 
 
-def batch_slices(count: int, entries: int):
-    """Consecutive slices of ``count`` problems with ``entries`` psi values
-    each, every slice small enough for one :func:`solve_duals` call."""
-    size = max(1, _BATCH_ENTRIES // max(1, entries))
-    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
-
-
 def _gradient_and_hessian(cols, t):
     """g = sum_j psi_j / t_j (the dual gradient is -g) and the Newton matrix
     h = sum_j psi_j psi_j' / t_j^2 of every problem."""
@@ -214,22 +201,20 @@ def _affine(cols, x):
 def _newton_directions(h, g):
     """Solve h d = g for every problem.  h is positive definite because the
     rows of every problem have full column rank, but rows of wildly
-    different scales can still make it singular in floating point.  Returns
-    the directions and None, or, when the batched solve raises, the
-    directions solved one problem at a time and the mask of the problems
-    whose h is singular (their directions are NaN)."""
+    different scales can still make it singular in floating point.  When the
+    batched solve raises, the problems are solved one at a time, and those
+    whose h is singular get NaN directions."""
     try:
-        return np.linalg.solve(h, g[:, :, None])[:, :, 0], None
+        return np.linalg.solve(h, g[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         pass
     d = np.full(g.shape, np.nan)
-    singular = np.zeros(len(g), dtype=bool)
     for i in range(len(g)):
         try:  # the same (1, r, r) call as the problem's own N = 1 solve
             d[i] = np.linalg.solve(h[i : i + 1], g[i : i + 1, :, None])[0, :, 0]
         except np.linalg.LinAlgError:
-            singular[i] = True
-    return d, singular
+            pass
+    return d
 
 
 def _in_relative_interior(x):
@@ -287,101 +272,58 @@ class _Active:
             setattr(self, name, getattr(self, name)[mask])
 
 
-def _polish(cols, xi, t, resid, d, min_t):
-    """One full Newton step from a converged iterate, kept where it stays
-    feasible and lowers the residual: it tightens sum(p) = 1 and
-    sum(p psi) = 0 well past the stopping tolerance.  Returns xi, t and the
-    residual."""
-    xp = xi + d
-    tp = _affine(cols, xp)
-    feas = _min(tp, axis=1) >= min_t
-    if np.count_nonzero(feas) == len(feas):
-        rp = _norm(_sum(cols / tp[:, None, :], axis=2))
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rp = _norm(_sum(cols / tp[:, None, :], axis=2))
-    better = feas & (rp < resid)
-    n_better = np.count_nonzero(better)
-    if n_better == len(better):
-        return xp, tp, rp
-    if n_better:
-        xi = np.where(better[:, None], xp, xi)
-        t = np.where(better[:, None], tp, t)
-        resid = np.where(better, rp, resid)
-    return xi, t, resid
+def _step(w, g, d):
+    """Move every active problem along its Newton direction d (h d = g).
 
-
-def _line_search(w, d, slope, resid, min_t):
-    """Backtracking for every active problem: halve each problem's step until
-    its iterate is feasible and passes the Armijo test (or, near the optimum,
-    the residual test), or the step falls below 1e-16.  Accepted iterates
-    replace xi, t and f.  Returns the accepted mask, or None when every
-    problem took its full step: that common case costs no masked
-    bookkeeping.
-
-    All problems still searching have been halved equally often, so they
-    share one scalar step; while none has been accepted nothing is gathered.
+    A problem takes the full step xi + d when that keeps every t_j > 0 and
+    does not raise f; otherwise it takes the damped step xi + d / (1 + lam),
+    lam^2 = g'd being its squared Newton decrement.  f is self-concordant, so
+    the damped iterate stays in the domain t > 0 and lowers f by at least
+    lam - ln(1 + lam) (Boyd & Vandenberghe 2004, sec. 9.6).  Only a direction
+    spoiled by rounding -- NaN from a singular h, lam^2 <= 0, or a damped
+    iterate outside the domain -- breaks that; such a problem keeps its
+    iterate.  Updates xi, t and f and returns the mask of those problems, or
+    None when there is none.
     """
-    n = len(w.f)
-    step = 1.0
-    live = None  # indices of the problems still searching; None for all
-    accepted = None  # allocated once some problem backtracks
-    while step >= 1e-16:
-        if live is None:
-            cols, xi, f, dl, sl, rs = w.cols, w.xi, w.f, d, slope, resid
-        else:
-            cols, xi, f, dl, sl, rs = (
-                w.cols[live], w.xi[live], w.f[live], d[live], slope[live], resid[live])
-        xin = xi + dl if step == 1.0 else xi + step * dl
-        tn = _affine(cols, xin)
-        if accepted is None and _min(tn, axis=None) >= min_t:  # first trial, all feasible
-            fn = -_sum(np.log(tn), axis=1)
-            acc = fn <= f - _ARMIJO_C1 * sl
-            if np.count_nonzero(acc) == n:
-                w.xi, w.t, w.f = xin, tn, fn
-                return None
-            feas, n_feas = np.ones(n, dtype=bool), n
-        else:
-            feas = _min(tn, axis=1) >= min_t
-            n_feas = np.count_nonzero(feas)
-            if n_feas:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    fn = -_sum(np.log(tn), axis=1)
-                acc = feas & (fn <= f - _ARMIJO_C1 * step * sl)
-        if accepted is None:
-            accepted = np.zeros(n, dtype=bool)
-        if not n_feas:  # every searching problem hit the boundary
-            step *= 0.5
-            continue
-        # Near the optimum the Armijo decrease falls below the rounding
-        # resolution of f; accept on residual decrease instead (the local
-        # Newton phase), guarding f against measurable increase.
-        near = np.flatnonzero(feas & ~acc)
-        if near.size:
-            rn = _norm(_sum(cols[near] / tn[near][:, None, :], axis=2))
-            fj = f[near]
-            acc[near] = (rn <= rs[near] * (1.0 - 1e-4)) & (
-                fn[near] <= fj + 1e-10 * (1.0 + np.abs(fj)))
-        if np.count_nonzero(acc):
-            idx = np.arange(n) if live is None else live
-            won = idx[acc]
-            w.xi[won], w.t[won], w.f[won] = xin[acc], tn[acc], fn[acc]
-            accepted[won] = True
-            live = idx[~acc]
-            if not live.size:
-                break
-        step *= 0.5
-    return accepted
+    xi = w.xi + d
+    t = _affine(w.cols, xi)
+    if _min(t, axis=None) > 0.0:
+        f = -_sum(np.log(t), axis=1)
+    else:  # outside the domain f is NaN or inf, which fails the test below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = -_sum(np.log(t), axis=1)
+    damp = ~(f <= w.f)
+    stuck = None
+    if np.count_nonzero(damp):
+        damp = np.flatnonzero(damp)
+        dd = d[damp]
+        lam2 = _sum(g[damp] * dd, axis=1)
+        xd = w.xi[damp] + dd / (1.0 + np.sqrt(np.maximum(lam2, 0.0)))[:, None]
+        td = _affine(w.cols[damp], xd)
+        ok = (lam2 > 0.0) & (_min(td, axis=1) > 0.0)
+        if np.count_nonzero(ok) < ok.size:
+            back = damp[~ok]
+            xd[~ok], td[~ok] = w.xi[back], w.t[back]
+            stuck = np.zeros(len(f), dtype=bool)
+            stuck[back] = True
+        xi[damp], t[damp], f[damp] = xd, td, -_sum(np.log(td), axis=1)
+    w.xi, w.t, w.f = xi, t, f
+    return stuck
 
 
 def _newton(x, pos, out):
-    """Damped Newton on certified problems whose (N', m, r) rows ``x`` have
-    rank r: fills their entries at batch positions ``pos`` of ``out``,
-    except ``xi``, and returns their multipliers (N', r)."""
+    """Newton on certified problems whose (N', m, r) rows ``x`` have rank r:
+    fills their entries at batch positions ``pos`` of ``out``, except ``xi``,
+    and returns their multipliers (N', r)."""
     n, m, r = x.shape
     eta = np.zeros((n, r))
     w = _Active(np.arange(n), np.ascontiguousarray(x.transpose(0, 2, 1)))
-    min_t = 1.0 / m + _FEAS_SLACK
+
+    def settle(sel, resid, it):
+        eta[w.pos[sel]] = w.xi[sel]
+        at = pos[w.pos[sel]]
+        out.stat[at] = np.maximum(0.0, -2.0 * w.f[sel])
+        out.iterations[at], out.residual[at] = it, resid
 
     def stop(mask, code, resid, it):
         at = pos[w.pos[mask]]
@@ -391,48 +333,27 @@ def _newton(x, pos, out):
     for it in range(1, MAX_NEWTON_STEPS + 1):
         g, h = _gradient_and_hessian(w.cols, w.t)
         resid = _norm(g)
-        done = resid < DUAL_GRAD_TOL
-        n_done = np.count_nonzero(done)
-        if n_done:
-            sel = slice(None) if n_done == len(done) else done  # a view when all are done
-            # a singular h gives a NaN polishing step, which _polish rejects
-            xi, t, res = _polish(w.cols[sel], w.xi[sel], w.t[sel], resid[sel],
-                                 _newton_directions(h[sel], g[sel])[0], min_t)
-            eta[w.pos[sel]] = xi
-            at = pos[w.pos[sel]]
-            out.stat[at] = np.maximum(0.0, 2.0 * _sum(np.log(t), axis=1))
-            out.iterations[at], out.residual[at] = it - 1, res
-            if n_done == len(done):
-                break
-            keep = ~done
+        met = resid < DUAL_GRAD_TOL
+        stuck = _step(w, g, _newton_directions(h, g))
+        if stuck is not None:
+            # a problem that has met the tolerance ends at its iterate
+            settle(stuck & met, resid[stuck & met], it - 1)
+            stop(stuck & ~met, _SINGULAR, resid, it)
+            met &= ~stuck
+        # A problem ends one step after its residual first meets the
+        # tolerance: that trailing step tightens sum(p) = 1 and
+        # sum(p psi) = 0 well past it.
+        n_met = np.count_nonzero(met)
+        if n_met:
+            sel = slice(None) if n_met == len(met) else met  # views when all end
+            settle(sel, _norm(_sum(w.cols[sel] / w.t[sel][:, None, :], axis=2)), it)
+        keep = ~met if stuck is None else ~(met | stuck)
+        n_keep = np.count_nonzero(keep)
+        if not n_keep:
+            break
+        if n_keep < len(keep):
             w.keep(keep)
-            g, resid, h = g[keep], resid[keep], h[keep]
-
-        d, singular = _newton_directions(h, g)
-        if singular is not None:
-            stop(singular, _SINGULAR, resid, it)
-            keep = ~singular
-            if not np.count_nonzero(keep):
-                break
-            w.keep(keep)
-            g, d, resid = g[keep], d[keep], resid[keep]
-        slope = _sum(g * d, axis=1)  # = -grad f . d; positive for a descent direction
-        uphill = slope <= 0.0
-        if np.count_nonzero(uphill):
-            d[uphill] = g[uphill]
-            slope[uphill] = _sum(g[uphill] * g[uphill], axis=1)
-        accepted = _line_search(w, d, slope, resid, min_t)
-        if accepted is None:  # every problem stepped
-            continue
-        # A problem with no accepted trial keeps its iterate, so it would
-        # repeat the same search: it stops here.
-        n_acc = np.count_nonzero(accepted)
-        if n_acc < len(accepted):
-            stop(~accepted, _NO_PROGRESS, resid, it)
-            if not n_acc:
-                break
-            w.keep(accepted)
-            resid = resid[accepted]
+            resid = resid[keep]
     else:
         stop(np.ones(w.pos.size, dtype=bool), _MAX_STEPS, resid, MAX_NEWTON_STEPS)
     return eta
@@ -459,17 +380,21 @@ def solve_duals(rows, adjusted: bool = False) -> DualBatch:
     that argument, so trimmed adjusted rows are passed with ``adjusted``
     False.
 
-    Certified problems run damped Newton on f(xi) = -sum ln(1 + xi'psi_j),
-    every problem on its own path: Newton steps are halved until the iterate
-    is feasible (1 + xi'psi_j >= 1/m + 1e-12 for all j) and satisfies an
-    Armijo decrease, which keeps f strictly decreasing across accepted steps.
-    A problem converges when its multiplier-equation residual
-    ||sum psi_j / (1 + xi'psi_j)|| drops below 1e-9; one full polishing step
-    then tightens the constraints well past that tolerance.  It is
-    STATUS_FAILED when its line search accepts no trial step, when its Newton
-    matrix is numerically singular (LAPACK finds an exactly zero pivot), or
-    after 100 Newton steps.  Each problem's outcome is the one it would have
-    alone: the batch only shares the numpy calls.
+    Certified problems run Newton on the self-concordant f(xi) =
+    -sum ln(1 + xi'psi_j), every problem on its own path.  Each step solves
+    h d = g for the direction d and takes the full step xi + d when every
+    t_j = 1 + xi'psi_j stays positive and f does not rise; otherwise it takes
+    the damped step xi + d / (1 + lam), lam = sqrt(g'd) the Newton decrement,
+    which stays in the domain and lowers f by at least lam - ln(1 + lam).
+    There is no line search and no bound on t_j but t_j > 0.  A problem ends
+    one step after its multiplier-equation residual
+    ||sum psi_j / (1 + xi'psi_j)|| first drops below 1e-9: that trailing
+    step tightens the constraints well past the tolerance.  It is
+    STATUS_FAILED when its Newton matrix is numerically singular (LAPACK
+    finds an exactly zero pivot, or rounding spoils the direction so that
+    the damped step cannot be taken), unless its residual has already met
+    the tolerance, or after 100 Newton steps.  Each problem's outcome is the
+    one it would have alone: the batch only shares the numpy calls.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 3:

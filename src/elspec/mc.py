@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arma import ArmaSpec, NoiseKind, _seed_states, simulate_stack
+from .arma import ArmaSpec, NoiseKind, _seed_states, batch_slices, simulate_stack
 from .bartlett import bartlett_scale
 from .confidence import METHODS, method_stats, method_threshold
-from .el import STATUS_FAILED, STATUS_NO_SOLUTION, AdjustmentPolicy, batch_slices
+from .el import STATUS_FAILED, STATUS_NO_SOLUTION, AdjustmentPolicy
 from .errors import InputError, InvalidModelError
 from .periodogram import periodogram_stack
 from .whittle import psi_profile_rows

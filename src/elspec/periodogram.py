@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arma import TimeSeries
-from .errors import InputError
+from .errors import DegenerateInputError, InputError
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,6 +28,14 @@ class Periodogram:
     @property
     def n(self) -> int:
         return int(self.ords.size)
+
+    def require_power(self) -> None:
+        """Raise DegenerateInputError when every retained ordinate is zero, as
+        for a constant series: the profiled innovation variance is then zero
+        and no Whittle likelihood or estimating function is defined."""
+        if not np.any(self.ords):
+            raise DegenerateInputError(
+                "periodogram is zero at every retained frequency (constant series?)")
 
 
 def _ordinates(centered: np.ndarray, count: int) -> np.ndarray:

@@ -122,6 +122,7 @@ def el_stat(pg: Periodogram, spec: ArmaSpec, adjusted: bool = True, profile: boo
     dual.  The ``stat`` field of the result is W (unadjusted) or W*
     (adjusted) at ``spec``.
     """
+    pg.require_power()
     psi = psi_profile(pg, spec) if profile else psi_full(pg, spec)
     if adjusted:
         psi = adjust(psi, policy)
@@ -207,6 +208,7 @@ def whittle_fit(
     p, q = order
     if p < 0 or q < 0:
         raise InputError(f"order components must be nonnegative, got {order}")
+    pg.require_power()
     dim = p + q + (0 if profile else 1)
     loglik = profile_loglik if profile else whittle_loglik
 
@@ -295,6 +297,7 @@ def sandwich(
     the adjustment row.  Raises SingularMatrixError (with the condition
     number attached) when a_hat is not invertible.
     """
+    pg.require_power()
     vec = spec.beta1 if profile else spec.beta
     order = spec.order
     rows0 = _psi_rows(pg, vec, order, profile, policy)

@@ -17,8 +17,7 @@ from elspec import (
     simulate,
     spectral_density,
 )
-from elspec.arma import _seed_sequence_state, simulate_stack
-from elspec.el import batch_slices
+from elspec.arma import _seed_sequence_state, batch_slices, simulate_stack
 from conftest import rng_specs
 
 TWO_PI = 2.0 * math.pi

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,23 @@ class TestRegionCommand:
         for r in rows:
             if r[3] != "ok":
                 assert r[2] == ""  # no fabricated statistic
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit", "--order", "1,1"),
+    ("fit", "--order", "1,0", "--no-profile"),
+    ("region", "--order", "1,1", "--box", "0:1,0:1", "--steps", "6"),
+])
+def test_constant_series_exit_2_without_warning(tmp_path, capsys, argv):
+    command, *options = argv
+    src = write_series(tmp_path / "c.txt", [3.0] * 50)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, src, *options, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "constant series" in err and "Warning" not in err
+    assert not out.exists()
 
 
 class TestCoverageCommand:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from elspec import (
     NoSolutionError,
     compute_periodogram,
     el_stat,
+    psi_profile,
+    scan_region,
     simulate,
     whittle_fit,
 )
@@ -21,10 +24,12 @@ from elspec.confidence import method_stats
 from elspec.el import (
     HALF_LOG,
     MAX_HALF_LOG,
+    STATUS_FAILED,
     STATUS_NO_SOLUTION,
     STATUS_OK,
     PsiMatrix,
     adjust,
+    adjust_rows,
     solve_dual,
     solve_duals,
 )
@@ -160,24 +165,72 @@ class TestSolveDual:
         assert np.linalg.norm(sol.weights @ rows) < 1e-8
 
     def test_dual_objective_monotone_over_accepted_steps(self, monkeypatch):
-        # record the dual objective f at the start (xi = 0) and after every
-        # accepted step of the single problem
-        trace = [0.0]
-        line_search = elspec.el._line_search
+        # record the dual objective f and min_j t_j at the start (xi = 0)
+        # and after every step of the single problem
+        trace = [(0.0, 1.0)]
+        step = elspec.el._step
 
         def recording(w, *args):
-            accepted = line_search(w, *args)
-            if accepted is None or accepted[0]:
-                trace.append(float(w.f[0]))
-            return accepted
+            stuck = step(w, *args)
+            trace.append((float(w.f[0]), float(w.t[0].min())))
+            return stuck
 
-        monkeypatch.setattr(elspec.el, "_line_search", recording)
+        monkeypatch.setattr(elspec.el, "_step", recording)
         rng = np.random.default_rng(4)
         rows = rng.standard_normal((60, 2)) + 0.4
-        solve_dual(PsiMatrix(rows))
-        trace = np.array(trace)
-        assert trace.size >= 2
-        assert np.all(np.diff(trace) <= 1e-10 * (1.0 + np.abs(trace[:-1])))
+        sol = solve_dual(PsiMatrix(rows))
+        f, min_t = np.array(trace).T
+        assert f.size == sol.inner_iterations + 1 >= 2
+        assert np.all(min_t > 0.0)
+        assert np.all(np.diff(f) <= 1e-10 * (1.0 + np.abs(f[:-1])))
+
+    def test_node_once_pinned_at_t_one_over_m_solves(self):
+        # This EL node is certified solvable, but an iterate held to
+        # t_j >= 1/m + 1e-12 pinned there and stopped it as failed.
+        pg = compute_periodogram(simulate(ArmaSpec(ar=[0.7], ma=[0.5]), 200, seed=0))
+        grid = scan_region(pg, (1, 1), box=((0, 1), (0, 1)), steps=30, method="el")
+        assert grid.status[16, 26] == STATUS_OK
+        assert grid.stat[16, 26] == pytest.approx(316.232, abs=1e-3)
+        assert grid.residual[16, 26] < 1e-9
+        spec = ArmaSpec(ar=[grid.axes[0][16]], ma=[grid.axes[1][26]])
+        rows = psi_profile(pg, spec).rows
+        sol = solve_dual(PsiMatrix(rows))
+        assert sol.stat == grid.stat[16, 26]
+        # the multiplier equation sum_j psi_j / t_j = 0, with every t_j > 0
+        t = 1.0 + rows @ sol.xi
+        assert t.min() > 0.0
+        assert np.linalg.norm((rows / t[:, None]).sum(axis=0)) < 1e-9
+
+    def test_singular_trailing_direction_still_solves(self, monkeypatch):
+        # once the residual meets the tolerance the trailing step only
+        # polishes: a NaN direction there leaves each problem solved at the
+        # iterate it has
+        rng = np.random.default_rng(6)
+        rows = rng.standard_normal((5, 40, 2)) + 0.3
+        plain = solve_duals(rows)
+        directions = elspec.el._newton_directions
+
+        def nan_when_met(h, g):
+            d = directions(h, g)
+            d[np.linalg.norm(g, axis=1) < elspec.el.DUAL_GRAD_TOL] = np.nan
+            return d
+
+        monkeypatch.setattr(elspec.el, "_newton_directions", nan_when_met)
+        res = solve_duals(rows)
+        assert np.all(res.status == STATUS_OK)
+        assert np.array_equal(res.iterations, plain.iterations - 1)
+        assert np.all(res.residual < elspec.el.DUAL_GRAD_TOL)
+        np.testing.assert_allclose(res.stat, plain.stat, rtol=1e-12)
+
+    def test_step_cap_fails_only_the_unfinished(self, monkeypatch):
+        # rows {-1, 1} solve at xi = 0 and end after their trailing step;
+        # rows {-1, 2} need more than three steps
+        monkeypatch.setattr(elspec.el, "MAX_NEWTON_STEPS", 3)
+        res = solve_duals(np.array([[[-1.0], [1.0]], [[-1.0], [2.0]]]))
+        assert list(res.status) == [STATUS_OK, STATUS_FAILED]
+        assert list(res.iterations) == [1, 3]
+        assert res.stat[0] == 0.0 and np.isnan(res.stat[1])
+        assert res.reason[1] == elspec.el._MAX_STEPS and res.residual[1] >= 1e-9
 
     def test_weights_reconstruct_constraints(self):
         rng = np.random.default_rng(8)
@@ -247,6 +300,46 @@ class TestSolveDual:
         assert plain.status[0] == STATUS_OK
         assert plain.stat[0] == solve_dual(adjust(PsiMatrix(rows), MAX_HALF_LOG)).stat
         assert plain.stat[0] == pytest.approx(71.3127, abs=1e-4)
+
+
+@st.composite
+def dual_stacks(draw):
+    """Random (N, m, k) stacks like tests/test_batch.py's psi_batches, each
+    column scaled by a power of ten: solvable, one-sided and collinear
+    problems at mixed scales."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(4, 30))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, m, k)) + rng.choice([0.0, 0.4, 4.0], size=(n, 1, k))
+    if k >= 2:
+        collinear = rng.random(n) < 0.25
+        rows[collinear, :, 1] = -rows[collinear, :, 0]
+    return rows * 10.0 ** rng.integers(-3, 4, size=(n, 1, k))
+
+
+@given(dual_stacks())
+@settings(max_examples=60, deadline=None)
+def test_every_step_stays_in_domain_and_never_raises_f(rows):
+    # f and min_j t_j of every running problem before and after each step,
+    # on the plain rows and on the adjusted ones (which every problem solves)
+    steps = []
+    step = elspec.el._step
+
+    def recording(w, *args):
+        before = w.f.copy()
+        stuck = step(w, *args)
+        steps.append((before, w.f.copy(), w.t.min(axis=1)))
+        return stuck
+
+    with mock.patch.object(elspec.el, "_step", recording):
+        solve_duals(rows)
+        solve_duals(adjust_rows(rows, MAX_HALF_LOG), adjusted=True)
+    assert steps
+    for before, after, min_t in steps:
+        assert np.all(min_t > 0.0)
+        assert np.all(after <= before + 1e-10 * (1.0 + np.abs(before)))
 
 
 class TestElStat:

@@ -1,12 +1,16 @@
-"""Import budget: which scipy modules a fresh interpreter loads.
+"""Import budget: which scipy modules a fresh interpreter loads, and which
+package modules each module imports.
 
 ``import elspec`` pulls in numpy only, and not ``numpy.random``; each
 subcommand loads the scipy modules it calls, and nothing loads
-``scipy.stats`` or, outside ``coverage``, ``scipy.signal``.  The checks read
-``sys.modules`` in a child process rather than timing it, so they do not
-depend on host load.
+``scipy.stats`` or, outside ``coverage``, ``scipy.signal``.  These checks
+read ``sys.modules`` in a child process rather than timing it, so they do
+not depend on host load.  The module layers are read from the source with
+``ast``: ``el`` imports only ``errors``, and ``arma`` none of the modules
+built on the solver.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -81,3 +85,24 @@ def test_fit_and_region_skip_stats_and_signal(series_file, tmp_path, argv):
     loaded = scipy_modules(command, series_file, *options, *out)
     assert "scipy.stats" not in loaded
     assert "scipy.signal" not in loaded
+
+
+def package_imports():
+    """The sibling modules each ``src/elspec`` module imports, read from its
+    relative imports (``from .x import ...`` and ``from . import x``)."""
+    found = {}
+    for path in Path(elspec.__file__).parent.glob("*.py"):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names |= {node.module} if node.module else {a.name for a in node.names}
+        found[path.stem] = names
+    return found
+
+
+def test_module_layers():
+    # el is the kernel under every path; arma sits below the modules that
+    # fit, solve and scan, so neither can close an import cycle
+    imports = package_imports()
+    assert imports["el"] == {"errors"}
+    assert not imports["arma"] & {"el", "whittle", "confidence", "mc"}

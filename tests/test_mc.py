@@ -19,7 +19,8 @@ from elspec import (
     run_coverage,
     simulate,
 )
-from elspec.el import HALF_LOG, adjust, batch_slices, solve_dual
+from elspec.arma import batch_slices
+from elspec.el import HALF_LOG, adjust, solve_dual
 from elspec.errors import ConvergenceError
 from elspec.mc import NOISE_BY_NAME
 

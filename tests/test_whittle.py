@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,15 +8,19 @@ from scipy.optimize import minimize, minimize_scalar
 
 from elspec import (
     ArmaSpec,
+    DegenerateInputError,
     NoiseKind,
     Periodogram,
+    TimeSeries,
     compute_periodogram,
     el_stat,
+    interval_1d,
     profile_loglik,
     profile_sigma2,
     psi_full,
     psi_profile,
     sandwich,
+    scan_region,
     simulate,
     spectrum_shape,
     whittle_fit,
@@ -349,3 +354,26 @@ class TestSandwich:
         diag = sandwich(ma1_pg_t70, fit.to_spec(), profile=False)
         assert diag.a_hat.shape == (2, 2)
         assert diag.v_hat.shape == (2, 2)
+
+
+class TestConstantSeries:
+    """A constant series has a zero periodogram, so the profiled variance is
+    zero: every inference entry point rejects it before any 0/0."""
+
+    CALLS = {
+        "whittle_fit": lambda pg: whittle_fit(pg, (1, 1)),
+        "whittle_fit_full": lambda pg: whittle_fit(pg, (1, 0), profile=False),
+        "scan_region": lambda pg: scan_region(pg, (1, 1), ((0, 1), (0, 1)), 6),
+        "interval_1d": lambda pg: interval_1d(pg, (0, 1)),
+        "sandwich": lambda pg: sandwich(pg, ArmaSpec(ar=[0.5])),
+        "el_stat": lambda pg: el_stat(pg, ArmaSpec(ma=[0.3])),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_rejected_without_warning(self, call):
+        pg = compute_periodogram(TimeSeries(np.full(50, 3.0)))
+        assert not np.any(pg.ords)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match="constant series"):
+                self.CALLS[call](pg)
