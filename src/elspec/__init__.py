@@ -1,7 +1,12 @@
 """Empirical-likelihood inference for stationary time-series parameters via
 the Whittle periodogram reduction: EL and adjusted-EL ratio statistics,
 confidence regions for ARMA parameters, and Monte Carlo coverage experiments.
+
+Records of silent fallbacks (non-converged or boundary fits, truncated
+interval ends) go to the ``elspec`` logger, which has a NullHandler.
 """
+
+import logging
 
 from .arma import (
     ArmaSpec,
@@ -65,6 +70,8 @@ from .whittle import (
     whittle_fit,
     whittle_loglik,
 )
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"
 

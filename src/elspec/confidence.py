@@ -13,6 +13,7 @@ included.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ STATUS_LABELS = {
 }
 
 _BIG = 1e12
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(eq=False)
@@ -316,6 +319,10 @@ def interval_1d(
 
     hi, trunc_hi = find_edge(+1)
     lo, trunc_lo = find_edge(-1)
+    for name, end, truncated in (("lower", lo, trunc_lo), ("upper", hi, trunc_hi)):
+        if truncated:
+            _log.info("%s interval of order %s: %s end truncated at %.8g without crossing "
+                      "the threshold", method, order, name, end)
     return Interval(
         lo=lo, hi=hi, contains_estimate=bool(lo <= bhat <= hi), estimate=bhat,
         threshold=threshold, method=method, truncated_lo=trunc_lo, truncated_hi=trunc_hi,

@@ -47,6 +47,17 @@ def _ordinates(centered: np.ndarray, count: int) -> np.ndarray:
     return (dft.real**2 + dft.imag**2) / (2.0 * np.pi * centered.shape[-1])
 
 
+def _centred(values: np.ndarray, mean) -> np.ndarray:
+    # values - mean along the last axis.  A constant row is centred by its
+    # common value instead, so its ordinates are exactly zero rather than the
+    # rounding residue of its mean.
+    centred = values - mean
+    constant = (values == values[..., :1]).all(axis=-1)
+    if constant.any():
+        centred[constant] = 0.0
+    return centred
+
+
 def _retained_freqs(T: int) -> np.ndarray:
     n = (T - 1) // 2
     return 2.0 * np.pi * np.arange(1, n + 1, dtype=float) / T
@@ -60,18 +71,20 @@ def compute_periodogram(series: TimeSeries) -> Periodogram:
     if T < 4:
         raise InputError(f"need T >= 4, got {T}")
     freqs = _retained_freqs(T)
-    return Periodogram(freqs=freqs, ords=_ordinates(series.values - series.mean, freqs.size), T=T)
+    ords = _ordinates(_centred(series.values, series.mean), freqs.size)
+    return Periodogram(freqs=freqs, ords=ords, T=T)
 
 
 def periodogram_stack(values) -> tuple[np.ndarray, np.ndarray]:
     """Retained frequencies (n,) and ordinates (R, n) of the R rows of an
     (R, T) array of series, row r exactly as :func:`compute_periodogram`
     gives it for a TimeSeries of row r: each row is centred by its own mean
-    and one FFT call covers the whole stack."""
+    (a constant row by its common value) and one FFT call covers the whole
+    stack."""
     values = np.asarray(values, dtype=float)
-    centered = values - values.mean(axis=1, keepdims=True)
+    centred = _centred(values, values.mean(axis=1, keepdims=True))
     freqs = _retained_freqs(values.shape[1])
-    return freqs, _ordinates(centered, freqs.size)
+    return freqs, _ordinates(centred, freqs.size)
 
 
 def all_fourier_ordinates(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
@@ -83,4 +96,4 @@ def all_fourier_ordinates(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
     """
     T = series.T
     freqs = 2.0 * np.pi * np.arange(1, T, dtype=float) / T
-    return freqs, _ordinates(series.values - series.mean, T - 1)
+    return freqs, _ordinates(_centred(series.values, series.mean), T - 1)

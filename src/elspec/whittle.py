@@ -14,6 +14,8 @@ the variance-free shape g1_j = g_j / sigma2.
 from __future__ import annotations
 
 import itertools
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +35,21 @@ from .periodogram import Periodogram
 _MAX_COND = 1e12
 _SANDWICH_STEP = 1e-6  # relative central-difference step of sandwich's a_hat
 _SCORE_TOL = 1e-7  # max-norm of a converged fit's mean score in u
+_GTOL = 1e-9  # max-norm of the mean score in u at which a BFGS start stops
+_ARMIJO, _CURVATURE = 1e-4, 0.9  # Wolfe constants of the BFGS line search
+_XTOL = 1e-14  # relative bracket width at which a line search gives up
+_SEARCH_STEPS = 100  # trial steps per line search
+_EPS = np.finfo(float).eps
+# A fit that ends on the stationarity/invertibility boundary stops where the
+# score's factor 1 - r^2 has shrunk its gradient in u below _GTOL, so the
+# partial autocorrelation r is fixed only to about 1e-5 there: r rounded to
+# this many digits is +-1 (interior ARMA(1,1) estimates stayed below .999).
+_BOUNDARY_DIGITS = 4
 # Saturated partial autocorrelations (tanh(u) rounds to +-1 for |u| > 19) put
 # roots on this radius, one STATIONARITY_MARGIN inside what ArmaSpec accepts.
 _RADIUS = 1.0 - 2.0 * STATIONARITY_MARGIN
+
+_log = logging.getLogger(__name__)
 
 
 def whittle_loglik(pg: Periodogram, spec: ArmaSpec) -> float:
@@ -106,10 +120,18 @@ def psi_profile_rows(freqs, ords, ar, ma) -> np.ndarray:
     g1, grad = shape_and_gradient_stack(ar, ma, freqs)
     ratio = ords / g1
     del g1
+    weight, grad = _profile_weights(ratio, grad)
+    return weight[..., None] * grad
+
+
+def _profile_weights(ratio, grad):
+    """The two factors of the psi_profile rows, I_j/(sigma2_hat g1_j) - 1 and
+    the centred grad ln g1, computed in place from the ordinate ratios
+    I_j/g1_j (N, n) and grad ln g1 (N, n, k) of a stack."""
     grad -= grad.mean(axis=1, keepdims=True)
     ratio /= ratio.mean(axis=-1, keepdims=True)
     ratio -= 1.0
-    return ratio[..., None] * grad
+    return ratio, grad
 
 
 def el_stat(pg: Periodogram, spec: ArmaSpec, adjusted: bool = True, profile: bool = True,
@@ -162,17 +184,23 @@ def _pacf_coefficients(u):
     by _RADIUS^j, and dc/du from the same recursion.  |r_k| < 1 keeps every
     root outside the unit circle (Barndorff-Nielsen & Schou 1973; Monahan
     1984); several r_k near +-1 cluster roots that float weights fix only to
-    about eps^(1/multiplicity)."""
+    about eps^(1/multiplicity).  ``u`` is one vector (r,) or a stack (S, r);
+    the weights and Jacobian get the same leading axis, and each row's values
+    do not depend on the stack it is in."""
     r = np.tanh(u)
-    c, jac = np.zeros(r.size), np.zeros((r.size, r.size))
-    for k, rk in enumerate(r):
-        jac[:k] -= rk * jac[:k][::-1]
-        jac[:k, k] = -c[:k][::-1]
-        jac[k, k] = 1.0
-        c[:k] -= rk * c[:k][::-1]
-        c[k] = rk
-    scale = _RADIUS ** np.arange(1.0, r.size + 1.0)
-    return scale * c, scale[:, None] * jac * (1.0 - r * r)
+    rows = np.atleast_2d(r)
+    size = rows.shape[1]
+    c, jac = np.zeros(rows.shape), np.zeros(rows.shape + (size,))
+    for k in range(size):
+        rk = rows[:, k, None]
+        jac[:, :k] -= rk[..., None] * jac[:, :k][:, ::-1]
+        jac[:, :k, k] = -c[:, :k][:, ::-1]
+        jac[:, k, k] = 1.0
+        c[:, :k] -= rk * c[:, :k][:, ::-1]
+        c[:, k] = rk[:, 0]
+    scale = _RADIUS ** np.arange(1.0, size + 1.0)
+    c, jac = scale * c, scale[:, None] * jac * (1.0 - rows * rows)[:, None, :]
+    return (c, jac) if r.ndim == 2 else (c[0], jac[0])
 
 
 def _pacf_from_coefficients(c) -> np.ndarray:
@@ -187,6 +215,214 @@ def _pacf_from_coefficients(c) -> np.ndarray:
     return np.arctanh(r)
 
 
+def _row_dot(a, b):
+    """sum_i a[s, i] b[s, i, k] for each row s and column k, one column at a
+    time, so each row's value does not depend on the stack it is in."""
+    out = np.empty((len(a), b.shape[2]))
+    for i in range(b.shape[2]):
+        out[:, i] = (a * b[:, :, i]).sum(axis=1)
+    return out
+
+
+def _neg_loglik_stack(pg: Periodogram, order, profile: bool, x):
+    """-L/n and its gradient in u at each row of the stack ``x`` (S, dim),
+    from one :func:`shape_and_gradient_stack` call.
+
+    L is :func:`profile_loglik` (or :func:`whittle_loglik` with
+    sigma2 = exp(s) in the last column) at the weights that
+    :func:`_pacf_coefficients` maps u to.  The gradient is the column sums of
+    the psi rows (:func:`psi_profile` or :func:`psi_full`), the exact score,
+    times the map's Jacobian; both come from the same g1.
+    """
+    p, q = order
+    ar, jar = _pacf_coefficients(x[:, :p])
+    ma, jma = _pacf_coefficients(x[:, p : p + q])
+    g1, grad = shape_and_gradient_stack(ar, ma, pg.freqs)
+    ratio = pg.ords / g1
+    mean_log = np.log(g1).mean(axis=1)
+    if profile:
+        value = np.log(ratio.mean(axis=1)) + mean_log + 1.0
+        score = _row_dot(*_profile_weights(ratio, grad))
+    else:
+        sigma2 = np.exp(x[:, -1])
+        ratio /= sigma2[:, None]
+        value = np.log(sigma2) + mean_log + ratio.mean(axis=1)
+        ratio -= 1.0
+        score = _row_dot(ratio, grad)
+    du = [_row_dot(score[:, :p], jar), _row_dot(score[:, p:], jma)]
+    if not profile:
+        du.append(ratio.sum(axis=1, keepdims=True))  # d/ds = sigma2 d/dsigma2
+    return value, np.concatenate(du, axis=1) / -pg.n
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, bracketed, stmin, stmax):
+    """One safeguarded step of the More-Thuente search (MINPACK-2 dcstep).
+
+    (stx, fx, dx) is the best step so far with its value and derivative,
+    (sty, fy, dy) the other end of the interval and (stp, fp, dp) the trial.
+    Returns the updated interval ends, the next trial and whether a
+    minimizer is bracketed."""
+    theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+    opposite = (dp < 0.0 < dx) or (dx < 0.0 < dp)
+    if fp > fx or opposite:
+        # cubic through both ends; with fp > fx also the quadratic through
+        # (fx, dx, fp), else the secant of the derivatives
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = math.copysign(s * math.sqrt((theta / s) ** 2 - (dx / s) * (dp / s)),
+                              (stp - stx) if fp > fx else (stx - stp))
+        if fp > fx:
+            stpc = stx + ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp) * (stp - stx)
+            stpq = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
+            stpf = stpc if abs(stpc - stx) <= abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        else:
+            stpc = stp + ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx) * (stx - stp)
+            stpq = stp + dp / (dp - dx) * (stx - stp)
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        bracketed = True
+    elif abs(dp) < abs(dx):
+        # the derivative shrinks: the cubic may have no minimizer beyond stp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = math.copysign(s * math.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s))),
+                              stx - stp)
+        r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
+        if r < 0.0 and gamma != 0.0:
+            stpc = stp + r * (stx - stp)
+        else:
+            stpc = stmax if stp > stx else stmin
+        stpq = stp + dp / (dp - dx) * (stx - stp)
+        if bracketed:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            limit = stp + 0.66 * (sty - stp)
+            stpf = min(limit, stpf) if stp > stx else max(limit, stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = min(max(stpf, stmin), stmax)
+    elif bracketed:
+        # the derivative does not shrink: cubic through the trial and sty
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        s = max(abs(theta), abs(dy), abs(dp))
+        gamma = math.copysign(s * math.sqrt((theta / s) ** 2 - (dy / s) * (dp / s)), sty - stp)
+        stpf = stp + ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy) * (sty - stp)
+    else:
+        stpf = stmax if stp > stx else stmin
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if opposite:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, bracketed
+
+
+def _wolfe_search(f0, d0, stp):
+    """More-Thuente line search (More & Thuente 1994, ACM TOMS 20; MINPACK-2
+    dcsrch) as a generator: it yields trial steps and is sent the value and
+    derivative at each.  Returns True when the last trial meets the strong
+    Wolfe conditions (Armijo constant 1e-4, curvature 0.9), False when
+    rounding stops progress first: the bracket has shrunk to a relative
+    width of 1e-14, or f's rounding could not show any decrease inside it."""
+    gtest = _ARMIJO * d0
+    bracketed, stage = False, 1
+    stx, fx, dx = sty, fy, dy = 0.0, f0, d0
+    stmin, stmax = 0.0, 5.0 * stp
+    width = width1 = math.inf
+    for _ in range(_SEARCH_STEPS):
+        if not math.isfinite(stp):
+            return False
+        f, d = yield stp
+        ftest = f0 + stp * gtest
+        if f <= ftest and abs(d) <= _CURVATURE * -d0:
+            return True
+        if not math.isfinite(f) or bracketed and (
+                stp <= stmin or stp >= stmax or stmax - stmin <= _XTOL * stmax
+                or -stmax * d0 <= _EPS * (1.0 + abs(f0))):
+            return False
+        if stage == 1 and f <= ftest and d >= 0.0:
+            stage = 2
+        try:
+            if stage == 1 and ftest < f <= fx:
+                # the modified function f(a) - gtest a until a step passes
+                stx, fx, dx, sty, fy, dy, stp, bracketed = _dcstep(
+                    stx, fx - stx * gtest, dx - gtest, sty, fy - sty * gtest, dy - gtest,
+                    stp, f - stp * gtest, d - gtest, bracketed, stmin, stmax)
+                fx, fy, dx, dy = fx + stx * gtest, fy + sty * gtest, dx + gtest, dy + gtest
+            else:
+                stx, fx, dx, sty, fy, dy, stp, bracketed = _dcstep(
+                    stx, fx, dx, sty, fy, dy, stp, f, d, bracketed, stmin, stmax)
+        except (ArithmeticError, ValueError):  # a degenerate model: 0/0 or sqrt(< 0)
+            return False
+        if bracketed:
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+            if stp <= stmin or stp >= stmax or stmax - stmin <= _XTOL * stmax:
+                stp = stx
+        else:
+            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+    return False
+
+
+def _bfgs_path(x: np.ndarray, max_iter: int):
+    """BFGS from ``x`` as a generator: it yields each point to evaluate, is
+    sent that point's value f and gradient g, and returns the end point, f,
+    g and the number of steps taken.
+
+    The inverse Hessian starts at I.  Each line search
+    (:func:`_wolfe_search`) starts at min(1, 1.01 * 2 (f_k - f_{k-1}) /
+    g_k'p_k), with f_{-1} = f_0 + |g_0|/2, as in scipy's BFGS.  The path
+    stops when the gradient max-norm is <= _GTOL, when a line search can no
+    longer lower f, or after ``max_iter`` steps.  Python floats carry the
+    scalars, so a degenerate step raises instead of warning.
+    """
+    f, g = yield x
+    h = np.eye(x.size)
+    f_prev, steps = f + math.sqrt(g @ g) / 2.0, 0
+    while np.abs(g).max() > _GTOL and steps < max_iter:
+        p = -(h @ g)
+        slope = float(g @ p)
+        if not slope < 0.0:  # H lost definiteness to rounding
+            break
+        first = 1.01 * 2.0 * (f - f_prev) / slope
+        search = _wolfe_search(f, slope, min(1.0, first) if first > 0.0 else 1.0)
+        alpha = next(search)
+        while True:
+            f_new, g_new = yield x + alpha * p
+            try:
+                alpha = search.send((f_new, float(g_new @ p)))
+            except StopIteration as stop:
+                if not stop.value:
+                    return x, f, g, steps
+                break
+        s, y = alpha * p, g_new - g
+        sy = s @ y
+        if sy > 0.0:  # the update keeps H positive definite
+            hy = h @ y
+            h = h + ((sy + y @ hy) * np.outer(s, s) - sy * (np.outer(hy, s) + np.outer(s, hy))) / (sy * sy)
+        f_prev, x, f, g, steps = f, x + s, f_new, g_new, steps + 1
+    return x, f, g, steps
+
+
+def _lockstep(objective, starts):
+    """Run the generators ``starts`` (as :func:`_bfgs_path`) side by side:
+    each round evaluates the pending points of every unfinished one in one
+    ``objective`` call on their stack.  Returns their results in order."""
+    results = [None] * len(starts)
+    points = [next(run) for run in starts]
+    active = list(range(len(starts)))
+    while active:
+        values, grads = objective(np.array([points[k] for k in active]))
+        still = []
+        for row, k in enumerate(active):
+            try:
+                points[k] = starts[k].send((float(values[row]), grads[row]))
+                still.append(k)
+            except StopIteration as stop:
+                results[k] = stop.value
+        active = still
+    return results
+
+
 def whittle_fit(
     pg: Periodogram,
     order: tuple[int, int],
@@ -199,11 +435,14 @@ def whittle_fit(
     so every point is stationary and invertible; full fits take
     sigma2 = exp(s).  The gradient is the exact score, the column sums of the
     psi rows, times the map's Jacobian.  Starts are u = 0 and, for
-    p + q >= 2, the 2^(p+q) corners at partial autocorrelation +-1/2; the best
-    end point wins, so the fit is deterministic.  An explicit ``init`` (beta
-    coordinates, strictly inside the region) is the only start.  ``converged``
-    means the mean score in u has max-norm <= 1e-7 within ``max_iter``
-    iterations; otherwise the estimate is the best point found.
+    p + q >= 2, the 2^(p+q) corners at partial autocorrelation +-1/2.  Each
+    start runs its own BFGS (:func:`_bfgs_path`), all in lockstep on one
+    batched likelihood evaluation per round (:func:`_neg_loglik_stack`), and
+    the lowest end point wins, ties going to the earliest start, so the fit
+    is deterministic.  An explicit ``init`` (beta coordinates, strictly
+    inside the region) is the only start.  ``converged`` means the mean
+    score in u has max-norm <= 1e-7 within ``max_iter`` iterations;
+    otherwise the estimate is the best point found.
     """
     p, q = order
     if p < 0 or q < 0:
@@ -216,18 +455,6 @@ def whittle_fit(
         value = profile_loglik(pg, ArmaSpec())
         return FitResult(np.empty(0), True, 0, value, order, profile)
 
-    def spec_at(x):
-        ar, jar = _pacf_coefficients(x[:p])
-        ma, jma = _pacf_coefficients(x[p : p + q])
-        sigma2 = 1.0 if profile else np.exp(x[-1])
-        return ArmaSpec(ar, ma, sigma2, validate=False), jar, jma
-
-    def objective(x):
-        spec, jar, jma = spec_at(x)
-        score = (psi_profile(pg, spec) if profile else psi_full(pg, spec)).rows.sum(axis=0)
-        grad = np.concatenate([score[:p] @ jar, score[p : p + q] @ jma, score[p + q :] * spec.sigma2])
-        return -loglik(pg, spec) / pg.n, -grad / pg.n
-
     if init is not None:
         init = np.asarray(init, dtype=float)
         if init.size != dim or not (profile or init[-1] > 0.0):
@@ -239,23 +466,28 @@ def whittle_fit(
         corners = itertools.product((-1.0, 1.0), repeat=p + q) if p + q >= 2 else ()
         starts = [np.append(np.arctanh(0.5) * np.array(c), s0) for c in [[0.0] * (p + q), *corners]]
 
-    from scipy.optimize import minimize
-
-    best = None
-    for x0 in starts:
-        res = minimize(objective, x0, jac=True, method="BFGS",
-                       options=dict(gtol=1e-9, maxiter=max_iter))
-        if best is None or res.fun < best.fun:
-            best = res
-    spec = spec_at(best.x)[0]
-    return FitResult(
+    ends = _lockstep(lambda u: _neg_loglik_stack(pg, order, profile, u),
+                     [_bfgs_path(x0, max_iter) for x0 in starts])
+    best = min(range(len(ends)), key=lambda k: ends[k][1])
+    u, _, g, steps = ends[best]
+    spec = ArmaSpec(_pacf_coefficients(u[:p])[0], _pacf_coefficients(u[p : p + q])[0],
+                    1.0 if profile else np.exp(u[-1]), validate=False)
+    score_norm = float(np.abs(g).max())
+    fit = FitResult(
         estimate=spec.beta1 if profile else spec.beta,
-        converged=bool(np.abs(best.jac).max() <= _SCORE_TOL and best.nit < max_iter),
-        iterations=int(best.nit),
+        converged=bool(score_norm <= _SCORE_TOL and steps < max_iter),
+        iterations=steps,
         loglik=loglik(pg, spec),
         order=order,
         profile=profile,
     )
+    if not fit.converged:
+        _log.warning("Whittle fit of order %s did not converge: mean score max-norm %.3g "
+                     "after %d iterations", order, score_norm, fit.iterations)
+    if np.any(np.round(np.abs(np.tanh(u[: p + q])), _BOUNDARY_DIGITS) == 1.0):
+        _log.info("Whittle fit of order %s ends on the stationarity/invertibility boundary: "
+                  "a partial autocorrelation rounds to +-1 (estimate %s)", order, fit.estimate)
+    return fit
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import elspec
 from elspec import ArmaSpec, NoiseKind, simulate
 from elspec.cli import main
 
@@ -107,6 +111,26 @@ class TestFitCommand:
         main(["fit", ma1_file, "--order", "0,1", "--out", str(out)])
         capsys.readouterr()
         assert json.loads(out.read_text())["order"] == [0, 1]
+
+    def test_constant_series_exit_2(self, tmp_path, capsys):
+        # mean-centring leaves ordinates ~1e-60 for this constant; centring
+        # by the common value leaves exact zeros
+        src = write_series(tmp_path / "c.txt", [27.39233746429086] * 258)
+        assert main(["fit", src, "--order", "1,0"]) == 2
+        assert "constant series" in capsys.readouterr().err
+
+    def test_logged_fit_prints_only_its_payload(self, tmp_path):
+        # an MA unit root: the fit's boundary record goes to the elspec
+        # logger, and a fresh interpreter prints only the payload
+        e = np.random.default_rng(1).standard_normal(51)
+        src = write_series(tmp_path / "od.txt", np.diff(e))
+        env = dict(os.environ)
+        root = str(Path(elspec.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "elspec", "fit", src, "--order", "0,1"],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert round(json.loads(proc.stdout)["ma"][0], 4) == 1.0
 
 
 class TestRegionCommand:

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -144,7 +145,7 @@ class TestInterval1d:
         with pytest.raises(InputError):
             interval_1d(ma1_pg_t70, (0, 1), method="ael", alpha=alpha)
 
-    def test_boundary_truncation_flagged(self):
+    def test_boundary_truncation_flagged(self, caplog):
         # persistence near the unit root with a short series: the level-set
         # search on the AR coefficient hits the user bound before crossing
         ts = simulate(ArmaSpec(ar=[0.9]), 30, NoiseKind.STANDARD_NORMAL, seed=2)
@@ -153,12 +154,16 @@ class TestInterval1d:
         # clamp the search just above the estimate: the upper side cannot
         # cross the threshold before hitting the bound
         hi_bound = float(fit.estimate[0]) + 1e-4
-        iv = interval_1d(pg, (1, 0), method="ael", alpha=0.10,
-                         bounds=(-0.999, hi_bound), fit=fit)
+        with caplog.at_level(logging.DEBUG, logger="elspec"):
+            iv = interval_1d(pg, (1, 0), method="ael", alpha=0.10,
+                             bounds=(-0.999, hi_bound), fit=fit)
         assert iv.truncated_hi
         assert iv.hi == pytest.approx(hi_bound)
         assert not iv.truncated_lo
         assert iv.lo <= iv.hi
+        # one record, for the truncated end only
+        [record] = caplog.records
+        assert record.name == "elspec.confidence" and "upper end truncated" in record.getMessage()
 
     def test_coverage_indicator_equivalence_100_cases(self):
         # interval contains the truth  <=>  stat at the truth is below the

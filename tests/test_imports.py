@@ -2,8 +2,8 @@
 package modules each module imports.
 
 ``import elspec`` pulls in numpy only, and not ``numpy.random``; each
-subcommand loads the scipy modules it calls, and nothing loads
-``scipy.stats`` or, outside ``coverage``, ``scipy.signal``.  These checks
+subcommand loads the scipy modules it calls (``fit`` none at all), and
+nothing loads ``scipy.stats`` or, outside ``coverage``, ``scipy.signal``.  These checks
 read ``sys.modules`` in a child process rather than timing it, so they do
 not depend on host load.  The module layers are read from the source with
 ``ast``: ``el`` imports only ``errors``, and ``arma`` none of the modules
@@ -73,6 +73,15 @@ def test_import_loads_no_numpy_random():
 
 def test_periodogram_loads_no_scipy(series_file, tmp_path):
     assert scipy_modules("periodogram", series_file, "--out", str(tmp_path / "pg.csv")) == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit", "--order", "1,1"),
+    ("fit", "--order", "1,0", "--no-profile"),
+])
+def test_fit_loads_no_scipy(series_file, tmp_path, argv):
+    command, *options = argv
+    assert scipy_modules(command, series_file, *options, "--out", str(tmp_path / "fit.json")) == set()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,5 @@
+import itertools
+import logging
 import math
 import warnings
 
@@ -12,6 +14,7 @@ from elspec import (
     NoiseKind,
     Periodogram,
     TimeSeries,
+    all_fourier_ordinates,
     compute_periodogram,
     el_stat,
     interval_1d,
@@ -28,7 +31,14 @@ from elspec import (
 )
 from elspec.arma import STATIONARITY_MARGIN, max_companion_modulus
 from elspec.errors import InputError
-from elspec.whittle import _pacf_coefficients, _pacf_from_coefficients
+from elspec.periodogram import periodogram_stack
+from elspec.whittle import (
+    _bfgs_path,
+    _lockstep,
+    _neg_loglik_stack,
+    _pacf_coefficients,
+    _pacf_from_coefficients,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,6 +53,50 @@ def _polish_profile(pg, order, x0):
         options=dict(xatol=1e-12, fatol=1e-15, maxiter=2000),
     )
     return res.x
+
+
+def _fixed_starts(order, profile, pg):
+    """The fit's fixed starts in u: 0 and, for p + q >= 2, the corners at
+    partial autocorrelation +-1/2 (plus log(2 pi mean I) in full fits)."""
+    k = sum(order)
+    s0 = [] if profile else [np.log(TWO_PI * np.mean(pg.ords))]
+    corners = itertools.product((-1.0, 1.0), repeat=k) if k >= 2 else ()
+    return [np.append(np.arctanh(0.5) * np.array(c), s0) for c in [[0.0] * k, *corners]]
+
+
+def _oracle_objective(pg, order, profile):
+    """-L/n and its u-gradient one point at a time, from profile_loglik /
+    whittle_loglik and the psi column sums (test oracle of the batched
+    evaluation); also returns the map from u to the spec."""
+    p, q = order
+    loglik = profile_loglik if profile else whittle_loglik
+
+    def spec_at(x):
+        ar, jar = _pacf_coefficients(x[:p])
+        ma, jma = _pacf_coefficients(x[p : p + q])
+        return ArmaSpec(ar, ma, 1.0 if profile else math.exp(x[-1]), validate=False), jar, jma
+
+    def objective(x):
+        spec, jar, jma = spec_at(x)
+        score = (psi_profile(pg, spec) if profile else psi_full(pg, spec)).rows.sum(axis=0)
+        grad = np.concatenate([score[:p] @ jar, score[p : p + q] @ jma, score[p + q :] * spec.sigma2])
+        return -loglik(pg, spec) / pg.n, -grad / pg.n
+
+    return objective, spec_at
+
+
+def _scipy_bfgs_fit(pg, order, profile=True):
+    """Test oracle of whittle_fit: scipy's BFGS (gtol 1e-9) from the same
+    fixed starts, one after another; the lowest end point wins, ties going
+    to the earliest start.  Returns the partial autocorrelations, the
+    estimate and the loglik."""
+    objective, spec_at = _oracle_objective(pg, order, profile)
+    ends = [minimize(objective, x0, jac=True, method="BFGS", options=dict(gtol=1e-9, maxiter=2000))
+            for x0 in _fixed_starts(order, profile, pg)]
+    best = min(ends, key=lambda res: res.fun)
+    spec = spec_at(best.x)[0]
+    loglik = profile_loglik(pg, spec) if profile else whittle_loglik(pg, spec)
+    return np.tanh(best.x[: sum(order)]), spec.beta1 if profile else spec.beta, loglik
 
 
 class TestWhittleLoglik:
@@ -277,6 +331,89 @@ class TestWhittleFit:
         assert fit.estimate[0] == pytest.approx(TWO_PI * np.mean(ma1_pg_t70.ords), rel=1e-4)
 
 
+# ARMA(1,1) at T = 100 over 20 seeds, one ARMA(2,1) at T = 500, and one
+# full (sigma2 = exp(s)) fit: (ar, ma, T, seed, profile)
+ORACLE_CASES = [((0.7,), (0.5,), 100, seed, True) for seed in range(20)] + [
+    ((0.5, 0.3), (0.4,), 500, 0, True),
+    ((0.7,), (0.5,), 100, 0, False),
+]
+
+
+class TestBatchedBfgs:
+    @pytest.mark.parametrize("ar, ma, T, seed, profile", ORACLE_CASES)
+    def test_matches_scipy_bfgs_oracle(self, ar, ma, T, seed, profile):
+        pg = compute_periodogram(simulate(ArmaSpec(ar=list(ar), ma=list(ma)), T,
+                                          NoiseKind.STANDARD_NORMAL, seed=seed))
+        order = (len(ar), len(ma))
+        fit = whittle_fit(pg, order, profile=profile)
+        pacf, estimate, loglik = _scipy_bfgs_fit(pg, order, profile)
+        assert fit.converged
+        assert fit.loglik >= loglik - 1e-9 * abs(loglik)
+        # a boundary estimate is fixed only to about 1e-4 (the score's factor
+        # 1 - r^2 vanishes there); an interior one to the score tolerance
+        tol = 1e-6 if np.all(np.abs(pacf) < 0.999) else 1e-4
+        np.testing.assert_allclose(fit.estimate, estimate, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("order, profile", [((1, 1), True), ((2, 1), True), ((1, 1), False),
+                                                ((0, 1), False)])
+    def test_stack_matches_pointwise_oracle(self, arma11_pg_t60, order, profile):
+        pg = arma11_pg_t60
+        objective, _ = _oracle_objective(pg, order, profile)
+        u = np.random.default_rng(3).uniform(-2.0, 2.0, (6, sum(order) + (not profile)))
+        values, grads = _neg_loglik_stack(pg, order, profile, u)
+        for x, value, grad in zip(u, values, grads):
+            want_value, want_grad = objective(x)
+            assert value == pytest.approx(want_value, rel=1e-13)
+            np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("order, profile", [((1, 1), True), ((2, 1), True), ((1, 1), False)])
+    def test_start_does_not_depend_on_its_batch(self, arma11_pg_t60, order, profile):
+        def objective(u):
+            return _neg_loglik_stack(arma11_pg_t60, order, profile, u)
+
+        starts = _fixed_starts(order, profile, arma11_pg_t60)
+        together = _lockstep(objective, [_bfgs_path(x0, 2000) for x0 in starts])
+        for x0, (x, f, g, steps) in zip(starts, together):
+            [(x1, f1, g1, steps1)] = _lockstep(objective, [_bfgs_path(x0, 2000)])
+            assert np.array_equal(x, x1) and f == f1 and np.array_equal(g, g1)
+            assert steps == steps1
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 1), (2, 1)])
+    def test_iteration_cap_reported_as_nonconvergence(self, ma1_pg_t70, order):
+        fit = whittle_fit(ma1_pg_t70, order, max_iter=3)
+        assert not fit.converged
+        assert fit.iterations <= 3
+
+
+class TestFitLogging:
+    def test_elspec_logger_has_null_handler(self):
+        assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("elspec").handlers)
+
+    def test_nonconvergence_logged_with_score_and_iterations(self, ma1_pg_t70, caplog):
+        with caplog.at_level(logging.DEBUG, logger="elspec"):
+            fit = whittle_fit(ma1_pg_t70, (0, 1), max_iter=3)
+        [record] = caplog.records
+        assert record.name == "elspec.whittle" and record.levelno == logging.WARNING
+        assert "did not converge" in record.getMessage()
+        assert f"after {fit.iterations} iterations" in record.getMessage()
+
+    def test_boundary_estimate_logged(self, caplog):
+        # over-differenced white noise has an MA unit root: the fit ends on
+        # the invertibility boundary
+        e = np.random.default_rng(1).standard_normal(51)
+        pg = compute_periodogram(TimeSeries(np.diff(e)))
+        with caplog.at_level(logging.DEBUG, logger="elspec"):
+            fit = whittle_fit(pg, (0, 1))
+        assert fit.converged and round(float(fit.estimate[0]), 4) == 1.0
+        [record] = caplog.records
+        assert record.levelno == logging.INFO and "boundary" in record.getMessage()
+
+    def test_interior_fit_logs_nothing(self, ma1_pg_t2000, caplog):
+        with caplog.at_level(logging.DEBUG, logger="elspec"):
+            whittle_fit(ma1_pg_t2000, (0, 1))
+        assert caplog.records == []
+
+
 def _u_vectors(bound):
     """Unconstrained coordinates of orders 1-4."""
     return st.lists(st.floats(-bound, bound), min_size=1, max_size=4).map(np.array)
@@ -368,6 +505,26 @@ class TestConstantSeries:
         "sandwich": lambda pg: sandwich(pg, ArmaSpec(ar=[0.5])),
         "el_stat": lambda pg: el_stat(pg, ArmaSpec(ma=[0.3])),
     }
+
+    def test_random_constants_have_zero_ordinates_and_are_rejected(self):
+        # centring by the mean leaves a rounding residue (ordinates ~1e-60)
+        # for most constants; centring by the common value leaves none
+        rng = np.random.default_rng(2000)
+        for value, T in zip(rng.uniform(-100.0, 100.0, 2000), rng.integers(5, 501, 2000)):
+            series = TimeSeries(np.full(T, value))
+            pg = compute_periodogram(series)
+            assert not np.any(pg.ords)
+            assert not np.any(all_fourier_ordinates(series)[1])
+            assert not np.any(periodogram_stack(series.values[None])[1])
+            for call in self.CALLS.values():
+                with pytest.raises(DegenerateInputError):
+                    call(pg)
+
+    def test_reported_case(self):
+        pg = compute_periodogram(TimeSeries(np.full(258, 27.39233746429086)))
+        assert not np.any(pg.ords)
+        with pytest.raises(DegenerateInputError):
+            whittle_fit(pg, (1, 0))
 
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_rejected_without_warning(self, call):
