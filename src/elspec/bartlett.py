@@ -44,9 +44,12 @@ def bartlett_constants(columns) -> np.ndarray:
     """:func:`estimate_bartlett` for a stack of scalar psi columns (N, n):
     one b_hat per row, NaN where the column variance is below 1e-12."""
     c = columns - columns.mean(axis=1, keepdims=True)
-    mu2 = np.mean(c**2, axis=1)
-    mu3 = np.mean(c**3, axis=1)
-    mu4 = np.mean(c**4, axis=1)
+    # Products, not c**3 and c**4: numpy sends integer powers above 2 to
+    # libm pow element by element.
+    c2 = c * c
+    mu2 = np.mean(c2, axis=1)
+    mu3 = np.mean(c2 * c, axis=1)
+    mu4 = np.mean(c2 * c2, axis=1)
     degenerate = mu2 < _MIN_MU2
     mu2 = np.where(degenerate, 1.0, mu2)
     b = mu4 / (2.0 * mu2**2) - mu3**2 / (3.0 * mu2**3)

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -165,6 +167,17 @@ def cmd_fit(args) -> int:
     return EXIT_OK if fit.converged else EXIT_NONCONVERGED
 
 
+def _region_rows(grid, inside):
+    """CSV rows of a RegionGrid in row-major node order: the node's
+    coordinates, its statistic ("" where undefined), status label and
+    inside flag.  Each axis is formatted once."""
+    coords = itertools.product(*([f"{x:.12g}" for x in ax.tolist()] for ax in grid.axes))
+    stats = ["" if math.isnan(x) else f"{x:.12g}" for x in grid.stat.ravel().tolist()]
+    labels = [STATUS_LABELS[x] for x in grid.status.ravel().tolist()]
+    flags = inside.ravel().astype(int).tolist()
+    return [(*node, stat, label, flag) for node, stat, label, flag in zip(coords, stats, labels, flags)]
+
+
 def cmd_region(args) -> int:
     series = read_series(args.input)
     pg = compute_periodogram(series)
@@ -188,19 +201,7 @@ def cmd_region(args) -> int:
     )
     header = tuple(f"param{d + 1}" for d in range(k)) + ("stat", "status", "inside")
     inside = grid.inside()
-    rows = []
-    for idx in np.ndindex(*grid.stat.shape):
-        coords = [f"{grid.axes[d][idx[d]]:.12g}" for d in range(k)]
-        stat = grid.stat[idx]
-        rows.append(
-            coords
-            + [
-                "" if np.isnan(stat) else f"{stat:.12g}",
-                STATUS_LABELS[int(grid.status[idx])],
-                int(inside[idx]),
-            ]
-        )
-    _write_csv(args.out, meta, header, rows)
+    _write_csv(args.out, meta, header, _region_rows(grid, inside))
 
     polylines = extract_contour(grid) if k == 2 else []
     contour_path = args.out + ".contours.csv"

@@ -14,6 +14,7 @@ included.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,9 @@ STATUS_LABELS = {
     STATUS_INVALID: "invalid",
 }
 
-_BIG = 1e12
+_LADDER_ROUND = 2
+_ROOT_XTOL, _ROOT_RTOL = 1e-12, 8.9e-16
+_MAX_ROOT_ITER = 100
 
 _log = logging.getLogger(__name__)
 
@@ -247,11 +250,16 @@ def interval_1d(
 ) -> Interval:
     """Confidence interval for a scalar-parameter model (order (1,0) or (0,1)).
 
-    Expands outward from the Whittle estimate until the effective statistic
-    crosses its threshold, then solves the crossing by root bracketing; a
-    side that reaches the stationarity boundary (or the user ``bounds``)
-    without crossing is clamped there and flagged.  Points where the EL
-    problem has no solution count as beyond the region boundary.
+    Walks a ladder of points outward from the Whittle estimate on both sides
+    until the effective statistic crosses its threshold, then solves both
+    crossings together by root bracketing (:func:`_bracket_roots`); a side
+    that reaches the stationarity boundary (or the user ``bounds``) without
+    crossing is clamped there and flagged.  Points where the EL problem has
+    no solution count as beyond the region boundary.  Every evaluation is
+    one stacked statistic call on all the points that still need a value:
+    the estimate with the first two ladder points of each side, then the
+    next two points of each side that has not crossed, then one point per
+    unfinished bracket.
 
     Raises ConvergenceError when the fit did not converge, and when the
     statistic at the estimate itself exceeds the threshold (possible for an
@@ -273,60 +281,142 @@ def interval_1d(
     lo_bound, hi_bound = max(lo_bound, -limit), min(hi_bound, limit)
     if not lo_bound < bhat < hi_bound:
         raise InputError(f"estimate {bhat:.6g} is outside the search bounds")
-    from scipy.optimize import brentq
 
-    def excess(b):
-        try:
-            spec = ArmaSpec.from_beta1(order, [b])
-        except InvalidModelError:
-            return _BIG
-        rows = psi_profile_rows(pg.freqs, pg.ords, spec.ar[None], spec.ma[None])
-        res = method_stats(rows, (method,), policy)[method]
-        if res.status[0] != STATUS_OK:
-            return _BIG
-        return float(res.stat[0]) - threshold
+    rounds = solved = 0
 
-    def check_estimate_inside():
-        gap = excess(bhat)
-        if gap > 0.0:
-            value = "undefined (no dual solution)" if gap == _BIG else f"{gap + threshold:.6g}"
-            raise ConvergenceError(
-                f"{method} statistic at the Whittle estimate {bhat:.8g} is {value}, above "
-                f"the threshold {threshold:.6g}: the estimate lies outside its own region")
+    def excess(points):
+        """stat - threshold at each point; +inf where the model is invalid
+        or the statistic undefined."""
+        nonlocal rounds, solved
+        beta = np.asarray(points, dtype=float)[:, None]
+        ar, ma = (beta, beta[:, :0]) if p else (beta[:, :0], beta)
+        gap = np.full(len(beta), np.inf)
+        valid = np.flatnonzero(stationary_invertible(ar, ma))
+        if valid.size:
+            rows = psi_profile_rows(pg.freqs, pg.ords, ar[valid], ma[valid])
+            res = method_stats(rows, (method,), policy)[method]
+            ok = res.status == STATUS_OK
+            gap[valid[ok]] = res.stat[ok] - threshold
+        rounds += 1
+        solved += valid.size
+        return gap
 
-    def find_edge(direction):
-        # direction +1 for the upper endpoint, -1 for the lower
-        bound = hi_bound if direction > 0 else lo_bound
-        span = abs(bound - bhat)
-        if span <= 0:
-            return bhat, True
-        step = max(1e-4, 0.02 * span)
-        prev = bhat
-        while True:
-            nxt = prev + direction * step
-            if (direction > 0 and nxt >= bound) or (direction < 0 and nxt <= bound):
-                nxt = bound
-            if excess(nxt) > 0.0:
-                if prev == bhat:  # brentq would start from the estimate
-                    check_estimate_inside()
-                left, right = (prev, nxt) if direction > 0 else (nxt, prev)
-                root = brentq(excess, left, right, xtol=1e-12, rtol=8.9e-16)
-                return float(root), False
-            if nxt == bound:
-                return float(bound), True
-            prev = nxt
-            step *= 1.6
+    # Per side (lower, upper): its ladder, and the excess at the evaluated
+    # prefix of it.
+    ladders = [_ladder(bhat, lo_bound), _ladder(bhat, hi_bound)]
+    gaps = [[], []]
+    est_gap = None
+    pending = [0, 1]
+    while pending:
+        new = [ladders[s][len(gaps[s]):len(gaps[s]) + _LADDER_ROUND] for s in pending]
+        values = excess([bhat] * (est_gap is None) + sum(new, [])).tolist()
+        if est_gap is None:
+            est_gap = values.pop(0)
+            if est_gap > 0.0:
+                value = ("undefined (no dual solution)" if math.isinf(est_gap)
+                         else f"{est_gap + threshold:.6g}")
+                raise ConvergenceError(
+                    f"{method} statistic at the Whittle estimate {bhat:.8g} is {value}, above "
+                    f"the threshold {threshold:.6g}: the estimate lies outside its own region")
+        for s, pts in zip(pending, new):
+            gaps[s] += values[:len(pts)]
+            del values[:len(pts)]
+        pending = [s for s in pending if max(gaps[s]) <= 0.0 and len(gaps[s]) < len(ladders[s])]
 
-    hi, trunc_hi = find_edge(+1)
-    lo, trunc_lo = find_edge(-1)
-    for name, end, truncated in (("lower", lo, trunc_lo), ("upper", hi, trunc_hi)):
-        if truncated:
+    # A side that crossed brackets its root between the crossing point and
+    # the point before it (the estimate, for the first ladder point).
+    ends, truncated = [ladder[-1] for ladder in ladders], [True, True]
+    sides, brackets = [], []
+    for s in (0, 1):
+        xs, fs = [bhat] + ladders[s], [est_gap] + gaps[s]
+        j = next((j for j, f in enumerate(fs) if f > 0.0), None)
+        if j is not None:
+            sides.append(s)
+            truncated[s] = False
+            brackets.append((xs[j - 1], xs[j], fs[j - 1], fs[j]))
+    if sides:
+        a, b, fa, fb = np.array(brackets).T
+        for s, root in zip(sides, _bracket_roots(excess, a, b, fa, fb)):
+            ends[s] = float(root)
+    (lo, hi), (trunc_lo, trunc_hi) = ends, truncated
+    _log.debug("%s interval of order %s: %d stacked rounds, %d problems solved",
+               method, order, rounds, solved)
+    for name, end, trunc in (("lower", lo, trunc_lo), ("upper", hi, trunc_hi)):
+        if trunc:
             _log.info("%s interval of order %s: %s end truncated at %.8g without crossing "
                       "the threshold", method, order, name, end)
     return Interval(
         lo=lo, hi=hi, contains_estimate=bool(lo <= bhat <= hi), estimate=bhat,
         threshold=threshold, method=method, truncated_lo=trunc_lo, truncated_hi=trunc_hi,
     )
+
+
+def _ladder(start: float, bound: float) -> list:
+    """Search points from ``start`` towards ``bound``: a first step of
+    max(1e-4, 0.02 |bound - start|), each later step 1.6 times the last,
+    the last point clamped at ``bound``."""
+    direction = 1.0 if bound > start else -1.0
+    step = max(1e-4, 0.02 * abs(bound - start))
+    points = []
+    x = start
+    while x != bound:
+        x += direction * step
+        if direction * (x - bound) >= 0.0:
+            x = bound
+        points.append(x)
+        step *= 1.6
+    return points
+
+
+def _bracket_roots(f, a, b, fa, fb):
+    """Roots of N brackets [a_i, b_i] solved in lockstep by Chandrupatla's
+    safeguarded inverse-quadratic bracketing (Chandrupatla 1997, Adv. Eng.
+    Software 28).
+
+    ``f`` maps an array of points to their values; every iteration calls it
+    once on the new point of each unfinished bracket, so a bracket's path
+    does not depend on the others.  ``fa`` and ``fb`` are the values at the
+    ends and must not share a sign; +inf is allowed (say, a point without a
+    statistic).  A step bisects wherever inverse-quadratic interpolation is
+    not admissible or meets an infinite value.  A bracket stops when its
+    width is below 2 (1e-12 + 8.9e-16 |x|) or f(x) = 0, x being its end
+    with the smaller |f|, and returns that x.
+    """
+    x1, x2 = np.array(a, dtype=float), np.array(b, dtype=float)
+    f1, f2 = np.array(fa, dtype=float), np.array(fb, dtype=float)
+    x3, f3 = x2.copy(), f2.copy()
+    t = np.full(x1.shape, 0.5)
+    for _ in range(_MAX_ROOT_ITER):
+        small = np.abs(f1) < np.abs(f2)
+        root = np.where(small, x1, x2)
+        width = np.abs(x2 - x1)
+        tol = _ROOT_XTOL + _ROOT_RTOL * np.abs(root)
+        i = np.flatnonzero((width >= 2.0 * tol) & (np.where(small, f1, f2) != 0.0))
+        if not i.size:
+            return root
+        t[i] = np.clip(t[i], tol[i] / width[i], 1.0 - tol[i] / width[i])
+        xt = x1[i] + t[i] * (x2[i] - x1[i])
+        ft = f(xt)
+        # The new point replaces the end whose value has its sign; the end
+        # it drops becomes the third interpolation point.
+        keep = np.sign(ft) == np.sign(f1[i])
+        x3[i] = np.where(keep, x1[i], x2[i])
+        f3[i] = np.where(keep, f1[i], f2[i])
+        x2[i] = np.where(keep, x2[i], x1[i])
+        f2[i] = np.where(keep, f2[i], f1[i])
+        x1[i], f1[i] = xt, ft
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (x1[i] - x2[i]) / (x3[i] - x2[i])
+            phi = (f1[i] - f2[i]) / (f3[i] - f2[i])
+            iqi = (np.isfinite(f1[i]) & np.isfinite(f2[i]) & np.isfinite(f3[i])
+                   & (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi)))
+            alpha = (x3[i] - x1[i]) / (x2[i] - x1[i])
+            t[i] = np.where(
+                iqi,
+                f1[i] / (f1[i] - f2[i]) * f3[i] / (f3[i] - f2[i])
+                - alpha * f1[i] / (f3[i] - f1[i]) * f2[i] / (f2[i] - f3[i]),
+                0.5)
+    raise ConvergenceError(f"root bracketing did not converge in {_MAX_ROOT_ITER} iterations")
 
 
 def _interp(pa, pb, va, vb, level):

@@ -11,7 +11,7 @@ from elspec import (
     estimate_bartlett,
     method_threshold,
 )
-from elspec.bartlett import chi2_quantile
+from elspec.bartlett import bartlett_constants, chi2_quantile
 from elspec.el import MAX_HALF_LOG, PsiMatrix, adjust
 
 # The levels the callers pass (plan levels and the 1.0 - alpha forms) plus a
@@ -84,6 +84,17 @@ class TestEstimateBartlett:
         except DegenerateInputError:
             return
         assert b >= 0.5 - 1e-12
+
+    @pytest.mark.parametrize("shape", [(1000, 35), (2, 4000), (50, 3)])
+    @pytest.mark.parametrize("draw", ["normal", "exponential", "t"])
+    def test_stacked_constants_match_power_form(self, shape, draw):
+        rng = np.random.default_rng(7)
+        columns = {"normal": rng.standard_normal, "exponential": rng.exponential,
+                   "t": lambda size: rng.standard_t(2.5, size=size)}[draw](size=shape)
+        c = columns - columns.mean(axis=1, keepdims=True)
+        mu2, mu3, mu4 = (np.mean(c**r, axis=1) for r in (2, 3, 4))
+        want = mu4 / (2.0 * mu2**2) - mu3**2 / (3.0 * mu2**3)
+        np.testing.assert_allclose(bartlett_constants(columns), want, rtol=1e-13, atol=0)
 
 class TestChi2Quantile:
     @pytest.mark.parametrize("k", range(1, 13))

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import elspec
-from elspec import ArmaSpec, NoiseKind, simulate
+from elspec import ArmaSpec, NoiseKind, compute_periodogram, scan_region, simulate
 from elspec.cli import main
+from elspec.confidence import STATUS_LABELS, STATUS_NO_SOLUTION
 
 
 def write_series(path, values):
@@ -199,6 +200,38 @@ class TestRegionCommand:
         for r in rows:
             if r[3] != "ok":
                 assert r[2] == ""  # no fabricated statistic
+
+
+def _per_node_lines(grid):
+    """Region CSV payload rows formatted node by node, coordinates included."""
+    inside = grid.inside()
+    lines = []
+    for idx in np.ndindex(*grid.stat.shape):
+        coords = [f"{grid.axes[d][idx[d]]:.12g}" for d in range(len(grid.axes))]
+        stat = grid.stat[idx]
+        row = coords + ["" if np.isnan(stat) else f"{stat:.12g}",
+                        STATUS_LABELS[int(grid.status[idx])], int(inside[idx])]
+        lines.append(",".join(str(x) for x in row))
+    return lines
+
+
+@pytest.mark.parametrize("spec,T,seed,order,box,steps", [
+    # 2-D EL grid with a nosolution node
+    (ArmaSpec(ar=[0.85], ma=[0.1]), 40, 3, "1,1", "-0.9:0.9,-0.9:0.9", "12,12"),
+    # 1-D EL grid with nosolution nodes
+    (ArmaSpec(ma=[0.5]), 30, 4, "0,1", "-0.95:0.95", "25"),
+])
+def test_region_rows_match_per_node_formatting(tmp_path, capsys, spec, T, seed, order, box, steps):
+    ts = simulate(spec, T, NoiseKind.STANDARD_NORMAL, seed=seed)
+    src = write_series(tmp_path / "s.txt", ts.values)
+    out = tmp_path / "grid.csv"
+    assert main(["region", src, "--order", order, "--method", "el", f"--box={box}",
+                 "--steps", steps, "--out", str(out)]) == 0
+    grid = scan_region(compute_periodogram(ts), tuple(map(int, order.split(","))),
+                       [tuple(map(float, r.split(":"))) for r in box.split(",")],
+                       [int(x) for x in steps.split(",")], method="el")
+    assert np.any(grid.status == STATUS_NO_SOLUTION)
+    assert payload_lines(out)[1:] == _per_node_lines(grid)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,16 +22,21 @@ from elspec import (
     simulate,
     whittle_fit,
 )
+from elspec.arma import STATIONARITY_MARGIN, stationary_invertible
 from elspec.confidence import (
+    METHODS,
     STATUS_INVALID,
     STATUS_NO_SOLUTION,
     STATUS_OK,
     RegionGrid,
+    _bracket_roots,
     _cell_segments,
     _chain_segments,
+    method_stats,
+    method_threshold,
 )
 from elspec.el import MAX_HALF_LOG, adjust, solve_dual
-from elspec.whittle import psi_profile
+from elspec.whittle import psi_profile, psi_profile_rows
 
 
 def _point_in_polygon(point, poly):
@@ -161,8 +167,9 @@ class TestInterval1d:
         assert iv.hi == pytest.approx(hi_bound)
         assert not iv.truncated_lo
         assert iv.lo <= iv.hi
-        # one record, for the truncated end only
-        [record] = caplog.records
+        # one truncation record, for the truncated end only (the other
+        # record is the DEBUG summary of the search)
+        [record] = [r for r in caplog.records if r.levelno >= logging.INFO]
         assert record.name == "elspec.confidence" and "upper end truncated" in record.getMessage()
 
     def test_coverage_indicator_equivalence_100_cases(self):
@@ -234,6 +241,120 @@ class TestInterval1d:
         with pytest.raises(ConvergenceError, match="outside its own region"):
             interval_1d(pg, (1, 0), method=method, fit=fit,
                         tb_constant=1.0 if method == "tb" else None)
+
+    def test_debug_record_counts_rounds_and_problems(self, ma1_pg_t70, caplog):
+        fit = whittle_fit(ma1_pg_t70, (0, 1), profile=True)
+        quiet = interval_1d(ma1_pg_t70, (0, 1), method="ael", fit=fit)
+        with caplog.at_level(logging.DEBUG, logger="elspec"):
+            iv = interval_1d(ma1_pg_t70, (0, 1), method="ael", fit=fit)
+        assert iv == quiet
+        [record] = caplog.records
+        assert record.name == "elspec.confidence" and record.levelno == logging.DEBUG
+        match = re.search(r"(\d+) stacked rounds, (\d+) problems solved", record.getMessage())
+        rounds, problems = int(match[1]), int(match[2])
+        # the first round holds the estimate and two ladder points a side
+        assert 1 < rounds < problems and problems >= 5
+
+
+def _oracle_excess(pg, order, method, threshold):
+    """stat - threshold at one point, one N = 1 statistic call; 1e12 where
+    the model is invalid or the statistic undefined."""
+    def excess(b):
+        beta = np.array([[b]])
+        ar, ma = (beta, beta[:, :0]) if order[0] else (beta[:, :0], beta)
+        if not stationary_invertible(ar, ma)[0]:
+            return 1e12
+        res = method_stats(psi_profile_rows(pg.freqs, pg.ords, ar, ma), (method,))[method]
+        return float(res.stat[0]) - threshold if res.status[0] == STATUS_OK else 1e12
+    return excess
+
+
+def _oracle_interval(pg, order, method, fit, tb_constant=None):
+    """(lo, hi, truncated_lo, truncated_hi) by the sequential search: the
+    outward ladder one point at a time, then scipy's brentq on each side."""
+    from scipy.optimize import brentq
+
+    threshold = method_threshold(method, 1, 0.9, pg.n, tb_constant)
+    excess = _oracle_excess(pg, order, method, threshold)
+    bhat = float(fit.estimate[0])
+    limit = 1.0 - 2.0 * STATIONARITY_MARGIN
+
+    def edge(direction):
+        bound = direction * limit
+        step = max(1e-4, 0.02 * abs(bound - bhat))
+        prev = bhat
+        while True:
+            nxt = prev + direction * step
+            if (direction > 0 and nxt >= bound) or (direction < 0 and nxt <= bound):
+                nxt = bound
+            if excess(nxt) > 0.0:
+                left, right = sorted((prev, nxt))
+                return brentq(excess, left, right, xtol=1e-12, rtol=8.9e-16), False
+            if nxt == bound:
+                return bound, True
+            prev = nxt
+            step *= 1.6
+
+    (lo, trunc_lo), (hi, trunc_hi) = edge(-1), edge(+1)
+    return lo, hi, trunc_lo, trunc_hi
+
+
+def _oracle_cases():
+    for model in ("ar1", "ma1"):
+        for T in (30, 70, 2000):
+            for method in METHODS:
+                yield pytest.param(model, 0.5, T, 1, method, id=f"{model}-T{T}-{method}")
+    # the upper bracket's outer end is the bound, where eb has no statistic
+    yield pytest.param("ar1", 0.5, 30, 0, "eb", id="ar1-T30-eb-infinite-end")
+
+
+@pytest.mark.parametrize("model,value,T,seed,method", list(_oracle_cases()))
+def test_interval_matches_sequential_brentq(model, value, T, seed, method):
+    spec, order = (ArmaSpec(ar=[value]), (1, 0)) if model == "ar1" else (ArmaSpec(ma=[value]), (0, 1))
+    pg = compute_periodogram(simulate(spec, T, NoiseKind.STANDARD_NORMAL, seed=seed))
+    fit = whittle_fit(pg, order, profile=True)
+    tb_constant = 1.0 if method == "tb" else None
+    iv = interval_1d(pg, order, method=method, alpha=0.10, fit=fit, tb_constant=tb_constant)
+    lo, hi, trunc_lo, trunc_hi = _oracle_interval(pg, order, method, fit, tb_constant)
+    assert (iv.truncated_lo, iv.truncated_hi) == (trunc_lo, trunc_hi)
+    assert abs(iv.lo - lo) < 1e-10 and abs(iv.hi - hi) < 1e-10
+
+
+class TestBracketRoots:
+    # sin has a root at every multiple of pi; each bracket holds one
+    A = np.array([-1.0, 2.5, 6.0, 8.5, 12.0])
+    B = np.array([0.5, 4.0, 7.0, 10.0, 13.0])
+
+    def test_roots_and_lockstep_calls(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.sin(x)
+        roots = _bracket_roots(f, self.A, self.B, np.sin(self.A), np.sin(self.B))
+        np.testing.assert_allclose(roots, np.pi * np.arange(5), rtol=0, atol=2e-12)
+        # one call per iteration, on the brackets still running
+        assert calls[0] == 5 and all(a >= b for a, b in zip(calls, calls[1:]))
+
+    def test_bracket_does_not_depend_on_its_stack(self):
+        stacked = _bracket_roots(np.sin, self.A, self.B, np.sin(self.A), np.sin(self.B))
+        for i in range(len(self.A)):
+            a, b = self.A[i:i + 1], self.B[i:i + 1]
+            alone = _bracket_roots(np.sin, a, b, np.sin(a), np.sin(b))
+            assert alone[0] == stacked[i]
+
+    def test_infinite_end_converges(self):
+        # no value beyond 0.5, as at a point without an EL solution
+        def f(x):
+            return np.where(x < 0.5, np.tanh(x - 0.3), np.inf)
+        a, b = np.array([0.0, 0.2]), np.array([1.0, 0.9])
+        roots = _bracket_roots(f, a, b, f(a), f(b))
+        np.testing.assert_allclose(roots, 0.3, rtol=0, atol=2e-12)
+
+    def test_zero_at_an_end_returns_it(self):
+        roots = _bracket_roots(np.sin, np.array([0.0]), np.array([1.0]),
+                               np.array([0.0]), np.array([np.sin(1.0)]))
+        assert roots[0] == 0.0
 
 
 def _reference_contour(grid):

@@ -3,7 +3,8 @@ package modules each module imports.
 
 ``import elspec`` pulls in numpy only, and not ``numpy.random``; each
 subcommand loads the scipy modules it calls (``fit`` none at all), and
-nothing loads ``scipy.stats`` or, outside ``coverage``, ``scipy.signal``.  These checks
+nothing loads ``scipy.stats`` or, outside ``coverage``, ``scipy.signal``;
+``interval_1d`` loads no ``scipy.optimize``.  These checks
 read ``sys.modules`` in a child process rather than timing it, so they do
 not depend on host load.  The module layers are read from the source with
 ``ast``: ``el`` imports only ``errors``, and ``arma`` none of the modules
@@ -94,6 +95,19 @@ def test_fit_and_region_skip_stats_and_signal(series_file, tmp_path, argv):
     loaded = scipy_modules(command, series_file, *options, *out)
     assert "scipy.stats" not in loaded
     assert "scipy.signal" not in loaded
+
+
+def test_interval_loads_no_optimize():
+    # an MA(1) series built with numpy, so that simulate's scipy.signal stays out
+    code = (
+        "import numpy as np\n"
+        "from elspec import TimeSeries, compute_periodogram, interval_1d\n"
+        "e = np.random.default_rng(3).standard_normal(201)\n"
+        "pg = compute_periodogram(TimeSeries(e[1:] + 0.5 * e[:-1]))\n"
+        "for method in ('el', 'ael', 'eb'):\n"
+        "    interval_1d(pg, (0, 1), method=method)\n"
+    )
+    assert not {m for m in scipy_after(code) if m.startswith("scipy.optimize")}
 
 
 def package_imports():
