@@ -203,20 +203,18 @@ def cmd_region(args) -> int:
     inside = grid.inside()
     _write_csv(args.out, meta, header, _region_rows(grid, inside))
 
-    polylines = extract_contour(grid) if k == 2 else []
-    contour_path = args.out + ".contours.csv"
-    if k == 2:
-        crows = []
-        for pid, poly in enumerate(polylines):
-            closed = int(len(poly) > 2 and np.allclose(poly[0], poly[-1]))
-            for vid, (x, y) in enumerate(poly):
-                crows.append((pid, vid, f"{x:.12g}", f"{y:.12g}", closed))
-        _write_csv(contour_path, meta, ("polyline", "vertex", "param1", "param2", "closed"), crows)
-
     n_undef = int(np.sum(grid.status != STATUS_OK))
     print(f"region: method={args.method}, threshold={grid.threshold:.5f}, "
           f"{int(inside.sum())}/{grid.stat.size} nodes inside, {n_undef} undefined")
     if k == 2:
+        polylines = extract_contour(grid)
+        contour_path = args.out + ".contours.csv"
+        crows = []
+        for pid, poly in enumerate(polylines):
+            closed = int(len(poly) > 2 and np.array_equal(poly[0], poly[-1]))
+            for vid, (x, y) in enumerate(poly):
+                crows.append((pid, vid, f"{x:.12g}", f"{y:.12g}", closed))
+        _write_csv(contour_path, meta, ("polyline", "vertex", "param1", "param2", "closed"), crows)
         print(f"{len(polylines)} contour polyline(s) -> {contour_path}")
     return EXIT_OK
 

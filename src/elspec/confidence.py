@@ -48,6 +48,18 @@ _LADDER_ROUND = 2
 _ROOT_XTOL, _ROOT_RTOL = 1e-12, 8.9e-16
 _MAX_ROOT_ITER = 100
 
+# Marching-squares segments by cell case.  A cell's corners are numbered 0-3
+# counterclockwise from its lower-left node; its edge e runs from corner e to
+# corner (e + 1) % 4.  Case bit c is set when corner c is at or below the
+# level.  Row c lists the edges of the case's segments in pairs, padded with
+# -1.  A saddle is split by the cell-centre average: rows 16 and 17 replace
+# rows 5 and 10 when the centre is at or below the level.
+_SEGMENTS = np.array([
+    (-1, -1, -1, -1), (3, 0, -1, -1), (0, 1, -1, -1), (3, 1, -1, -1), (1, 2, -1, -1), (3, 0, 1, 2),
+    (0, 2, -1, -1), (3, 2, -1, -1), (2, 3, -1, -1), (2, 0, -1, -1), (0, 3, 2, 1), (2, 1, -1, -1),
+    (1, 3, -1, -1), (1, 0, -1, -1), (0, 3, -1, -1), (-1, -1, -1, -1), (3, 2, 1, 0), (0, 1, 2, 3),
+])
+
 _log = logging.getLogger(__name__)
 
 
@@ -419,96 +431,16 @@ def _bracket_roots(f, a, b, fa, fb):
     raise ConvergenceError(f"root bracketing did not converge in {_MAX_ROOT_ITER} iterations")
 
 
-def _interp(pa, pb, va, vb, level):
-    t = (level - va) / (vb - va)
-    return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
-
-
-def _cell_segments(corners, values, level):
-    """Marching-squares segments for one cell.
-
-    ``corners``/``values`` are ordered counterclockwise from the lower-left:
-    (x0,y0), (x1,y0), (x1,y1), (x0,y1).  "Inside" means value <= level; the
-    two ambiguous saddle cases are resolved by the cell-center average.
-    """
-    inside = [v <= level for v in values]
-    idx = inside[0] | inside[1] << 1 | inside[2] << 2 | inside[3] << 3
-    if idx in (0, 15):
-        return []
-    edges = {}
-    for e, (a, b) in enumerate(((0, 1), (1, 2), (2, 3), (3, 0))):
-        if inside[a] != inside[b]:
-            edges[e] = _interp(corners[a], corners[b], values[a], values[b], level)
-    pairs = {
-        1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-        6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
-        11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
-    }
-    if idx == 5:  # corners 0 and 2 inside
-        center_inside = float(np.mean(values)) <= level
-        pairs = {5: [(3, 2), (1, 0)] if center_inside else [(3, 0), (1, 2)]}
-    elif idx == 10:  # corners 1 and 3 inside
-        center_inside = float(np.mean(values)) <= level
-        pairs = {10: [(0, 1), (2, 3)] if center_inside else [(0, 3), (2, 1)]}
-    return [(edges[a], edges[b]) for a, b in pairs[idx]]
-
-
-def _chain_segments(segments, tol):
-    """Join segments sharing endpoints into polylines (closed where the ends
-    meet)."""
-
-    def key(point):
-        return (round(point[0] / tol), round(point[1] / tol))
-
-    remaining = {i: seg for i, seg in enumerate(segments)}
-    by_end: dict = {}
-    for i, (a, b) in remaining.items():
-        by_end.setdefault(key(a), []).append(i)
-        by_end.setdefault(key(b), []).append(i)
-
-    def pop_at(point_key, skip):
-        for i in by_end.get(point_key, []):
-            if i != skip and i in remaining:
-                return i
-        return None
-
-    polylines = []
-    while remaining:
-        i = next(iter(remaining))
-        a, b = remaining.pop(i)
-        chain = [a, b]
-        # extend forward from b, then backward from a
-        last = i
-        while True:
-            j = pop_at(key(chain[-1]), last)
-            if j is None:
-                break
-            sa, sb = remaining.pop(j)
-            chain.append(sb if key(sa) == key(chain[-1]) else sa)
-            last = j
-        last = i
-        while True:
-            j = pop_at(key(chain[0]), last)
-            if j is None:
-                break
-            sa, sb = remaining.pop(j)
-            chain.insert(0, sb if key(sa) == key(chain[0]) else sa)
-            last = j
-        if key(chain[0]) == key(chain[-1]) and len(chain) > 2:
-            chain[-1] = chain[0]
-        polylines.append(np.array(chain))
-    return polylines
-
-
 def extract_contour(grid: RegionGrid) -> list[np.ndarray]:
     """Threshold-level contour polylines of a two-dimensional RegionGrid.
 
     Marching squares with linear interpolation on the statistic values;
     cells touching an undefined node (nosolution/failed/invalid) are
-    skipped.  Returns a list of (v, 2) vertex arrays in parameter
-    coordinates, closed (first vertex repeated) where the region does not
-    hit the grid boundary.  A region covering every node is reported as the
-    node-extent rectangle; an empty region gives an empty list.
+    skipped, and two segments join exactly where they cross the same grid
+    edge.  Returns a list of (v, 2) vertex arrays in parameter coordinates,
+    closed (first vertex repeated) where the region does not hit the grid
+    boundary.  A region covering every node is reported as the node-extent
+    rectangle; an empty region gives an empty list.
     """
     if len(grid.axes) != 2:
         raise InputError("contour extraction is defined for two-parameter grids only")
@@ -522,22 +454,60 @@ def extract_contour(grid: RegionGrid) -> list[np.ndarray]:
         if np.all(grid.stat > level):
             return []
 
-    # Marching squares needs only the cells whose four corners are defined
-    # and lie on both sides of the level; find them all at once and visit
-    # them in row-major (i, j) order.
-    stat = grid.stat
-    below = stat <= level
+    # The cells whose four corners are defined and lie on both sides of the
+    # level, in row-major (i, j) order, with their corners as flat node indices.
+    below = grid.stat <= level
     corners_ok = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
     n_inside = below[:-1, :-1].astype(int) + below[1:, :-1] + below[1:, 1:] + below[:-1, 1:]
-    segments = []
-    for i, j in np.argwhere(corners_ok & (n_inside > 0) & (n_inside < 4)):
-        corners = (
-            (xs[i], ys[j]), (xs[i + 1], ys[j]),
-            (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1]),
-        )
-        values = (stat[i, j], stat[i + 1, j], stat[i + 1, j + 1], stat[i, j + 1])
-        segments.extend(_cell_segments(corners, values, level))
-    if not segments:
-        return []
-    span = max(xs[-1] - xs[0], ys[-1] - ys[0])
-    return _chain_segments(segments, tol=1e-9 * span)
+    cells = np.argwhere(corners_ok & (n_inside > 0) & (n_inside < 4))
+    ny, stat = len(ys), grid.stat.ravel()
+    nodes = (cells[:, 0] * ny + cells[:, 1])[:, None] + np.array([0, ny, ny + 1, 1])
+    values = stat[nodes]
+    case = (values <= level) @ np.array([1, 2, 4, 8])
+    saddle = np.isin(case, (5, 10)) & (values.mean(axis=1) <= level)
+    case = np.where(saddle, 16 + (case == 10), case)
+
+    # Segment s has ends 2s and 2s + 1; each end lies on one cell edge,
+    # interpolated from the edge's first corner to its second.
+    pairs = _SEGMENTS[case].reshape(-1, 2)
+    real = pairs[:, 0] >= 0
+    edge = pairs[real].ravel()
+    end_cell = np.repeat(np.flatnonzero(real) // 2, 2)
+    a, b = nodes[end_cell, edge], nodes[end_cell, (edge + 1) % 4]
+    t = (level - stat[a]) / (stat[b] - stat[a])
+    px = xs[a // ny] + t * (xs[b // ny] - xs[a // ny])
+    py = ys[a % ny] + t * (ys[b % ny] - ys[a % ny])
+
+    # A grid edge joins nodes ny apart (an x-edge) or 1 apart (a y-edge);
+    # number the x-edges first.  At most two segment ends cross one edge,
+    # one from each cell beside it: link each end to the other.
+    edge_id = np.minimum(a, b) + (np.abs(a - b) == 1) * stat.size
+    order = np.argsort(edge_id)
+    same = np.flatnonzero(np.diff(edge_id[order]) == 0)
+    link = np.full(len(order), -1)
+    link[order[same]], link[order[same + 1]] = order[same + 1], order[same]
+    link = link.tolist()
+    used = [False] * (len(link) // 2)
+
+    def walk(end):
+        """The far ends of the unused segments chained on from ``end``."""
+        far = []
+        while (end := link[end]) >= 0 and not used[end // 2]:
+            used[end // 2] = True
+            end ^= 1
+            far.append(end)
+        return far
+
+    polylines = []
+    for s in range(len(used)):
+        if used[s]:
+            continue
+        used[s] = True
+        ahead = [2 * s + 1] + walk(2 * s + 1)
+        if link[ahead[-1]] == 2 * s:
+            # Closed: the last far end lies on the first end's edge.
+            path = [2 * s] + ahead[:-1] + [2 * s]
+        else:
+            path = walk(2 * s)[::-1] + [2 * s] + ahead
+        polylines.append(np.column_stack((px[path], py[path])))
+    return polylines

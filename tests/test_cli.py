@@ -11,7 +11,7 @@ import pytest
 import elspec
 from elspec import ArmaSpec, NoiseKind, compute_periodogram, scan_region, simulate
 from elspec.cli import main
-from elspec.confidence import STATUS_LABELS, STATUS_NO_SOLUTION
+from elspec.confidence import STATUS_LABELS, STATUS_NO_SOLUTION, STATUS_OK, RegionGrid, grid_axis
 
 
 def write_series(path, values):
@@ -200,6 +200,23 @@ class TestRegionCommand:
         for r in rows:
             if r[3] != "ok":
                 assert r[2] == ""  # no fabricated statistic
+
+
+    def test_contour_closed_flag_is_exact(self, tmp_path, wn_file, monkeypatch, capsys):
+        # One node 1e-8 below the level: the open polyline around it has its
+        # two ends about 7e-9 apart, within np.allclose's tolerance.
+        stat = np.full((2, 3), 2.0)
+        stat[0, 1] = 1.0 - 1e-8
+        grid = RegionGrid(axes=(grid_axis(0.0, 1.0, 2), grid_axis(0.0, 1.0, 3)), stat=stat,
+                          status=np.full(stat.shape, STATUS_OK), threshold=1.0, method="ael",
+                          alpha=0.1, order=(1, 1))
+        monkeypatch.setattr("elspec.cli.scan_region", lambda *args, **kwargs: grid)
+        out = tmp_path / "grid.csv"
+        assert main(["region", wn_file, "--order", "1,1", "--box", "0:1,0:1", "--steps", "2,3",
+                     "--out", str(out)]) == 0
+        rows = [r.split(",") for r in payload_lines(tmp_path / "grid.csv.contours.csv")[1:]]
+        assert len(rows) == 3
+        assert [r[-1] for r in rows] == ["0"] * 3
 
 
 def _per_node_lines(grid):

@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,8 +31,6 @@ from elspec.confidence import (
     STATUS_OK,
     RegionGrid,
     _bracket_roots,
-    _cell_segments,
-    _chain_segments,
     method_stats,
     method_threshold,
 )
@@ -357,7 +356,146 @@ class TestBracketRoots:
         assert roots[0] == 0.0
 
 
-def _reference_contour(grid):
+# The contour code as it chained marching-squares segments by a key of
+# vertex coordinates rounded to 1e-9 of the grid span: the oracle of
+# extract_contour on grids where no node value equals the level.
+def _interp(pa, pb, va, vb, level):
+    t = (level - va) / (vb - va)
+    return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
+
+
+def _cell_segments(corners, values, level):
+    """Marching-squares segments for one cell.
+
+    ``corners``/``values`` are ordered counterclockwise from the lower-left:
+    (x0,y0), (x1,y0), (x1,y1), (x0,y1).  "Inside" means value <= level; the
+    two ambiguous saddle cases are resolved by the cell-center average.
+    """
+    inside = [v <= level for v in values]
+    idx = inside[0] | inside[1] << 1 | inside[2] << 2 | inside[3] << 3
+    if idx in (0, 15):
+        return []
+    edges = {}
+    for e, (a, b) in enumerate(((0, 1), (1, 2), (2, 3), (3, 0))):
+        if inside[a] != inside[b]:
+            edges[e] = _interp(corners[a], corners[b], values[a], values[b], level)
+    pairs = {
+        1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
+        6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
+        11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
+    }
+    if idx == 5:  # corners 0 and 2 inside
+        center_inside = float(np.mean(values)) <= level
+        pairs = {5: [(3, 2), (1, 0)] if center_inside else [(3, 0), (1, 2)]}
+    elif idx == 10:  # corners 1 and 3 inside
+        center_inside = float(np.mean(values)) <= level
+        pairs = {10: [(0, 1), (2, 3)] if center_inside else [(0, 3), (2, 1)]}
+    return [(edges[a], edges[b]) for a, b in pairs[idx]]
+
+
+def _chain_segments(segments, tol):
+    """Join segments sharing endpoints into polylines (closed where the ends
+    meet)."""
+
+    def key(point):
+        return (round(point[0] / tol), round(point[1] / tol))
+
+    remaining = {i: seg for i, seg in enumerate(segments)}
+    by_end: dict = {}
+    for i, (a, b) in remaining.items():
+        by_end.setdefault(key(a), []).append(i)
+        by_end.setdefault(key(b), []).append(i)
+
+    def pop_at(point_key, skip):
+        for i in by_end.get(point_key, []):
+            if i != skip and i in remaining:
+                return i
+        return None
+
+    polylines = []
+    while remaining:
+        i = next(iter(remaining))
+        a, b = remaining.pop(i)
+        chain = [a, b]
+        # extend forward from b, then backward from a
+        last = i
+        while True:
+            j = pop_at(key(chain[-1]), last)
+            if j is None:
+                break
+            sa, sb = remaining.pop(j)
+            chain.append(sb if key(sa) == key(chain[-1]) else sa)
+            last = j
+        last = i
+        while True:
+            j = pop_at(key(chain[0]), last)
+            if j is None:
+                break
+            sa, sb = remaining.pop(j)
+            chain.insert(0, sb if key(sa) == key(chain[0]) else sa)
+            last = j
+        if key(chain[0]) == key(chain[-1]) and len(chain) > 2:
+            chain[-1] = chain[0]
+        polylines.append(np.array(chain))
+    return polylines
+
+
+# Segments of each marching-squares case as pairs of cell edges, edge e
+# running from corner e to corner (e + 1) % 4; a saddle's key adds whether
+# its centre average is at or below the level.
+_CASE_PAIRS = {
+    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)], 6: [(0, 2)], 7: [(3, 2)],
+    8: [(2, 3)], 9: [(2, 0)], 11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
+    (5, True): [(3, 2), (1, 0)], (5, False): [(3, 0), (1, 2)],
+    (10, True): [(0, 1), (2, 3)], (10, False): [(0, 3), (2, 1)],
+}
+
+
+def _edge_segments(nodes, corners, values, level):
+    """Marching-squares segments of one cell with each end as (edge, vertex),
+    the edge being the set of the two nodes it joins."""
+    inside = [v <= level for v in values]
+    case = sum(bit << c for c, bit in enumerate(inside))
+    if case in (5, 10):
+        case = (case, float(np.mean(values)) <= level)
+    ends = {}
+    for a in range(4):
+        b = (a + 1) % 4
+        if inside[a] != inside[b]:
+            ends[a] = (frozenset((nodes[a], nodes[b])),
+                       _interp(corners[a], corners[b], values[a], values[b], level))
+    return [(ends[a], ends[b]) for a, b in _CASE_PAIRS.get(case, [])]
+
+
+def _chain_by_edge(segments):
+    """Join segments whose ends cross the same grid edge into polylines,
+    closed where the forward walk returns to the first segment's edge."""
+    at_edge: dict = {}
+    for i, segment in enumerate(segments):
+        for edge, _ in segment:
+            at_edge.setdefault(edge, []).append(i)
+    remaining = dict(enumerate(segments))
+
+    def follow(end):
+        far = []
+        while nxt := [j for j in at_edge[end[0]] if j in remaining]:
+            sa, sb = remaining.pop(nxt[0])
+            end = sb if sa[0] == end[0] else sa
+            far.append(end)
+        return far
+
+    polylines = []
+    while remaining:
+        a, b = remaining.pop(next(iter(remaining)))
+        ahead = follow(b)
+        chain = follow(a)[::-1] + [a, b] + ahead
+        if chain[-1][0] == chain[0][0]:
+            chain[-1] = chain[0]
+        polylines.append(np.array([vertex for _, vertex in chain]))
+    return polylines
+
+
+def _loop_contour(grid, cell_segments, chain):
     """extract_contour with every cell visited in a Python loop."""
     xs, ys = grid.axes
     level = grid.threshold
@@ -371,22 +509,23 @@ def _reference_contour(grid):
     segments = []
     for i in range(len(xs) - 1):
         for j in range(len(ys) - 1):
-            ok = valid[i, j] and valid[i + 1, j] and valid[i + 1, j + 1] and valid[i, j + 1]
-            if not ok:
-                continue
-            corners = (
-                (xs[i], ys[j]), (xs[i + 1], ys[j]),
-                (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1]),
-            )
-            values = (
-                grid.stat[i, j], grid.stat[i + 1, j],
-                grid.stat[i + 1, j + 1], grid.stat[i, j + 1],
-            )
-            segments.extend(_cell_segments(corners, values, level))
-    if not segments:
-        return []
+            nodes = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
+            if all(valid[node] for node in nodes):
+                corners = [(xs[a], ys[b]) for a, b in nodes]
+                values = [grid.stat[node] for node in nodes]
+                segments.extend(cell_segments(nodes, corners, values, level))
+    return chain(segments) if segments else []
+
+
+def _reference_contour(grid):
+    return _loop_contour(grid, _edge_segments, _chain_by_edge)
+
+
+def _rounding_key_contour(grid):
+    xs, ys = grid.axes
     span = max(xs[-1] - xs[0], ys[-1] - ys[0])
-    return _chain_segments(segments, tol=1e-9 * span)
+    return _loop_contour(grid, lambda nodes, *cell: _cell_segments(*cell),
+                         lambda segments: _chain_segments(segments, tol=1e-9 * span))
 
 
 def _contour_grids():
@@ -406,16 +545,69 @@ def _contour_grids():
             yield pytest.param(stat, status, id=f"{name}-undefined{share}")
 
 
-@pytest.mark.parametrize("stat,status", list(_contour_grids()))
-def test_contour_matches_all_cells_loop(stat, status):
+def _field_grid(stat, status):
+    """A grid of ``stat`` at the level 1, NaN where ``status`` is not ok."""
     stat = np.where(status == STATUS_OK, stat, np.nan)
-    grid = RegionGrid(axes=(grid_axis(-1.0, 1.0, stat.shape[0]), grid_axis(0.0, 1.0, stat.shape[1])),
+    return RegionGrid(axes=(grid_axis(-1.0, 1.0, stat.shape[0]), grid_axis(0.0, 1.0, stat.shape[1])),
                       stat=stat, status=status, threshold=1.0, method="el", alpha=0.1,
                       order=(1, 1))
+
+
+@pytest.mark.parametrize("stat,status", list(_contour_grids()))
+def test_contour_matches_all_cells_loop(stat, status):
+    grid = _field_grid(stat, status)
     got, want = extract_contour(grid), _reference_contour(grid)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+def _arma11_scan(method, T):
+    ts = simulate(ArmaSpec(ar=[0.7], ma=[0.5]), T, NoiseKind.STANDARD_NORMAL, seed=1)
+    grid = scan_region(compute_periodogram(ts), (1, 1), [(0.0, 1.0), (0.0, 1.0)], 60, method=method)
+    if (method, T) == ("el", 50):
+        assert np.any(grid.status == STATUS_NO_SOLUTION)
+    return grid
+
+
+@pytest.mark.parametrize("make_grid", [
+    *(pytest.param(partial(_field_grid, *p.values), id=p.id)
+      for p in _contour_grids() if not p.id.startswith("smooth")),
+    *(pytest.param(partial(_arma11_scan, method, T), id=f"{method}-T{T}")
+      for method in ("el", "ael") for T in (50, 200)),
+])
+def test_contour_matches_rounding_key_chaining(make_grid):
+    # Off the level, edge identity and the rounded-coordinate key join the
+    # same segments, and each joined vertex keeps its first cell's bits.
+    grid = make_grid()
+    got, want = extract_contour(grid), _rounding_key_contour(grid)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_contour_through_nodes_at_the_level_is_one_loop():
+    # x^2 + y^2 equals the level exactly at two nodes, where an x-edge and a
+    # y-edge crossing share one vertex; a coordinate key merges the two.
+    stat = np.add.outer(np.linspace(-2.0, 2.0, 17) ** 2, np.linspace(-1.5, 1.5, 23) ** 2)
+    assert stat[4, 11] == stat[12, 11] == 1.0
+    below = stat <= 1.0
+    crossed = np.sum(below[:-1] != below[1:]) + np.sum(below[:, :-1] != below[:, 1:])
+    assert crossed == 48
+    polys = extract_contour(_field_grid(stat, np.full(stat.shape, STATUS_OK)))
+    assert len(polys) == 1
+    assert len(polys[0]) == crossed + 1
+    assert np.array_equal(polys[0][0], polys[0][-1])
+
+
+def test_contour_with_nearby_ends_stays_open():
+    # One node just below the level: the polyline around it has its two ends
+    # 1e-10 of a cell from that node, on different edges.
+    stat = np.full((2, 3), 2.0)
+    stat[0, 1] = 1.0 - 1e-10
+    polys = extract_contour(_field_grid(stat, np.full(stat.shape, STATUS_OK)))
+    assert len(polys) == 1 and len(polys[0]) == 3
+    assert not np.array_equal(polys[0][0], polys[0][-1])
 
 
 class TestExtractContour:
