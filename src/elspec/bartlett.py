@@ -16,8 +16,7 @@ import numpy as np
 
 from .el import PsiMatrix
 from .errors import DegenerateInputError, InputError
-
-_MIN_MU2 = 1e-12
+from .periodogram import _centred
 
 
 def estimate_bartlett(psi: PsiMatrix) -> float:
@@ -28,7 +27,7 @@ def estimate_bartlett(psi: PsiMatrix) -> float:
     is invariant to rescaling psi.  Pearson's inequality for the sample
     moments, mu4/mu2^2 >= 1 + mu3^2/mu2^3, gives b >= 1/2 + mu3^2/(6 mu2^3)
     >= 1/2, so the scale 1 + b/n always exceeds 1.  Raises
-    DegenerateInputError when the column has (numerically) zero variance.
+    DegenerateInputError when the column is constant.
     """
     if psi.adjusted:
         raise InputError("estimate_bartlett expects an unadjusted psi matrix")
@@ -36,24 +35,31 @@ def estimate_bartlett(psi: PsiMatrix) -> float:
         raise InputError(f"estimated Bartlett correction is scalar-parameter only, got k={psi.k}")
     b = float(bartlett_constants(psi.rows[None, :, 0])[0])
     if np.isnan(b):
-        raise DegenerateInputError("psi column variance is degenerate")
+        raise DegenerateInputError("psi column is constant")
     return b
 
 
 def bartlett_constants(columns) -> np.ndarray:
     """:func:`estimate_bartlett` for a stack of scalar psi columns (N, n):
-    one b_hat per row, NaN where the column variance is below 1e-12."""
-    c = columns - columns.mean(axis=1, keepdims=True)
+    one b_hat per row, NaN for a constant column.
+
+    A constant column is centred by its common value, so it is exactly zero;
+    any other centred column is scaled to max |c| = 1 before its moments are
+    taken, so no power of c underflows or overflows, whatever the column's
+    scale (b_hat is scale-free)."""
+    c = _centred(columns, columns.mean(axis=1, keepdims=True))
+    peak = np.abs(c).max(axis=1, keepdims=True)
+    c /= np.where(peak > 0.0, peak, 1.0)
     # Products, not c**3 and c**4: numpy sends integer powers above 2 to
     # libm pow element by element.
     c2 = c * c
     mu2 = np.mean(c2, axis=1)
     mu3 = np.mean(c2 * c, axis=1)
     mu4 = np.mean(c2 * c2, axis=1)
-    degenerate = mu2 < _MIN_MU2
-    mu2 = np.where(degenerate, 1.0, mu2)
+    constant = mu2 == 0.0
+    mu2 = np.where(constant, 1.0, mu2)
     b = mu4 / (2.0 * mu2**2) - mu3**2 / (3.0 * mu2**3)
-    return np.where(degenerate, np.nan, b)
+    return np.where(constant, np.nan, b)
 
 
 def chi2_quantile(level: float, k: int) -> float:

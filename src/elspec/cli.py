@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     sf.add_argument("input")
     sf.add_argument("--order", type=_parse_order, required=True, metavar="p,q")
     sf.add_argument("--profile", action=argparse.BooleanOptionalAction, default=True,
-                    help="profile sigma2 out (default) or fit it jointly")
+                    help="profile sigma2 out (default) or report the profiled sigma2 too")
     sf.add_argument("--out", default=None)
     sf.set_defaults(func=cmd_fit)
 

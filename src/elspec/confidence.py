@@ -122,7 +122,7 @@ def method_stats(rows, methods, policy: AdjustmentPolicy = MAX_HALF_LOG) -> dict
     "el" and "tb" give W, "ael" the adjusted W* (solved on the rows with
     the pseudo-observation appended under ``policy``), "eb" the
     Bartlett-scaled W/(1 + b_hat/n).  The methods built on W share one solve.
-    "eb" needs k = 1; a degenerate psi column makes its status STATUS_FAILED.
+    "eb" needs k = 1; a constant psi column makes its status STATUS_FAILED.
     """
     out = {}
     if any(m != "ael" for m in methods):

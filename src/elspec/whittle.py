@@ -155,9 +155,9 @@ def el_stat(pg: Periodogram, spec: ArmaSpec, adjusted: bool = True, profile: boo
 class FitResult:
     """Outcome of a Whittle fit.
 
-    ``estimate`` is beta1 for profile fits and (beta1, sigma2) otherwise.
-    Non-convergence is reported through ``converged``; the estimate is still
-    the best point found.
+    ``estimate`` is beta1 for profile fits and (beta1, profiled sigma2)
+    otherwise.  Non-convergence is reported through ``converged``; the
+    estimate is still the best point found.
     """
 
     estimate: np.ndarray
@@ -224,34 +224,23 @@ def _row_dot(a, b):
     return out
 
 
-def _neg_loglik_stack(pg: Periodogram, order, profile: bool, x):
-    """-L/n and its gradient in u at each row of the stack ``x`` (S, dim),
+def _neg_loglik_stack(pg: Periodogram, order, x):
+    """-L/n and its gradient in u at each row of the stack ``x`` (S, p + q),
     from one :func:`shape_and_gradient_stack` call.
 
-    L is :func:`profile_loglik` (or :func:`whittle_loglik` with
-    sigma2 = exp(s) in the last column) at the weights that
-    :func:`_pacf_coefficients` maps u to.  The gradient is the column sums of
-    the psi rows (:func:`psi_profile` or :func:`psi_full`), the exact score,
-    times the map's Jacobian; both come from the same g1.
+    L is :func:`profile_loglik` at the weights that :func:`_pacf_coefficients`
+    maps u to.  The gradient is the column sums of the :func:`psi_profile`
+    rows, the exact score, times the map's Jacobian; both come from the same
+    g1.
     """
-    p, q = order
+    p = order[0]
     ar, jar = _pacf_coefficients(x[:, :p])
-    ma, jma = _pacf_coefficients(x[:, p : p + q])
+    ma, jma = _pacf_coefficients(x[:, p:])
     g1, grad = shape_and_gradient_stack(ar, ma, pg.freqs)
     ratio = pg.ords / g1
-    mean_log = np.log(g1).mean(axis=1)
-    if profile:
-        value = np.log(ratio.mean(axis=1)) + mean_log + 1.0
-        score = _row_dot(*_profile_weights(ratio, grad))
-    else:
-        sigma2 = np.exp(x[:, -1])
-        ratio /= sigma2[:, None]
-        value = np.log(sigma2) + mean_log + ratio.mean(axis=1)
-        ratio -= 1.0
-        score = _row_dot(ratio, grad)
+    value = np.log(ratio.mean(axis=1)) + np.log(g1).mean(axis=1) + 1.0
+    score = _row_dot(*_profile_weights(ratio, grad))
     du = [_row_dot(score[:, :p], jar), _row_dot(score[:, p:], jma)]
-    if not profile:
-        du.append(ratio.sum(axis=1, keepdims=True))  # d/ds = sigma2 d/dsigma2
     return value, np.concatenate(du, axis=1) / -pg.n
 
 
@@ -430,61 +419,63 @@ def whittle_fit(
     init=None,
     max_iter: int = 2000,
 ) -> FitResult:
-    """Maximize the Whittle log-likelihood (or its profile) by BFGS over
-    unconstrained u mapped by :func:`_pacf_coefficients` to AR and MA weights,
-    so every point is stationary and invertible; full fits take
-    sigma2 = exp(s).  The gradient is the exact score, the column sums of the
-    psi rows, times the map's Jacobian.  Starts are u = 0 and, for
-    p + q >= 2, the 2^(p+q) corners at partial autocorrelation +-1/2.  Each
-    start runs its own BFGS (:func:`_bfgs_path`), all in lockstep on one
-    batched likelihood evaluation per round (:func:`_neg_loglik_stack`), and
-    the lowest end point wins, ties going to the earliest start, so the fit
-    is deterministic.  An explicit ``init`` (beta coordinates, strictly
-    inside the region) is the only start.  ``converged`` means the mean
-    score in u has max-norm <= 1e-7 within ``max_iter`` iterations;
-    otherwise the estimate is the best point found.
+    """Maximize the profile Whittle log-likelihood by BFGS over unconstrained
+    u mapped by :func:`_pacf_coefficients` to AR and MA weights, so every
+    point is stationary and invertible.  The gradient is the exact score,
+    the column sums of the psi rows, times the map's Jacobian.  Starts are
+    u = 0 and, for p + q >= 2, the 2^(p+q) corners at partial
+    autocorrelation +-1/2.  Each start runs its own BFGS
+    (:func:`_bfgs_path`), all in lockstep on one batched likelihood
+    evaluation per round (:func:`_neg_loglik_stack`), and the lowest end
+    point wins, ties going to the earliest start, so the fit is
+    deterministic.  An explicit ``init`` (beta1, strictly inside the region)
+    is the only start.  ``converged`` means the mean score in u has max-norm
+    <= 1e-7 within ``max_iter`` iterations; otherwise the estimate is the
+    best point found.
+
+    sigma2 profiles out exactly: at every beta1, :func:`whittle_loglik`
+    peaks at sigma2 = :func:`profile_sigma2` and equals
+    :func:`profile_loglik` there.  So a full fit (``profile=False``) is this
+    fit with sigma2_hat = profile_sigma2 appended to the estimate and
+    ``loglik`` taken by :func:`whittle_loglik` at (beta1_hat, sigma2_hat).
     """
     p, q = order
     if p < 0 or q < 0:
         raise InputError(f"order components must be nonnegative, got {order}")
     pg.require_power()
-    dim = p + q + (0 if profile else 1)
-    loglik = profile_loglik if profile else whittle_loglik
-
-    if dim == 0:
-        value = profile_loglik(pg, ArmaSpec())
-        return FitResult(np.empty(0), True, 0, value, order, profile)
 
     if init is not None:
         init = np.asarray(init, dtype=float)
-        if init.size != dim or not (profile or init[-1] > 0.0):
-            raise InputError(f"init must be {dim} values (sigma2 > 0 last in full fits), got {init}")
-        starts = [np.concatenate([_pacf_from_coefficients(init[:p]),
-                                  _pacf_from_coefficients(init[p : p + q]), np.log(init[p + q :])])]
+        if init.size != p + q:
+            raise InputError(f"init must be the {p + q} values of beta1, got {init}")
+        starts = [np.concatenate([_pacf_from_coefficients(init[:p]), _pacf_from_coefficients(init[p:])])]
     else:
-        s0 = [] if profile else [np.log(2.0 * np.pi * np.mean(pg.ords))]
         corners = itertools.product((-1.0, 1.0), repeat=p + q) if p + q >= 2 else ()
-        starts = [np.append(np.arctanh(0.5) * np.array(c), s0) for c in [[0.0] * (p + q), *corners]]
+        starts = [np.arctanh(0.5) * np.array(c) for c in [[0.0] * (p + q), *corners]]
 
-    ends = _lockstep(lambda u: _neg_loglik_stack(pg, order, profile, u),
-                     [_bfgs_path(x0, max_iter) for x0 in starts])
-    best = min(range(len(ends)), key=lambda k: ends[k][1])
-    u, _, g, steps = ends[best]
-    spec = ArmaSpec(_pacf_coefficients(u[:p])[0], _pacf_coefficients(u[p : p + q])[0],
-                    1.0 if profile else np.exp(u[-1]), validate=False)
-    score_norm = float(np.abs(g).max())
+    if p + q:
+        ends = _lockstep(lambda u: _neg_loglik_stack(pg, order, u),
+                         [_bfgs_path(x0, max_iter) for x0 in starts])
+        u, _, g, steps = min(ends, key=lambda end: end[1])
+    else:
+        u, g, steps = np.empty(0), np.empty(0), 0
+    ar, ma = _pacf_coefficients(u[:p])[0], _pacf_coefficients(u[p:])[0]
+    spec = ArmaSpec(ar, ma, validate=False)
+    if not profile:
+        spec = ArmaSpec(ar, ma, profile_sigma2(pg, spec), validate=False)
+    score_norm = float(np.abs(g).max(initial=0.0))
     fit = FitResult(
         estimate=spec.beta1 if profile else spec.beta,
         converged=bool(score_norm <= _SCORE_TOL and steps < max_iter),
         iterations=steps,
-        loglik=loglik(pg, spec),
+        loglik=profile_loglik(pg, spec) if profile else whittle_loglik(pg, spec),
         order=order,
         profile=profile,
     )
     if not fit.converged:
         _log.warning("Whittle fit of order %s did not converge: mean score max-norm %.3g "
                      "after %d iterations", order, score_norm, fit.iterations)
-    if np.any(np.round(np.abs(np.tanh(u[: p + q])), _BOUNDARY_DIGITS) == 1.0):
+    if np.any(np.round(np.abs(np.tanh(u)), _BOUNDARY_DIGITS) == 1.0):
         _log.info("Whittle fit of order %s ends on the stationarity/invertibility boundary: "
                   "a partial autocorrelation rounds to +-1 (estimate %s)", order, fit.estimate)
     return fit

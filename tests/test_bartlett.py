@@ -55,6 +55,24 @@ class TestEstimateBartlett:
         b1 = estimate_bartlett(PsiMatrix(c * rows))
         assert b1 == pytest.approx(b0, rel=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-6, 1e100])
+    def test_extreme_scales(self, scale):
+        # the moments are taken of the column scaled to max |c| = 1, so
+        # neither c^4 underflows nor overflows
+        rows = np.random.default_rng(3).exponential(size=(80, 1))
+        b0 = estimate_bartlett(PsiMatrix(rows))
+        assert estimate_bartlett(PsiMatrix(scale * rows)) == pytest.approx(b0, rel=1e-12, abs=0)
+
+    def test_tiny_two_point_column(self):
+        # centred to +-1.7e-154, whose fourth power underflows to zero
+        assert bartlett_constants(np.array([[0.0, 3.4e-154]]))[0] == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("value", [0.0, 3.0, 0.1, -2.7e-200, 1e300])
+    def test_constant_column_is_nan(self, value):
+        # centred by its common value, a constant column is exactly zero
+        assert np.isnan(bartlett_constants(np.full((1, 37), value))[0])
+        with pytest.raises(DegenerateInputError):
+            estimate_bartlett(PsiMatrix(np.full((37, 1), value)))
 
     @given(
         column=st.one_of(

@@ -171,6 +171,15 @@ class TestInterval1d:
         [record] = [r for r in caplog.records if r.levelno >= logging.INFO]
         assert record.name == "elspec.confidence" and "upper end truncated" in record.getMessage()
 
+    def test_eb_upper_end_truncated_near_unit_root(self):
+        # eb's statistic stays below its threshold up to the stationarity
+        # bound: the Bartlett constant is scale-free, so the psi column
+        # shrinking like 1 - beta does not make it undefined
+        pg = compute_periodogram(simulate(ArmaSpec(ar=[0.5]), 30, NoiseKind.STANDARD_NORMAL, seed=0))
+        iv = interval_1d(pg, (1, 0), method="eb", alpha=0.10)
+        assert iv.truncated_hi and iv.hi == 1.0 - 2.0 * STATIONARITY_MARGIN
+        assert not iv.truncated_lo
+
     def test_coverage_indicator_equivalence_100_cases(self):
         # interval contains the truth  <=>  stat at the truth is below the
         # threshold; both sides computed through different code paths
@@ -303,7 +312,8 @@ def _oracle_cases():
         for T in (30, 70, 2000):
             for method in METHODS:
                 yield pytest.param(model, 0.5, T, 1, method, id=f"{model}-T{T}-{method}")
-    # the upper bracket's outer end is the bound, where eb has no statistic
+    # eb's statistic stays below its threshold up to the bound: a truncated
+    # upper end
     yield pytest.param("ar1", 0.5, 30, 0, "eb", id="ar1-T30-eb-infinite-end")
 
 

@@ -354,24 +354,23 @@ class TestBatchedBfgs:
         tol = 1e-6 if np.all(np.abs(pacf) < 0.999) else 1e-4
         np.testing.assert_allclose(fit.estimate, estimate, rtol=0, atol=tol)
 
-    @pytest.mark.parametrize("order, profile", [((1, 1), True), ((2, 1), True), ((1, 1), False),
-                                                ((0, 1), False)])
-    def test_stack_matches_pointwise_oracle(self, arma11_pg_t60, order, profile):
+    @pytest.mark.parametrize("order", [(1, 1), (2, 1)])
+    def test_stack_matches_pointwise_oracle(self, arma11_pg_t60, order):
         pg = arma11_pg_t60
-        objective, _ = _oracle_objective(pg, order, profile)
-        u = np.random.default_rng(3).uniform(-2.0, 2.0, (6, sum(order) + (not profile)))
-        values, grads = _neg_loglik_stack(pg, order, profile, u)
+        objective, _ = _oracle_objective(pg, order, True)
+        u = np.random.default_rng(3).uniform(-2.0, 2.0, (6, sum(order)))
+        values, grads = _neg_loglik_stack(pg, order, u)
         for x, value, grad in zip(u, values, grads):
             want_value, want_grad = objective(x)
             assert value == pytest.approx(want_value, rel=1e-13)
             np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("order, profile", [((1, 1), True), ((2, 1), True), ((1, 1), False)])
-    def test_start_does_not_depend_on_its_batch(self, arma11_pg_t60, order, profile):
+    @pytest.mark.parametrize("order", [(1, 1), (2, 1)])
+    def test_start_does_not_depend_on_its_batch(self, arma11_pg_t60, order):
         def objective(u):
-            return _neg_loglik_stack(arma11_pg_t60, order, profile, u)
+            return _neg_loglik_stack(arma11_pg_t60, order, u)
 
-        starts = _fixed_starts(order, profile, arma11_pg_t60)
+        starts = _fixed_starts(order, True, arma11_pg_t60)
         together = _lockstep(objective, [_bfgs_path(x0, 2000) for x0 in starts])
         for x0, (x, f, g, steps) in zip(starts, together):
             [(x1, f1, g1, steps1)] = _lockstep(objective, [_bfgs_path(x0, 2000)])
@@ -383,6 +382,40 @@ class TestBatchedBfgs:
         fit = whittle_fit(ma1_pg_t70, order, max_iter=3)
         assert not fit.converged
         assert fit.iterations <= 3
+
+
+class TestJointFitIsProfileFit:
+    """A full fit (profile=False) is the profile fit with the profiled sigma2
+    appended: sigma2 profiles out of the Whittle likelihood exactly."""
+
+    @pytest.mark.parametrize("order", [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)])
+    def test_joint_fit_extends_profile_fit(self, order):
+        p, q = order
+        spec = ArmaSpec(ar=[0.5, 0.3][:p], ma=[0.4][:q])
+        pg = compute_periodogram(simulate(spec, 150, NoiseKind.STANDARD_NORMAL, seed=11))
+        prof = whittle_fit(pg, order, profile=True)
+        joint = whittle_fit(pg, order, profile=False)
+        assert np.array_equal(joint.estimate[:-1], prof.estimate)
+        assert joint.estimate[-1] == profile_sigma2(pg, prof.to_spec())
+        assert (joint.iterations, joint.converged) == (prof.iterations, prof.converged)
+        assert joint.loglik == whittle_loglik(pg, joint.to_spec())
+
+    @pytest.mark.parametrize("T, seed", [(50, 16), (200, 25)])
+    def test_joint_fit_takes_the_profile_mode(self, T, seed):
+        # series on which a separate optimizer over (u, log sigma2) ended on a
+        # lower mode than the profile fit
+        pg = compute_periodogram(simulate(ArmaSpec(ar=[0.7], ma=[0.5]), T,
+                                          NoiseKind.STANDARD_NORMAL, seed=seed))
+        joint = whittle_fit(pg, (1, 1), profile=False)
+        prof = whittle_fit(pg, (1, 1), profile=True)
+        assert np.array_equal(joint.estimate[:2], prof.estimate)
+        assert joint.loglik == pytest.approx(prof.loglik, rel=1e-12)
+
+    def test_init_is_beta1(self, ma1_pg_t70):
+        fit = whittle_fit(ma1_pg_t70, (0, 1), profile=False, init=[0.3])
+        assert fit.converged and fit.estimate.size == 2
+        with pytest.raises(InputError):
+            whittle_fit(ma1_pg_t70, (0, 1), profile=False, init=[0.3, 1.0])
 
 
 class TestFitLogging:
