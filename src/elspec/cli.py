@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import itertools
 import json
 import math
 import sys
@@ -71,13 +70,17 @@ def _metadata(command: str, args_extra: dict) -> dict:
     return meta
 
 
-def _write_csv(path, meta, header, rows):
+def _write_lines(path, meta, header, lines):
+    """Write the metadata lines, the CSV header and the payload ``lines``,
+    each of which ends in a newline."""
     with open(path, "w") as fh:
-        for key, value in meta.items():
-            fh.write(f"# {key}: {value}\n")
+        fh.write("".join(f"# {key}: {value}\n" for key, value in meta.items()))
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
+        fh.write("".join(lines))
+
+
+def _write_csv(path, meta, header, rows):
+    _write_lines(path, meta, header, [",".join(str(x) for x in row) + "\n" for row in rows])
 
 
 def _write_json(path, meta, payload):
@@ -168,14 +171,18 @@ def cmd_fit(args) -> int:
 
 
 def _region_rows(grid, inside):
-    """CSV rows of a RegionGrid in row-major node order: the node's
+    """CSV lines of a RegionGrid in row-major node order: the node's
     coordinates, its statistic ("" where undefined), status label and
-    inside flag.  Each axis is formatted once."""
-    coords = itertools.product(*([f"{x:.12g}" for x in ax.tolist()] for ax in grid.axes))
+    inside flag.  Each axis is formatted once, and each line is joined from
+    its coordinate prefix, its statistic and its label-and-flag tail."""
+    prefixes = [""]
+    for ax in grid.axes:
+        coords = [f"{x:.12g}," for x in ax.tolist()]
+        prefixes = [pre + x for pre in prefixes for x in coords]
     stats = ["" if math.isnan(x) else f"{x:.12g}" for x in grid.stat.ravel().tolist()]
-    labels = [STATUS_LABELS[x] for x in grid.status.ravel().tolist()]
-    flags = inside.ravel().astype(int).tolist()
-    return [(*node, stat, label, flag) for node, stat, label, flag in zip(coords, stats, labels, flags)]
+    codes = (2 * grid.status + inside).ravel().tolist()
+    tails = {c: f",{STATUS_LABELS[c // 2]},{c % 2}\n" for c in set(codes)}
+    return [pre + stat + tails[c] for pre, stat, c in zip(prefixes, stats, codes)]
 
 
 def cmd_region(args) -> int:
@@ -201,7 +208,7 @@ def cmd_region(args) -> int:
     )
     header = tuple(f"param{d + 1}" for d in range(k)) + ("stat", "status", "inside")
     inside = grid.inside()
-    _write_csv(args.out, meta, header, _region_rows(grid, inside))
+    _write_lines(args.out, meta, header, _region_rows(grid, inside))
 
     n_undef = int(np.sum(grid.status != STATUS_OK))
     print(f"region: method={args.method}, threshold={grid.threshold:.5f}, "

@@ -74,7 +74,9 @@ class RegionGrid:
     strictly inside an open box such as (0,1)^2.  ``iterations`` and
     ``residual`` are the dual solver's Newton steps and final
     multiplier-equation norm at each ok node; every other node carries -1
-    and NaN.  Hand-built grids may leave both None.
+    and NaN.  A node's iterations count from its start, so they depend on
+    the coarse-to-fine order of :func:`scan_region`.  Hand-built grids may
+    leave both None.
     """
 
     axes: tuple
@@ -106,16 +108,19 @@ def grid_axis(lo: float, hi: float, steps: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class MethodStats:
     """Per-problem effective statistic of one method: ``stat`` (NaN unless
-    ``status`` is STATUS_OK), ``status``, and the dual's ``iterations`` and
-    ``residual``."""
+    ``status`` is STATUS_OK), ``status``, and the dual's ``iterations``,
+    ``residual``, multipliers ``xi`` and ``warm`` flag (see
+    :class:`elspec.el.DualBatch`)."""
 
     stat: np.ndarray
     status: np.ndarray
     iterations: np.ndarray
     residual: np.ndarray
+    xi: np.ndarray
+    warm: np.ndarray
 
 
-def method_stats(rows, methods, policy: AdjustmentPolicy = MAX_HALF_LOG) -> dict:
+def method_stats(rows, methods, policy: AdjustmentPolicy = MAX_HALF_LOG, start=None) -> dict:
     """Effective statistic of every method in ``methods`` on a stack of
     unadjusted profile psi rows (N, n, k); returns method -> MethodStats.
 
@@ -123,16 +128,19 @@ def method_stats(rows, methods, policy: AdjustmentPolicy = MAX_HALF_LOG) -> dict
     the pseudo-observation appended under ``policy``), "eb" the
     Bartlett-scaled W/(1 + b_hat/n).  The methods built on W share one solve.
     "eb" needs k = 1; a constant psi column makes its status STATUS_FAILED.
+    ``start`` (N, k), if given, is passed to every dual solved
+    (:func:`elspec.el.solve_duals`).
     """
     out = {}
     if any(m != "ael" for m in methods):
-        el = solve_duals(rows)
+        el = solve_duals(rows, start=start)
     for method in methods:
         if method == "ael":
             # Only an untrimmed psibar guarantees a solution (see
             # el.solve_duals), so trimmed problems are certified.
-            adj = solve_duals(adjust_rows(rows, policy), adjusted=not policy.trim)
-            out[method] = MethodStats(adj.stat, adj.status, adj.iterations, adj.residual)
+            adj = solve_duals(adjust_rows(rows, policy), adjusted=not policy.trim, start=start)
+            out[method] = MethodStats(adj.stat, adj.status, adj.iterations, adj.residual,
+                                      adj.xi, adj.warm)
             continue
         stat, status = el.stat, el.status
         if method == "eb":
@@ -142,7 +150,7 @@ def method_stats(rows, methods, policy: AdjustmentPolicy = MAX_HALF_LOG) -> dict
             # b_hat >= 1/2 (see estimate_bartlett), so the scale exceeds 1.
             stat = stat / (1.0 + bartlett_constants(rows[:, :, 0]) / rows.shape[1])
             status = np.where((status == STATUS_OK) & np.isnan(stat), STATUS_FAILED, status)
-        out[method] = MethodStats(stat, status, el.iterations, el.residual)
+        out[method] = MethodStats(stat, status, el.iterations, el.residual, el.xi, el.warm)
     return out
 
 
@@ -180,7 +188,15 @@ def scan_region(
     failures are flagged in ``status`` without aborting the scan.  All
     nodes are validated at once; the valid ones are solved in batches of up
     to several hundred nodes (fewer for long series) by one
-    :func:`elspec.el.solve_duals` call each.
+    :func:`elspec.el.solve_duals` call each, coarsest first
+    (:func:`_coarse_to_fine`).  Each node starts Newton from the mean
+    multipliers of its parents that were solved in earlier batches, when
+    the dual accepts that start, and from 0 otherwise.  A node's status and
+    statistic are those of its cold solve up to rounding; its iteration
+    count depends on the order.  A grid that fits in one batch has no
+    solved parents and is solved cold.  One DEBUG record on the ``elspec``
+    logger gives the nodes, batches, warm-started nodes, rejected starts
+    and Newton steps of the scan.
     """
     p, q = order
     k = p + q
@@ -214,21 +230,84 @@ def scan_region(
     status = np.where(valid, STATUS_OK, STATUS_INVALID)
     iterations = np.full(len(nodes), -1)
     residual = np.full(len(nodes), np.nan)
-    solved = np.flatnonzero(valid)
-    for part in batch_slices(solved.size, (pg.n + 1) * k):
-        at = solved[part]
+    shape = tuple(len(ax) for ax in axes)
+    solved, parents = _coarse_to_fine(np.flatnonzero(valid), shape)
+    # one more entry than nodes: the index len(nodes) stands for "no parent"
+    xi = np.zeros((len(nodes) + 1, k))
+    ready = np.zeros(len(nodes) + 1, dtype=bool)
+    batches = batch_slices(solved.size, (pg.n + 1) * k)
+    warm = rejected = newton_steps = 0
+    for part in batches:
+        at, par = solved[part], parents[part]
+        have = ready[par]
+        count = np.count_nonzero(have, axis=1)
+        given, start = count > 0, None
+        if given.any():
+            start = np.where(have[:, :, None], xi[par], 0.0).sum(axis=1)
+            start /= np.maximum(count, 1)[:, None]
         rows = psi_profile_rows(pg.freqs, pg.ords, ar[at], ma[at])
-        res = method_stats(rows, (method,), policy)[method]
+        res = method_stats(rows, (method,), policy, start)[method]
         ok = res.status == STATUS_OK
         stat[at], status[at] = res.stat, res.status
         iterations[at] = np.where(ok, res.iterations, -1)
         residual[at] = np.where(ok, res.residual, np.nan)
-    shape = tuple(len(ax) for ax in axes)
+        xi[at], ready[at] = res.xi, ok
+        warm += np.count_nonzero(res.warm)
+        rejected += np.count_nonzero(given & ~res.warm & (res.status != STATUS_NO_SOLUTION))
+        newton_steps += int(res.iterations.sum())
+    _log.debug("%s scan of order %s: %d nodes, %d batches, %d warm-started, %d starts "
+               "rejected, %d Newton steps", method, order, solved.size, len(batches), warm,
+               rejected, newton_steps)
     return RegionGrid(
         axes=axes, stat=stat.reshape(shape), status=status.reshape(shape), threshold=threshold,
         method=method, alpha=alpha, order=order, iterations=iterations.reshape(shape),
         residual=residual.reshape(shape),
     )
+
+
+def _coarse_to_fine(flat, shape):
+    """Order the grid nodes ``flat`` (flat indices into ``shape``)
+    coarsest-first, and give each its parents.
+
+    A node's level is the largest l for which every index is a multiple of
+    2^l (capped where 2^l passes every axis).  Nodes are sorted by
+    decreasing level, in row-major order within a level.  The parents of a
+    node of level l are the up to 2^d nodes at +-2^l along each axis where
+    its index is an odd multiple of 2^l; their indices are multiples of
+    2^(l+1), so every parent comes earlier in the order.  Returns the
+    ordered flat indices and their parents (V, 2^d), padded with
+    prod(shape) where a parent is missing or off the grid.
+    """
+    size, top = int(np.prod(shape)), max(shape).bit_length()
+    idx = np.unravel_index(flat, shape)
+    # level = the trailing zeros of the bitwise or of the indices, capped
+    trailing = np.zeros(1 << top, dtype=int)
+    for lv in range(1, top + 1):
+        trailing[:: 1 << lv] += 1
+    level = trailing[np.bitwise_or.reduce(idx)]
+    order = np.argsort(-level, kind="stable")
+    flat, level = flat[order], level[order]
+    # per axis: the step to the parents (0 on an even axis), and whether the
+    # parent below and above lie on the grid
+    steps, below, above = [], [], []
+    for ax, n_ax in zip(idx, shape):
+        ax = ax[order]
+        step = ((ax >> level) & 1) << level
+        steps.append(step)
+        below.append(ax >= step)
+        above.append((ax + step < n_ax) & (step > 0))
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    has_odd = np.logical_or.reduce([step > 0 for step in steps])
+    parents = np.full((len(flat), 1 << len(shape)), size)
+    for c, signs in enumerate(np.ndindex(*(2,) * len(shape))):
+        # sign 1 on an even axis would repeat sign 0's parent: "above" is
+        # False there
+        use, par = has_odd.copy(), flat.copy()
+        for sign, step, stride, lo, hi in zip(signs, steps, strides, below, above):
+            use &= hi if sign else lo
+            par += (step if sign else -step) * stride
+        parents[use, c] = par[use]
+    return flat, parents
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,8 @@ class DualBatch:
     which the hull certificate decides before any step.  ``residual`` is the
     multiplier-equation norm at the end (NaN for STATUS_NO_SOLUTION).  ``xi``
     (N, k) holds the multipliers of solved problems (zeros otherwise);
-    ``reason`` is 0 or the code of why a problem is unsolved.
+    ``reason`` is 0 or the code of why a problem is unsolved; ``warm`` is
+    True where Newton began at the problem's given start instead of 0.
     """
 
     stat: np.ndarray
@@ -160,6 +161,7 @@ class DualBatch:
     residual: np.ndarray
     xi: np.ndarray
     reason: np.ndarray
+    warm: np.ndarray
 
 
 def adjust_rows(rows, policy: AdjustmentPolicy = MAX_HALF_LOG) -> np.ndarray:
@@ -255,20 +257,35 @@ def _in_relative_interior(x):
 
 
 class _Active:
-    """Iterates of the problems still running and their batch positions."""
+    """Iterates of the problems still running and their batch positions.
 
-    FIELDS = ("pos", "cols", "xi", "t", "f")
+    ``pad`` is None when every problem has full column rank; otherwise it
+    holds, per problem, the identity on the padded dimensions of its span
+    coordinates and zeros elsewhere, added to every Newton matrix.
+    """
 
-    def __init__(self, pos, cols):
+    def __init__(self, pos, cols, pad):
         a, k, m = cols.shape
         self.pos = pos
         self.cols = cols
+        self.pad = pad
         self.xi = np.zeros((a, k))
         self.t = np.ones((a, m))
         self.f = np.zeros(a)
+        self.fields = ("pos", "cols", "xi", "t", "f") + (("pad",) if pad is not None else ())
+
+    def begin_at(self, start):
+        """Move the problems whose ``start`` keeps every t_j > 0 and has
+        f < 0 = f(0) there; return their mask."""
+        t = _affine(self.cols, start)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = -_sum(np.log(t), axis=1)
+        use = (_min(t, axis=1) > 0.0) & (f < 0.0) & (f > -np.inf)
+        self.xi[use], self.t[use], self.f[use] = start[use], t[use], f[use]
+        return use
 
     def keep(self, mask):
-        for name in self.FIELDS:
+        for name in self.fields:
             setattr(self, name, getattr(self, name)[mask])
 
 
@@ -311,13 +328,17 @@ def _step(w, g, d):
     return stuck
 
 
-def _newton(x, pos, out):
-    """Newton on certified problems whose (N', m, r) rows ``x`` have rank r:
-    fills their entries at batch positions ``pos`` of ``out``, except ``xi``,
-    and returns their multipliers (N', r)."""
-    n, m, r = x.shape
-    eta = np.zeros((n, r))
-    w = _Active(np.arange(n), np.ascontiguousarray(x.transpose(0, 2, 1)))
+def _newton(x, pos, out, pad=None, start=None):
+    """Newton on certified problems with (N', m, k) rows ``x``: fills their
+    entries at batch positions ``pos`` of ``out``, except ``xi``, and
+    returns their multipliers (N', k).  ``pad`` is the :class:`_Active` pad
+    of rank-deficient rows; ``start`` (N', k), if given, is where each
+    problem begins when it qualifies (:meth:`_Active.begin_at`)."""
+    n, m, k = x.shape
+    eta = np.zeros((n, k))
+    w = _Active(np.arange(n), np.ascontiguousarray(x.transpose(0, 2, 1)), pad)
+    if start is not None:
+        out.warm[pos] = w.begin_at(start)
 
     def settle(sel, resid, it):
         eta[w.pos[sel]] = w.xi[sel]
@@ -332,6 +353,8 @@ def _newton(x, pos, out):
 
     for it in range(1, MAX_NEWTON_STEPS + 1):
         g, h = _gradient_and_hessian(w.cols, w.t)
+        if w.pad is not None:
+            h += w.pad
         resid = _norm(g)
         met = resid < DUAL_GRAD_TOL
         stuck = _step(w, g, _newton_directions(h, g))
@@ -359,7 +382,32 @@ def _newton(x, pos, out):
     return eta
 
 
-def solve_duals(rows, adjusted: bool = False) -> DualBatch:
+def _span_coordinates(rows, rank, ranks):
+    """Rows of the rank-deficient problems in the coordinates of their span.
+
+    ``rank`` holds each problem's rank and ``ranks`` its distinct values.
+    Problem i of rank r < k gets x_j = V_r' psi_j (V_r: its leading r right
+    singular vectors) in its first r columns and zeros in the other k - r.
+    Returns x (N, m, k), the bases (N, k, k) with V_r in their first r
+    columns and zeros elsewhere (the identity for full-rank problems, whose
+    rows x keeps), and the Newton-matrix pad (N, k, k): the identity on the
+    padded dimensions.  With it the Newton matrix of a padded problem is block
+    diagonal, its padded gradient entries are 0, and so are its padded
+    direction entries: Newton runs in the span alone.
+    """
+    n, m, k = rows.shape
+    x, basis, pad = rows.copy(), np.tile(np.eye(k), (n, 1, 1)), np.zeros((n, k, k))
+    for r in [r for r in ranks if r < k]:
+        at = np.flatnonzero(rank == r)
+        v = np.linalg.svd(rows[at], full_matrices=False)[2][:, :r].transpose(0, 2, 1)
+        x[at], basis[at] = 0.0, 0.0
+        x[at, :, :r] = rows[at] @ v
+        basis[at, :, :r] = v
+        pad[at, r:, r:] = np.eye(k - r)
+    return x, basis, pad
+
+
+def solve_duals(rows, adjusted: bool = False, start=None) -> DualBatch:
     """Solve N stacked EL duals, problem i having the m x k rows ``rows[i]``.
 
     Each problem is first certified: with r the rank of its rows (numpy's
@@ -381,10 +429,15 @@ def solve_duals(rows, adjusted: bool = False) -> DualBatch:
     False.
 
     Certified problems run Newton on the self-concordant f(xi) =
-    -sum ln(1 + xi'psi_j), every problem on its own path.  Each step solves
-    h d = g for the direction d and takes the full step xi + d when every
-    t_j = 1 + xi'psi_j stays positive and f does not rise; otherwise it takes
-    the damped step xi + d / (1 + lam), lam = sqrt(g'd) the Newton decrement,
+    -sum ln(1 + xi'psi_j), every problem on its own path, all in one loop:
+    a rank-r problem's span coordinates are padded with k - r zero columns
+    whose Newton-matrix diagonal is 1, so its padded direction is exactly 0.
+    Newton starts at xi = 0, or at ``start[i]`` (an optional (N, k) array)
+    when every t_j = 1 + xi'psi_j > 0 there and f < 0 = f(0); a rank-r
+    problem takes its start in span coordinates, V_r' start[i].  Each step
+    solves h d = g for the direction d and takes the full step xi + d when
+    every t_j stays positive and f does not rise; otherwise it takes the
+    damped step xi + d / (1 + lam), lam = sqrt(g'd) the Newton decrement,
     which stays in the domain and lowers f by at least lam - ln(1 + lam).
     There is no line search and no bound on t_j but t_j > 0.  A problem ends
     one step after its multiplier-equation residual
@@ -393,8 +446,9 @@ def solve_duals(rows, adjusted: bool = False) -> DualBatch:
     STATUS_FAILED when its Newton matrix is numerically singular (LAPACK
     finds an exactly zero pivot, or rounding spoils the direction so that
     the damped step cannot be taken), unless its residual has already met
-    the tolerance, or after 100 Newton steps.  Each problem's outcome is the
-    one it would have alone: the batch only shares the numpy calls.
+    the tolerance, or after 100 Newton steps.  Given its start, each
+    problem's outcome is the one it would have alone: the batch only shares
+    the numpy calls.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 3:
@@ -404,32 +458,43 @@ def solve_duals(rows, adjusted: bool = False) -> DualBatch:
     n, m, k = rows.shape
     if m == 0:
         raise InputError("psi matrix has no rows")
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (n, k) or not np.isfinite(start).all():
+            raise InputError(f"start must be a finite ({n}, {k}) array, got shape {start.shape}")
     out = DualBatch(stat=np.full(n, np.nan), status=np.zeros(n, dtype=int),
                     iterations=np.zeros(n, dtype=int), residual=np.full(n, np.nan),
-                    xi=np.zeros((n, k)), reason=np.zeros(n, dtype=int))
+                    xi=np.zeros((n, k)), reason=np.zeros(n, dtype=int),
+                    warm=np.zeros(n, dtype=bool))
 
     # numpy's matrix_rank, without its wrapper's cost on small stacks
     sv = np.linalg.svd(rows, compute_uv=False)
     rank = np.count_nonzero(sv > sv[:, :1] * (max(m, k) * np.finfo(float).eps), axis=1)
-    for r in np.unique(rank):
-        pos = np.flatnonzero(rank == r)
+    ranks = sorted(set(rank.tolist()))
+    x, basis, pad = rows, None, None
+    if ranks and ranks[0] < k:
+        x, basis, pad = _span_coordinates(rows, rank, ranks)
+    run = rank > 0
+    for r in ranks:
         if r == 0:  # all rows zero: xi = 0 solves the dual
-            out.stat[pos] = out.residual[pos] = 0.0
+            out.stat[~run] = out.residual[~run] = 0.0
             continue
-        x, basis = (rows if pos.size == n else rows[pos]), None
-        if r < k:  # span coordinates x_j = V_r' psi_j
-            basis = np.linalg.svd(x, full_matrices=False)[2][:, :r].transpose(0, 2, 1)
-            x = x @ basis
-        if not adjusted:
-            inside = _in_relative_interior(x)
-            if np.count_nonzero(inside) < pos.size:
-                out.status[pos[~inside]] = STATUS_NO_SOLUTION
-                out.reason[pos[~inside]] = _OUTSIDE_HULL
-                pos, x = pos[inside], x[inside]
-                basis = None if basis is None else basis[inside]
-        if pos.size:
-            eta = _newton(x, pos, out)
-            out.xi[pos] = eta if basis is None else (basis @ eta[:, :, None])[:, :, 0]
+        if adjusted:
+            continue
+        pos = np.flatnonzero(rank == r)
+        inside = _in_relative_interior(x if r == k and pos.size == n else x[pos, :, :r])
+        if np.count_nonzero(inside) < pos.size:
+            out.status[pos[~inside]] = STATUS_NO_SOLUTION
+            out.reason[pos[~inside]] = _OUTSIDE_HULL
+            run[pos[~inside]] = False
+    pos = np.flatnonzero(run)
+    if pos.size:
+        if start is not None and basis is not None:  # eta = V_r' start
+            start = (start[:, None, :] @ basis)[:, 0]
+        if pos.size < n:
+            x, pad, start = (a if a is None else a[pos] for a in (x, pad, start))
+        eta = _newton(x, pos, out, pad, start)
+        out.xi[pos] = eta if basis is None else (basis[pos] @ eta[:, :, None])[:, :, 0]
     return out
 
 

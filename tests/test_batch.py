@@ -42,7 +42,9 @@ GOLDEN = Path(__file__).parent / "data" / "golden_coverage"
 @st.composite
 def psi_batches(draw):
     """Random (N, m, k) stacks mixing solvable problems, one-sided ones
-    (zero far outside the hull of the rows) and exactly collinear ones."""
+    (zero far outside the hull of the rows) and exactly collinear ones, a
+    cut, and random Newton starts (zero, small, moderate and large, so some
+    are taken and some rejected)."""
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(1, 12))
     m = draw(st.integers(4, 30))
@@ -52,12 +54,15 @@ def psi_batches(draw):
     if k >= 2:
         collinear = rng.random(n) < 0.25
         rows[collinear, :, 1] = -rows[collinear, :, 0]
-    return rows, int(rng.integers(0, n + 1))
+    cut = int(rng.integers(0, n + 1))
+    start = rng.standard_normal((n, k)) * rng.choice([0.0, 0.05, 0.5, 5.0], size=(n, 1))
+    return rows, cut, start
 
 
 def _same(a, b, i, j):
     assert a.status[i] == b.status[j]
     assert a.iterations[i] == b.iterations[j]
+    assert a.warm[i] == b.warm[j]
     if a.status[i] == STATUS_OK:
         assert abs(a.stat[i] - b.stat[j]) <= 1e-12 * max(1.0, abs(a.stat[i]))
 
@@ -65,14 +70,18 @@ def _same(a, b, i, j):
 @given(psi_batches())
 @settings(max_examples=60, deadline=None)
 def test_batch_invariance_and_nesting(batch):
-    rows, cut = batch
+    rows, cut, start = batch
     for stack, adjusted in ((rows, False), (adjust_rows(rows, MAX_HALF_LOG), True)):
-        whole = solve_duals(stack, adjusted)
-        halves = [solve_duals(part, adjusted) for part in (stack[:cut], stack[cut:])]
-        for i in range(len(stack)):
-            _same(whole, solve_duals(stack[i : i + 1], adjusted), i, 0)
-            part, j = (halves[0], i) if i < cut else (halves[1], i - cut)
-            _same(whole, part, i, j)
+        for x0 in (None, start):
+            def part(sl):
+                return solve_duals(stack[sl], adjusted, None if x0 is None else x0[sl])
+
+            whole = part(slice(None))
+            halves = [part(slice(None, cut)), part(slice(cut, None))]
+            for i in range(len(stack)):
+                _same(whole, part(slice(i, i + 1)), i, 0)
+                half, j = (halves[0], i) if i < cut else (halves[1], i - cut)
+                _same(whole, half, i, j)
     el = solve_duals(rows)
     ael = solve_duals(adjust_rows(rows, MAX_HALF_LOG), adjusted=True)
     both = (el.status == STATUS_OK) & (ael.status == STATUS_OK)

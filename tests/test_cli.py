@@ -237,6 +237,9 @@ def _per_node_lines(grid):
     (ArmaSpec(ar=[0.85], ma=[0.1]), 40, 3, "1,1", "-0.9:0.9,-0.9:0.9", "12,12"),
     # 1-D EL grid with nosolution nodes
     (ArmaSpec(ma=[0.5]), 30, 4, "0,1", "-0.95:0.95", "25"),
+    # 2-D EL grid solved in ten batches, so most nodes are warm-started, with
+    # nosolution nodes
+    (ArmaSpec(ar=[0.7], ma=[0.5]), 200, 0, "1,1", "-0.9:0.9,-0.9:0.9", "40,40"),
 ])
 def test_region_rows_match_per_node_formatting(tmp_path, capsys, spec, T, seed, order, box, steps):
     ts = simulate(spec, T, NoiseKind.STANDARD_NORMAL, seed=seed)

@@ -23,7 +23,7 @@ from elspec import (
     simulate,
     whittle_fit,
 )
-from elspec.arma import STATIONARITY_MARGIN, stationary_invertible
+from elspec.arma import STATIONARITY_MARGIN, batch_slices, stationary_invertible
 from elspec.confidence import (
     METHODS,
     STATUS_INVALID,
@@ -618,6 +618,79 @@ def test_contour_with_nearby_ends_stays_open():
     polys = extract_contour(_field_grid(stat, np.full(stat.shape, STATUS_OK)))
     assert len(polys) == 1 and len(polys[0]) == 3
     assert not np.array_equal(polys[0][0], polys[0][-1])
+
+
+_SCAN_CASES = {
+    # name: (spec, T, seed, order, box, steps, method)
+    **{f"{method}-T{T}": (ArmaSpec(ar=[0.7], ma=[0.5]), T, 1, (1, 1), [(0.0, 1.0), (0.0, 1.0)],
+                          60, method) for method in ("el", "ael") for T in (50, 200)},
+    "ma1-el-k1": (ArmaSpec(ma=[0.5]), 200, 2, (0, 1), [(-0.95, 0.95)], 700, "el"),
+    "ar1-eb-k1": (ArmaSpec(ar=[0.5]), 200, 3, (1, 0), [(-0.95, 0.95)], 700, "eb"),
+    "ael-12-single-batch": (ArmaSpec(ar=[0.7], ma=[0.5]), 200, 1, (1, 1),
+                            [(0.0, 1.0), (0.0, 1.0)], 12, "ael"),
+}
+
+
+def _cold_scan(pg, grid, order, method):
+    """Status, statistic and iterations of every node of ``grid`` from one
+    cold statistic call (no start) on all its valid nodes in row-major order:
+    each problem's outcome is the one it has alone."""
+    nodes = np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1).reshape(-1, sum(order))
+    ar, ma = nodes[:, :order[0]], nodes[:, order[0]:]
+    valid = stationary_invertible(ar, ma)
+    res = method_stats(psi_profile_rows(pg.freqs, pg.ords, ar[valid], ma[valid]), (method,))[method]
+    status = np.full(len(nodes), STATUS_INVALID)
+    stat, iterations = np.full(len(nodes), np.nan), np.zeros(len(nodes), dtype=int)
+    status[valid], stat[valid], iterations[valid] = res.status, res.stat, res.iterations
+    return status.reshape(grid.status.shape), stat.reshape(grid.stat.shape), iterations
+
+
+@pytest.mark.parametrize("case", list(_SCAN_CASES))
+def test_warm_started_scan_matches_cold_solves(case):
+    spec, T, seed, order, box, steps, method = _SCAN_CASES[case]
+    pg = compute_periodogram(simulate(spec, T, NoiseKind.STANDARD_NORMAL, seed=seed))
+    grid = scan_region(pg, order, box, steps, method=method)
+    status, stat, iterations = _cold_scan(pg, grid, order, method)
+    np.testing.assert_array_equal(grid.status, status)
+    ok = status == STATUS_OK
+    np.testing.assert_allclose(grid.stat[ok], stat[ok], rtol=1e-12, atol=1e-12)
+    if case == "el-T50":
+        assert np.any(status == STATUS_NO_SOLUTION)
+    if len(order) == 2 and sum(order) == 2:  # the phi = theta nodes are solved
+        assert np.all(status.diagonal() == STATUS_OK)
+    if case.endswith("single-batch"):  # no solved parent: the cold solve, bitwise
+        np.testing.assert_array_equal(grid.stat, stat)
+        assert grid.iterations[ok].sum() == iterations.sum()
+    else:  # coarse nodes' multipliers started the fine ones
+        assert grid.iterations[ok].sum() < 0.9 * iterations.sum()
+
+
+def _scan_record(records):
+    [record] = [r for r in records if r.name == "elspec.confidence"]
+    assert record.levelno == logging.DEBUG
+    match = re.search(r"(\d+) nodes, (\d+) batches, (\d+) warm-started, (\d+) starts rejected, "
+                      r"(\d+) Newton steps", record.getMessage())
+    return tuple(int(x) for x in match.groups())
+
+
+@pytest.mark.parametrize("steps", [40, 12])
+def test_scan_debug_record(caplog, steps):
+    pg = compute_periodogram(simulate(ArmaSpec(ar=[0.7], ma=[0.5]), 200, NoiseKind.STANDARD_NORMAL,
+                                      seed=1))
+    box = [(-0.9, 0.9), (0.0, 1.0)]
+    quiet = scan_region(pg, (1, 1), box, steps, method="el")
+    with caplog.at_level(logging.DEBUG, logger="elspec"):
+        grid = scan_region(pg, (1, 1), box, steps, method="el")
+    for name in ("stat", "status", "iterations", "residual"):
+        np.testing.assert_array_equal(getattr(grid, name), getattr(quiet, name))
+    nodes, batches, warm, rejected, newton = _scan_record(caplog.records)
+    assert nodes == np.count_nonzero(grid.status != STATUS_INVALID)
+    assert batches == len(batch_slices(nodes, (pg.n + 1) * 2))
+    assert newton == grid.iterations[grid.status == STATUS_OK].sum()
+    if steps == 12:
+        assert batches == 1 and warm == rejected == 0
+    else:
+        assert batches > 1 and 0 < rejected < warm < nodes
 
 
 class TestExtractContour:

@@ -302,6 +302,92 @@ class TestSolveDual:
         assert plain.stat[0] == pytest.approx(71.3127, abs=1e-4)
 
 
+class TestSolveDualsStart:
+    """The optional start of solve_duals: where it is taken, and that a
+    rejected start is a cold start."""
+
+    @staticmethod
+    def _stack():
+        # solvable, one-sided (no solution) and collinear problems
+        rng = np.random.default_rng(21)
+        rows = rng.standard_normal((8, 40, 2)) + rng.choice([0.0, 0.3], size=(8, 1, 2))
+        rows[2] = np.abs(rows[2])
+        rows[5, :, 1] = -0.5 * rows[5, :, 0]
+        return rows
+
+    def test_none_and_zero_start_are_the_cold_solve(self):
+        rows = self._stack()
+        for stack, adjusted in ((rows, False), (adjust_rows(rows, MAX_HALF_LOG), True)):
+            cold = solve_duals(stack, adjusted)
+            zero = solve_duals(stack, adjusted, start=np.zeros((len(stack), 2)))
+            assert not cold.warm.any() and not zero.warm.any()
+            for name in ("stat", "status", "iterations", "residual", "xi", "reason"):
+                np.testing.assert_array_equal(getattr(zero, name), getattr(cold, name))
+
+    def test_rejected_start_is_cold(self):
+        rows = self._stack()
+        start = np.empty((len(rows), 2))
+        for i, psi in enumerate(rows):
+            if i % 2:  # outside the domain: t_j = -1 at the largest row
+                j = np.argmax(np.sum(psi * psi, axis=1))
+                start[i] = -2.0 * psi[j] / (psi[j] @ psi[j])
+                assert np.min(1.0 + psi @ start[i]) < 0.0
+            else:  # a short step up the dual: in the domain, f > 0 = f(0)
+                up = -psi.sum(axis=0)
+                start[i] = 1e-3 * up / (np.abs(psi @ up).max())
+                t = 1.0 + psi @ start[i]
+                assert t.min() > 0.0 and -np.log(t).sum() >= 0.0
+        for stack, adjusted in ((rows, False), (adjust_rows(rows, MAX_HALF_LOG), True)):
+            cold = solve_duals(stack, adjusted)
+            res = solve_duals(stack, adjusted, start=start)
+            assert not res.warm.any()
+            np.testing.assert_array_equal(res.status, cold.status)
+            np.testing.assert_array_equal(res.iterations, cold.iterations)
+            np.testing.assert_array_equal(res.stat, cold.stat)
+
+    def test_start_at_the_solution_ends_at_once(self):
+        rows = self._stack()
+        for stack, adjusted in ((rows, False), (adjust_rows(rows, MAX_HALF_LOG), True)):
+            cold = solve_duals(stack, adjusted)
+            ok = cold.status == STATUS_OK
+            assert ok.sum() >= 6 and cold.iterations[ok].min() >= 4
+            res = solve_duals(stack, adjusted, start=cold.xi)
+            np.testing.assert_array_equal(res.status, cold.status)
+            assert np.all(res.warm[ok]) and np.all(res.iterations[ok] <= 2)
+            np.testing.assert_allclose(res.stat[ok], cold.stat[ok], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("adjusted", [False, True])
+    def test_collinear_rows_solve_as_in_their_span(self, adjusted):
+        # rank-1 rows padded with a zero column against the same problems
+        # posed as k = 1, mixed with full-rank problems, cold and warm
+        rng = np.random.default_rng(8)
+        rows = rng.standard_normal((6, 30, 2)) + 0.2
+        rows[::2, :, 1] = 1.7 * rows[::2, :, 0]
+        if adjusted:
+            rows = adjust_rows(rows, MAX_HALF_LOG)
+        v = np.linalg.svd(rows[::2], full_matrices=False)[2][:, :1].transpose(0, 2, 1)
+        span = rows[::2] @ v
+        eta0 = 0.5 * solve_duals(span, adjusted).xi
+        start = rng.standard_normal((6, 2)) * 0.01
+        start[::2] = (v @ eta0[:, :, None])[:, :, 0]
+        for x0, s0 in ((None, None), (start, eta0)):
+            padded = solve_duals(rows, adjusted, start=x0)
+            alone = solve_duals(span, adjusted, start=s0)
+            np.testing.assert_array_equal(padded.status[::2], STATUS_OK)
+            np.testing.assert_array_equal(padded.iterations[::2], alone.iterations)
+            np.testing.assert_array_equal(padded.warm[::2], alone.warm)
+            np.testing.assert_allclose(padded.stat[::2], alone.stat, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(padded.xi[::2], (v @ alone.xi[:, :, None])[:, :, 0],
+                                       rtol=1e-12, atol=1e-12)
+        assert alone.warm.all()
+
+    def test_start_shape_and_values_checked(self):
+        rows = self._stack()
+        for bad in (np.zeros((len(rows), 3)), np.full((len(rows), 2), np.nan)):
+            with pytest.raises(InputError, match="start"):
+                solve_duals(rows, start=bad)
+
+
 @st.composite
 def dual_stacks(draw):
     """Random (N, m, k) stacks like tests/test_batch.py's psi_batches, each
