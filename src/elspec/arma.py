@@ -225,11 +225,16 @@ def shape_and_gradient_stack(ar, ma, omega, gradient: bool = True):
     gradient of shape (N, n, p + q).  ln g1 = ln|theta|^2 - ln|phi|^2 -
     ln(2 pi), so the AR columns are the negated lag-polynomial derivatives;
     empty polynomials (P = 1) are skipped.
+
+    The gradient is stored column-major: it is the (N, n, p + q) view of an
+    (N, p + q, n) array, so each model's column over the frequencies is
+    contiguous, and so are the reductions over frequencies downstream (the
+    psi centring and the dual's sums over rows).
     """
     ar, ma = np.asarray(ar, dtype=float), np.asarray(ma, dtype=float)
     w = np.asarray(omega, dtype=float)
     count, p, q = max(len(ar), len(ma)), ar.shape[1], ma.shape[1]
-    grad = np.empty((count, w.size, p + q)) if gradient else None
+    grad = np.empty((count, p + q, w.size)).transpose(0, 2, 1) if gradient else None
     if not (p or q):
         return np.full((count, w.size), 1.0 / (2.0 * np.pi)), grad
     arg = w[:, None] * np.arange(1.0, max(p, q) + 1.0)

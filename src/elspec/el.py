@@ -59,6 +59,8 @@ _REASON_TEXT = {
     _SINGULAR: "dual Newton matrix is numerically singular",
 }
 
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+
 # The ufunc reductions behind ndarray.sum/.min, called directly: they give
 # the same values without the method wrappers, whose cost dominates the
 # kernel's small N = 1 arrays.
@@ -165,15 +167,24 @@ class DualBatch:
 
 
 def adjust_rows(rows, policy: AdjustmentPolicy = MAX_HALF_LOG) -> np.ndarray:
-    """Append -a_n * psibar to every problem of an (..., m, k) stack."""
+    """Append -a_n * psibar to every problem of an (..., m, k) stack.
+
+    The result is stored column-major, as the (..., m + 1, k) view of an
+    (..., k, m + 1) array, like the rows of
+    :func:`elspec.whittle.psi_profile_rows`; for such rows psibar is a sum
+    along contiguous memory too.
+    """
+    m, k = rows.shape[-2:]
     if policy.trim:
         lo = np.percentile(rows, 1.0, axis=-2, keepdims=True)
         hi = np.percentile(rows, 99.0, axis=-2, keepdims=True)
-        psibar = np.clip(rows, lo, hi).mean(axis=-2, keepdims=True)
+        psibar = np.clip(rows, lo, hi).mean(axis=-2)
     else:
-        psibar = rows.mean(axis=-2, keepdims=True)
-    a_n = policy.a_n(rows.shape[-2])
-    return np.concatenate([rows, -a_n * psibar], axis=-2)
+        psibar = rows.mean(axis=-2)
+    out = np.empty(rows.shape[:-2] + (k, m + 1)).swapaxes(-1, -2)
+    out[..., :m, :] = rows
+    np.multiply(-policy.a_n(m), psibar, out=out[..., m, :])
+    return out
 
 
 def adjust(psi: PsiMatrix, policy: AdjustmentPolicy = MAX_HALF_LOG) -> PsiMatrix:
@@ -228,7 +239,10 @@ def _in_relative_interior(x):
     no direction d has x_j'd >= 0 for every row and > 0 for some; one linear
     program per problem maximizes the margin of such a d over the unit box on
     the normalized nonzero rows, and a d it returns counts only when it
-    separates in floating point.
+    separates in floating point.  The answer does not change under an
+    invertible map of the columns, so the program runs on the rows' Q factor
+    (x = QR), whose orthonormal columns keep its tolerances meaningful for
+    nearly collinear or badly scaled columns.
     """
     n, m, r = x.shape
     if r == 1:
@@ -245,7 +259,7 @@ def _in_relative_interior(x):
 
     inside = np.ones(n, dtype=bool)
     for i in range(n):
-        rows = x[i][~zero[i]]
+        rows = np.linalg.qr(x[i][~zero[i]])[0]
         unit = rows / np.sqrt(_sum(rows * rows, axis=1))[:, None]
         # maximize s over (d, s) subject to unit @ d >= s and |d_l| <= 1
         lp = linprog(np.r_[np.zeros(r), -1.0], A_ub=np.c_[-unit, np.ones(len(unit))],
@@ -278,8 +292,7 @@ class _Active:
         """Move the problems whose ``start`` keeps every t_j > 0 and has
         f < 0 = f(0) there; return their mask."""
         t = _affine(self.cols, start)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = -_sum(np.log(t), axis=1)
+        f = -_sum(np.log(t), axis=1)
         use = (_min(t, axis=1) > 0.0) & (f < 0.0) & (f > -np.inf)
         self.xi[use], self.t[use], self.f[use] = start[use], t[use], f[use]
         return use
@@ -304,11 +317,7 @@ def _step(w, g, d):
     """
     xi = w.xi + d
     t = _affine(w.cols, xi)
-    if _min(t, axis=None) > 0.0:
-        f = -_sum(np.log(t), axis=1)
-    else:  # outside the domain f is NaN or inf, which fails the test below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = -_sum(np.log(t), axis=1)
+    f = -_sum(np.log(t), axis=1)  # NaN or inf outside the domain, which fails the test below
     damp = ~(f <= w.f)
     stuck = None
     if np.count_nonzero(damp):
@@ -328,15 +337,16 @@ def _step(w, g, d):
     return stuck
 
 
-def _newton(x, pos, out, pad=None, start=None):
-    """Newton on certified problems with (N', m, k) rows ``x``: fills their
-    entries at batch positions ``pos`` of ``out``, except ``xi``, and
-    returns their multipliers (N', k).  ``pad`` is the :class:`_Active` pad
-    of rank-deficient rows; ``start`` (N', k), if given, is where each
-    problem begins when it qualifies (:meth:`_Active.begin_at`)."""
-    n, m, k = x.shape
+def _newton(cols, pos, out, pad=None, start=None):
+    """Newton on certified problems with (N', k, m) columns ``cols`` (the
+    transposed rows): fills their entries at batch positions ``pos`` of
+    ``out``, except ``xi``, and returns their multipliers (N', k).  ``pad``
+    is the :class:`_Active` pad of rank-deficient rows; ``start`` (N', k),
+    if given, is where each problem begins when it qualifies
+    (:meth:`_Active.begin_at`)."""
+    n, k, m = cols.shape
     eta = np.zeros((n, k))
-    w = _Active(np.arange(n), np.ascontiguousarray(x.transpose(0, 2, 1)), pad)
+    w = _Active(np.arange(n), np.ascontiguousarray(cols), pad)
     if start is not None:
         out.warm[pos] = w.begin_at(start)
 
@@ -382,51 +392,75 @@ def _newton(x, pos, out, pad=None, start=None):
     return eta
 
 
-def _span_coordinates(rows, rank, ranks):
-    """Rows of the rank-deficient problems in the coordinates of their span.
-
-    ``rank`` holds each problem's rank and ``ranks`` its distinct values.
-    Problem i of rank r < k gets x_j = V_r' psi_j (V_r: its leading r right
-    singular vectors) in its first r columns and zeros in the other k - r.
-    Returns x (N, m, k), the bases (N, k, k) with V_r in their first r
-    columns and zeros elsewhere (the identity for full-rank problems, whose
-    rows x keeps), and the Newton-matrix pad (N, k, k): the identity on the
-    padded dimensions.  With it the Newton matrix of a padded problem is block
-    diagonal, its padded gradient entries are 0, and so are its padded
-    direction entries: Newton runs in the span alone.
-    """
+def _rank(rows):
+    """Rank of each problem of an (N, m, k) stack by numpy's ``matrix_rank``
+    rule, and the mask of the problems whose rank k the Gram certificate
+    gave without an SVD (see :func:`solve_duals`)."""
     n, m, k = rows.shape
-    x, basis, pad = rows.copy(), np.tile(np.eye(k), (n, 1, 1)), np.zeros((n, k, k))
-    for r in [r for r in ranks if r < k]:
-        at = np.flatnonzero(rank == r)
-        v = np.linalg.svd(rows[at], full_matrices=False)[2][:, :r].transpose(0, 2, 1)
-        x[at], basis[at] = 0.0, 0.0
-        x[at, :, :r] = rows[at] @ v
-        basis[at, :, :r] = v
-        pad[at, r:, r:] = np.eye(k - r)
-    return x, basis, pad
+    sure = np.zeros(n, dtype=bool)
+    if m >= k:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = rows.transpose(0, 2, 1) @ rows
+        # A finite trace bounds every entry: |G_ab| <= (G_aa + G_bb) / 2.
+        tr = gram.trace(axis1=1, axis2=2)
+        finite = tr < np.inf
+        if not finite.all():  # overflow, on which eigvalsh would raise
+            gram[~finite] = 0.0
+        sure = (np.linalg.eigvalsh(gram)[:, 0] > 2.0 * m * _EPS * tr) & (tr >= _TINY / _EPS)
+    rank = np.full(n, k)
+    rest = np.flatnonzero(~sure)
+    if rest.size:
+        sv = np.linalg.svd(rows if rest.size == n else rows[rest], compute_uv=False)
+        rank[rest] = np.count_nonzero(sv > sv[:, :1] * (max(m, k) * _EPS), axis=1)
+    return rank, sure
 
 
 def solve_duals(rows, adjusted: bool = False, start=None) -> DualBatch:
     """Solve N stacked EL duals, problem i having the m x k rows ``rows[i]``.
 
     Each problem is first certified: with r the rank of its rows (numpy's
-    ``matrix_rank`` tolerance), it is solvable exactly when zero lies in the
-    relative interior of the convex hull of its rows, that is, when strictly
-    positive weights combine the rows to zero.  A problem of rank r < k is
-    expressed in the coordinates x_j = V_r' psi_j of the span of its rows
-    (V_r: its leading r right singular vectors), where its hull test and
-    Newton run; its multipliers are mapped back as xi = V_r eta.  Rows of
-    rank 0 (all zero) give stat 0 with xi = 0.  The hull test: for r = 1 the
-    values take both signs; for r = 2 the largest angular gap between the
-    nonzero rows is below pi; for r >= 3 a linear program finds no direction
-    d with x_j'd >= 0 for all rows and > 0 for some.  An uncertified problem
-    is STATUS_NO_SOLUTION, with ``iterations`` 0 and ``residual`` NaN.  The
-    test is skipped when ``adjusted`` is set, for rows whose last row is the
-    pseudo-observation -a_n psibar of an untrimmed mean: the weights 1, ...,
-    1, n / a_n combine them to zero.  A trimmed psibar is not covered by
-    that argument, so trimmed adjusted rows are passed with ``adjusted``
-    False.
+    ``matrix_rank`` rule, sigma_i > max(m, k) eps sigma_max), it is solvable
+    exactly when zero lies in the relative interior of the convex hull of
+    its rows, that is, when strictly positive weights combine the rows to
+    zero.  A problem of rank r < k is expressed in the coordinates
+    x_j = V_r' psi_j of the span of its rows (V_r: its leading r right
+    singular vectors), where its hull test and Newton run; its multipliers
+    are mapped back as xi = V_r eta.  Rows of rank 0 (all zero) give stat 0
+    with xi = 0.  The hull test: for r = 1 the values take both signs; for
+    r = 2 the largest angular gap between the nonzero rows is below pi; for
+    r >= 3 a linear program finds no direction d with x_j'd >= 0 for all
+    rows and > 0 for some.  An uncertified problem is STATUS_NO_SOLUTION,
+    with ``iterations`` 0 and ``residual`` NaN.  The test is skipped when
+    ``adjusted`` is set, for rows whose last row is the pseudo-observation
+    -a_n psibar of an untrimmed mean: the weights 1, ..., 1, n / a_n
+    combine them to zero.  A trimmed psibar is not covered by that argument,
+    so trimmed adjusted rows are passed with ``adjusted`` False.
+
+    The rank needs an SVD only where a cheaper certificate fails.  With X a
+    problem's rows, G = X'X and u = eps / 2, the computed Gram matrix G^
+    and the smallest eigenvalue l^ that ``eigvalsh`` finds for it give rank
+    k when m >= k, every entry of G^ is finite and
+
+        l^ > 2 m eps tr(G^),   tr(G^) >= tiny / eps.
+
+    Proof, to first order in eps: every entry of G^ is a dot product, so
+    |G^ - G| <= gamma_m |X|'|X| elementwise with gamma_m = m u / (1 - m u)
+    (Higham 2002, sec. 3.5), hence ||G^ - G||_2 <= gamma_m ||X||_F^2 =
+    gamma_m tr(G).  ``eigvalsh`` is backward stable: l^ is an eigenvalue of
+    G^ + F with ||F||_2 <= p(k) u ||G^||_2 for a modest p(k) <= k <= m
+    (LAPACK takes p = 1 in its error bounds).  By Weyl's inequality
+    lambda_min(G) >= l^ - m u tr(G) - m u tr(G) > 2 m u tr(G) = m eps tr(G)
+    >= m eps lambda_max(G), that is, sigma_min > sqrt(m eps) sigma_max.
+    The constant 2 (4 m u) is these two error terms plus that margin.  A
+    backward-stable SVD perturbs each singular value by a small multiple of
+    eps sigma_max, so its values still have sigma_min / sigma_max far above
+    max(m, k) eps = m eps, and numpy's rule finds rank k as well.  The
+    bound on G^ ignores underflow, which adds at most m u tiny to an entry:
+    with tr(G^) >= tiny / eps that is below k eps of the gamma_m term.  A
+    non-finite entry means overflow.  The SVD and numpy's rule run only on
+    the other problems: near-collinear or zero rows (the phi = theta nodes
+    of a scan), fewer rows than columns, and Grams that underflow or
+    overflow.
 
     Certified problems run Newton on the self-concordant f(xi) =
     -sum ln(1 + xi'psi_j), every problem on its own path, all in one loop:
@@ -449,6 +483,12 @@ def solve_duals(rows, adjusted: bool = False, start=None) -> DualBatch:
     the tolerance, or after 100 Newton steps.  Given its start, each
     problem's outcome is the one it would have alone: the batch only shares
     the numpy calls.
+
+    Newton works on the transposed rows (N, k, m), whose sums over rows
+    then run along contiguous memory.  Column-major ``rows`` (the (N, m, k)
+    view of an (N, k, m) array, as :func:`elspec.whittle.psi_profile_rows`
+    and :func:`adjust_rows` return) are used in place; C-ordered ones are
+    copied once.  Results agree between the two layouts up to rounding.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 3:
@@ -467,34 +507,60 @@ def solve_duals(rows, adjusted: bool = False, start=None) -> DualBatch:
                     xi=np.zeros((n, k)), reason=np.zeros(n, dtype=int),
                     warm=np.zeros(n, dtype=bool))
 
-    # numpy's matrix_rank, without its wrapper's cost on small stacks
-    sv = np.linalg.svd(rows, compute_uv=False)
-    rank = np.count_nonzero(sv > sv[:, :1] * (max(m, k) * np.finfo(float).eps), axis=1)
-    ranks = sorted(set(rank.tolist()))
-    x, basis, pad = rows, None, None
-    if ranks and ranks[0] < k:
-        x, basis, pad = _span_coordinates(rows, rank, ranks)
+    cols = rows.transpose(0, 2, 1)
+    rank = _rank(rows)[0]
     run = rank > 0
-    for r in ranks:
-        if r == 0:  # all rows zero: xi = 0 solves the dual
-            out.stat[~run] = out.residual[~run] = 0.0
-            continue
-        if adjusted:
-            continue
-        pos = np.flatnonzero(rank == r)
-        inside = _in_relative_interior(x if r == k and pos.size == n else x[pos, :, :r])
-        if np.count_nonzero(inside) < pos.size:
-            out.status[pos[~inside]] = STATUS_NO_SOLUTION
-            out.reason[pos[~inside]] = _OUTSIDE_HULL
-            run[pos[~inside]] = False
+    deficient = np.count_nonzero(rank < k) > 0
+    if deficient:
+        out.stat[~run] = out.residual[~run] = 0.0  # all rows zero: xi = 0 solves the dual
+
+    def certify(at, x):
+        """Mark the problems at positions ``at`` (rows ``x``) whose hull test
+        fails; return the mask of the others."""
+        inside = _in_relative_interior(x)
+        if np.count_nonzero(inside) < at.size:
+            out.status[at[~inside]] = STATUS_NO_SOLUTION
+            out.reason[at[~inside]] = _OUTSIDE_HULL
+            run[at[~inside]] = False
+        return inside
+
+    if not adjusted:
+        full = np.flatnonzero(rank == k)
+        if full.size:
+            certify(full, rows if full.size == n else cols.take(full, axis=0).transpose(0, 2, 1))
+    span = []  # (positions, V_r, V_r' psi_j) of the certified problems of each rank 0 < r < k
+    for r in sorted(set(rank[run & (rank < k)].tolist())) if deficient else []:
+        at = np.flatnonzero(rank == r)
+        sub = rows[at]
+        v = np.linalg.svd(sub, full_matrices=False)[2][:, :r].transpose(0, 2, 1)
+        x = sub @ v
+        if not adjusted:
+            inside = certify(at, x)
+            at, v, x = at[inside], v[inside], x[inside]
+        span.append((at, v, x))
     pos = np.flatnonzero(run)
-    if pos.size:
-        if start is not None and basis is not None:  # eta = V_r' start
-            start = (start[:, None, :] @ basis)[:, 0]
-        if pos.size < n:
-            x, pad, start = (a if a is None else a[pos] for a in (x, pad, start))
+    if not pos.size:
+        return out
+    x = cols if pos.size == n and not span else cols.take(pos, axis=0)
+    pad = np.zeros((pos.size, k, k)) if span else None
+    if start is not None:
+        start = start[pos]
+    for at, v, xr in span:
+        j, r = np.searchsorted(pos, at), v.shape[2]
+        x[j] = 0.0
+        x[j, :r] = xr.transpose(0, 2, 1)
+        pad[j, r:, r:] = np.eye(k - r)
+        if start is not None:  # eta = V_r' start
+            eta0 = (start[j, None, :] @ v)[:, 0]
+            start[j] = 0.0
+            start[j, :r] = eta0
+    # Steps outside the domain give NaN or inf in t and f, and rows of
+    # extreme scale can overflow; the steps detect both, so numpy is quiet.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         eta = _newton(x, pos, out, pad, start)
-        out.xi[pos] = eta if basis is None else (basis[pos] @ eta[:, :, None])[:, :, 0]
+    out.xi[pos] = eta
+    for at, v, _ in span:
+        out.xi[at] = (v @ eta[np.searchsorted(pos, at), :v.shape[2], None])[:, :, 0]
     return out
 
 

@@ -116,6 +116,12 @@ def psi_profile_rows(freqs, ords, ar, ma) -> np.ndarray:
     per row.  Stacks of length 1 broadcast against the other, so one series
     can be scanned over many models or many series taken at one model.
     Each problem's rows do not depend on the stack it is in.
+
+    The rows are stored column-major, like the gradient of
+    :func:`elspec.arma.shape_and_gradient_stack`: the result is the
+    (N, n, p + q) view of an (N, p + q, n) array, so the centring below and
+    the sums over rows in :func:`elspec.el.solve_duals` run along contiguous
+    memory.  A caller that needs C order can take ``np.ascontiguousarray``.
     """
     g1, grad = shape_and_gradient_stack(ar, ma, freqs)
     ratio = ords / g1

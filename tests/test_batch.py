@@ -22,7 +22,8 @@ from elspec import (
     scan_region,
     simulate,
 )
-from elspec.arma import stationary_invertible
+import elspec.el
+from elspec.arma import shape_and_gradient_stack, stationary_invertible
 from elspec.cli import main
 from elspec.confidence import STATUS_FAILED, STATUS_INVALID, STATUS_NO_SOLUTION, STATUS_OK
 from elspec.el import (
@@ -34,9 +35,23 @@ from elspec.el import (
     solve_dual,
     solve_duals,
 )
-from elspec.whittle import psi_profile
+from elspec.whittle import psi_profile, psi_profile_rows
 
 GOLDEN = Path(__file__).parent / "data" / "golden_coverage"
+
+
+def _near_collinear(k):
+    """The column map that makes column 1 the negative of column 0 to within
+    1e-9 (the identity for k = 1)."""
+    a = np.eye(k)
+    if k >= 2:
+        a[0, 1], a[1, 1] = -1.0, 1e-9
+    return a
+
+
+def _column_scales(rng, n, k, power):
+    """Per-problem, per-column scales 10^-power, 1 or 10^power, (n, 1, k)."""
+    return 10.0 ** (power * rng.integers(-1, 2, size=(n, 1, k)))
 
 
 @st.composite
@@ -44,7 +59,11 @@ def psi_batches(draw):
     """Random (N, m, k) stacks mixing solvable problems, one-sided ones
     (zero far outside the hull of the rows) and exactly collinear ones, a
     cut, and random Newton starts (zero, small, moderate and large, so some
-    are taken and some rejected)."""
+    are taken and some rejected).  Some stacks also have columns collinear
+    to within 1e-9, zero rows and all-zero problems, and per-column scales
+    10^+-6 or 10^+-150 (returned apart from the rows, (N, 1, k)): cases the
+    rank certificate of solve_duals sends to the SVD, a scale of 10^-150
+    by making the Gram underflow."""
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(1, 12))
     m = draw(st.integers(4, 30))
@@ -56,7 +75,14 @@ def psi_batches(draw):
         rows[collinear, :, 1] = -rows[collinear, :, 0]
     cut = int(rng.integers(0, n + 1))
     start = rng.standard_normal((n, k)) * rng.choice([0.0, 0.05, 0.5, 5.0], size=(n, 1))
-    return rows, cut, start
+    if draw(st.booleans()):
+        near = rng.random(n) < 0.3
+        rows[near] = rows[near] @ _near_collinear(k)
+    if draw(st.booleans()):
+        rows[rng.random((n, m)) < 0.2] = 0.0
+        rows[rng.random(n) < 0.15] = 0.0
+    power = draw(st.sampled_from([0, 6, 150]))
+    return rows, _column_scales(rng, n, k, power), cut, start
 
 
 def _same(a, b, i, j):
@@ -70,8 +96,11 @@ def _same(a, b, i, j):
 @given(psi_batches())
 @settings(max_examples=60, deadline=None)
 def test_batch_invariance_and_nesting(batch):
-    rows, cut, start = batch
-    for stack, adjusted in ((rows, False), (adjust_rows(rows, MAX_HALF_LOG), True)):
+    # batch invariance on the scaled rows; nesting on the unscaled ones, since
+    # at 10^-150 the absolute residual tolerance ends Newton after one step
+    rows, scale, cut, start = batch
+    scaled = rows * scale
+    for stack, adjusted in ((scaled, False), (adjust_rows(scaled, MAX_HALF_LOG), True)):
         for x0 in (None, start):
             def part(sl):
                 return solve_duals(stack[sl], adjusted, None if x0 is None else x0[sl])
@@ -91,8 +120,13 @@ def test_batch_invariance_and_nesting(batch):
 
 @st.composite
 def hull_stacks(draw):
-    """Random (N, m, k) stacks with zero rows, collinear columns and
-    one-sided problems, for the hull certificate."""
+    """Random (N, m, k) stacks with zero rows, all-zero problems, collinear
+    columns and one-sided problems, for the hull certificate, and the same
+    problems under an invertible column map: none, columns collinear to
+    within 1e-9, per-column scales 10^+-6, or a per-problem scale 10^+-150.
+    Such a map leaves the answer unchanged.  Per-column scales 10^+-150
+    are left to the rank test: a column ratio of 1e300 changes the
+    numerical rank, so the hull of the unmapped rows cannot judge them."""
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(1, 8))
     m = draw(st.integers(2, 30))
@@ -103,7 +137,15 @@ def hull_stacks(draw):
         collinear = rng.random(n) < 0.3
         rows[collinear, :, 1] = -rows[collinear, :, 0]
     rows[rng.random((n, m)) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = 0.0
-    return rows
+    rows[rng.random(n) < 0.1] = 0.0
+    stress = draw(st.sampled_from(["none", "near-collinear", "scale 6", "scale 150"]))
+    if stress == "near-collinear":
+        return rows, rows @ _near_collinear(k)
+    if stress == "scale 6":
+        return rows, rows * _column_scales(rng, n, k, 6)
+    if stress == "scale 150":
+        return rows, rows * 10.0 ** (150 * rng.choice([-1, 1], size=(n, 1, 1)))
+    return rows, rows
 
 
 def _max_min_weight(rows):
@@ -120,13 +162,129 @@ def _max_min_weight(rows):
 
 @given(hull_stacks())
 @settings(max_examples=80, deadline=None)
-def test_hull_certificate_matches_weight_lp(rows):
-    res = solve_duals(rows)
+def test_hull_certificate_matches_weight_lp(stacks):
+    rows, mapped = stacks
+    res = solve_duals(mapped)
     for i in range(len(rows)):
         assert (res.status[i] == STATUS_NO_SOLUTION) == (_max_min_weight(rows[i]) <= 1e-9)
     # the pseudo-observation always certifies: test the adjusted rows as plain ones
-    adjusted = adjust_rows(rows, MAX_HALF_LOG)
+    adjusted = adjust_rows(mapped, MAX_HALF_LOG)
     assert not np.any(solve_duals(adjusted).status == STATUS_NO_SOLUTION)
+
+
+def _rank_stack(rng, n, m, k):
+    """Problems of every kind the rank certificate meets: well-conditioned,
+    exactly and nearly (1e-9) collinear, with zero rows, all zero, and with
+    per-column scales 10^+-6 and 10^+-150, a common scale 10^-150
+    (underflowing Gram) and 10^160 (overflowing Gram)."""
+    rows = rng.standard_normal((n, m, k)) + rng.choice([0.0, 0.4, 4.0], size=(n, 1, k))
+    kind = np.arange(n) % 9
+    if k >= 2:
+        rows[kind == 1, :, 1] = -rows[kind == 1, :, 0]
+        rows[kind == 2] = rows[kind == 2] @ _near_collinear(k)
+    rows[(kind == 3)[:, None] & (rng.random((n, m)) < 0.3)] = 0.0
+    rows[kind == 4] = 0.0
+    rows[kind == 5] *= _column_scales(rng, np.count_nonzero(kind == 5), k, 6)
+    rows[kind == 6] *= _column_scales(rng, np.count_nonzero(kind == 6), k, 150)
+    rows[kind == 7] *= 1e-150
+    rows[kind == 8] *= 1e160
+    return rows
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rank_is_numpys_matrix_rank(k, monkeypatch):
+    # the rank solve_duals works with equals matrix_rank on every problem,
+    # whether the Gram certificate gave it or the SVD; both branches run
+    seen = []
+    rank_of = elspec.el._rank
+
+    def recording(rows):
+        rank, sure = rank_of(rows)
+        seen.append((rows, rank, sure))
+        return rank, sure
+
+    monkeypatch.setattr(elspec.el, "_rank", recording)
+    rng = np.random.default_rng(k)
+    for m in (max(k - 1, 1), k, 5, 40):
+        rows = _rank_stack(rng, 90, m, k)
+        solve_duals(rows)
+        solve_duals(adjust_rows(rows[rng.random(90) < 0.5], MAX_HALF_LOG), adjusted=True)
+    for rows, rank, sure in seen:
+        np.testing.assert_array_equal(rank, [np.linalg.matrix_rank(x) for x in rows])
+        assert np.all(rank[sure] == k)
+    sure = np.concatenate([s for _, _, s in seen])
+    assert sure.any() and not sure.all()
+
+
+def _arma_grid(steps):
+    """ARMA(1,1) nodes on a square grid over (0, 1)^2; the diagonal nodes
+    (phi = theta) have rank-1 psi rows."""
+    axis = np.linspace(0.05, 0.95, steps)
+    phi, theta = np.meshgrid(axis, axis, indexing="ij")
+    return phi.reshape(-1, 1), theta.reshape(-1, 1)
+
+
+def _row_major_psi(freqs, ords, ar, ma):
+    """The psi_profile rows formula on C-ordered arrays."""
+    g1, grad = shape_and_gradient_stack(ar, ma, freqs)
+    grad = np.ascontiguousarray(grad)
+    ratio = ords / g1
+    weight = ratio / ratio.mean(axis=-1, keepdims=True) - 1.0
+    return weight[..., None] * (grad - grad.mean(axis=1, keepdims=True))
+
+
+def _row_major_adjust(rows, policy):
+    rows = np.ascontiguousarray(rows)
+    return np.concatenate([rows, -policy.a_n(rows.shape[1]) * rows.mean(axis=1, keepdims=True)],
+                          axis=1)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0), (1, 1), (2, 1)])
+def test_column_major_rows_match_row_major_formulas(order):
+    ts = simulate(ArmaSpec(ar=[0.5, 0.2][: order[0]], ma=[0.4][: order[1]]), 300,
+                  NoiseKind.STANDARD_NORMAL, seed=7)
+    pg = compute_periodogram(ts)
+    k = sum(order)
+    rng = np.random.default_rng(4)
+    coeffs = rng.uniform(-0.45, 0.45, size=(30, k))
+    ar, ma = coeffs[:, : order[0]], coeffs[:, order[0]:]
+    ords = np.stack([pg.ords, pg.ords[::-1], 2.0 * pg.ords])
+    # many models at one series, and many series at one model
+    for args in ((pg.ords, ar, ma), (ords, ar[:1], ma[:1])):
+        rows = psi_profile_rows(pg.freqs, *args)
+        assert rows.transpose(0, 2, 1).flags.c_contiguous
+        adjusted = adjust_rows(rows, MAX_HALF_LOG)
+        assert adjusted.transpose(0, 2, 1).flags.c_contiguous
+        want = _row_major_psi(pg.freqs, *args)
+        want_adjusted = _row_major_adjust(want, MAX_HALF_LOG)
+        if k == 1:
+            np.testing.assert_array_equal(rows, want)
+            np.testing.assert_array_equal(adjusted, want_adjusted)
+        else:
+            scale = np.abs(want).max()
+            np.testing.assert_allclose(rows, want, rtol=0.0, atol=1e-15 * scale)
+            np.testing.assert_allclose(adjusted, want_adjusted, rtol=0.0, atol=1e-15 * scale)
+
+
+def test_solve_duals_agrees_between_layouts():
+    pg = compute_periodogram(simulate(ArmaSpec(ar=[0.7], ma=[0.5]), 50,
+                                      NoiseKind.STANDARD_NORMAL, seed=2))
+    rows = psi_profile_rows(pg.freqs, pg.ords, *_arma_grid(14))
+    assert min(np.linalg.matrix_rank(x) for x in rows) == 1
+    for stack, adjusted in ((rows, False), (adjust_rows(rows, MAX_HALF_LOG), True)):
+        copy = np.ascontiguousarray(stack)
+        assert copy.flags.c_contiguous and not stack.flags.c_contiguous
+        cold = solve_duals(stack, adjusted)
+        assert (cold.status == STATUS_OK).any()
+        assert adjusted or (cold.status == STATUS_NO_SOLUTION).any()
+        start = 0.5 * cold.xi + 0.01 * np.random.default_rng(0).standard_normal(cold.xi.shape)
+        for x0 in (None, start):
+            a, b = solve_duals(stack, adjusted, x0), solve_duals(copy, adjusted, x0)
+            for name in ("status", "reason", "iterations", "warm"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            ok = a.status == STATUS_OK
+            np.testing.assert_allclose(a.stat[ok], b.stat[ok], rtol=1e-12, atol=1e-12)
+            assert x0 is None or a.warm.any()
 
 
 def test_solve_dual_is_the_single_problem_kernel():

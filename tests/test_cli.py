@@ -324,5 +324,34 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    def test_one_parser_parses_each_call_afresh(self, tmp_path, wn_file, capsys):
+        # main builds its parser once; flags of one call must not leak into
+        # the next, and errors and --help keep their exit codes in between
+        parser = elspec.cli._parser()
+        region = parser.parse_args(["region", wn_file, "--order", "1,0", "--box", "0.1:0.6",
+                                    "--alpha", "0.05", "--a-n", "half_log", "--out", "r.csv"])
+        fit = parser.parse_args(["fit", wn_file, "--order", "0,1", "--no-profile"])
+        again = parser.parse_args(["region", wn_file, "--order", "1,0", "--box", "0.1:0.6",
+                                   "--out", "r.csv"])
+        assert (region.alpha, region.a_n, region.steps) == (0.05, "half_log", [60])
+        assert (fit.command, fit.order, fit.profile, fit.out) == ("fit", (0, 1), False, None)
+        assert not hasattr(fit, "alpha") and not hasattr(fit, "box")
+        assert (again.alpha, again.a_n, again.steps) == (0.10, "max_half_log", [60])
+        assert elspec.cli._parser() is parser
+
+        out = tmp_path / "fit.json"
+        assert main(["fit", wn_file, "--order", "0,1", "--no-profile", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["profile"] is False
+        assert main(["fit", wn_file, "--order", "0,1", "--bogus"]) == 2
+        assert main(["--help"]) == 0
+        assert main(["fit", wn_file, "--order", "0,1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["profile"] is True
+        assert main(["periodogram", wn_file, "--out", str(tmp_path / "pg.json"),
+                     "--format", "json"]) == 0
+        assert main(["periodogram", wn_file, "--out", str(tmp_path / "pg.csv")]) == 0
+        assert payload_lines(tmp_path / "pg.csv")[0] == "j,omega,ordinate"
+        assert main(["region", "--help"]) == 0
+        assert main(["region", wn_file, "--order", "1,0"]) == 2
+
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
