@@ -136,9 +136,7 @@ def method_stats(rows, methods, policy: AdjustmentPolicy = MAX_HALF_LOG, start=N
         el = solve_duals(rows, start=start)
     for method in methods:
         if method == "ael":
-            # Only an untrimmed psibar guarantees a solution (see
-            # el.solve_duals), so trimmed problems are certified.
-            adj = solve_duals(adjust_rows(rows, policy), adjusted=not policy.trim, start=start)
+            adj = solve_duals(adjust_rows(rows, policy), adjusted=True, start=start)
             out[method] = MethodStats(adj.stat, adj.status, adj.iterations, adj.residual,
                                       adj.xi, adj.warm)
             continue

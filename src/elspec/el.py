@@ -22,9 +22,8 @@ every problem before any Newton step, in coordinates of the span of its rows,
 and runs Newton only on the certified problems.  Appending the
 pseudo-observation -a_n * psibar (the mean row scaled by -a_n) always puts
 zero there: the weights 1, ..., 1, n / a_n combine the n rows and the
-pseudo-observation to zero (Chen, Variyath & Abraham 2008).  A winsorized
-psibar (``AdjustmentPolicy.trim``) is not the mean row, so trimmed adjusted
-problems are certified like unadjusted ones.
+pseudo-observation to zero (Chen, Variyath & Abraham 2008), so adjusted
+problems skip the certificate.
 
 Scans and Monte Carlo cells solve many unrelated problems of one shape; they
 stack them into an (N, m, k) array and call :func:`solve_duals`, which runs
@@ -35,7 +34,7 @@ its N = 1 call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,11 +72,12 @@ class PsiMatrix:
 
     ``rows`` is (m, k); when ``adjusted`` the final row is the appended
     pseudo-observation -a_n * psibar computed from the first m-1 rows.
+    Only :func:`adjust` sets ``adjusted``, so an adjusted matrix always has
+    a solution and :func:`solve_dual` trusts it without a certificate.
     """
 
     rows: np.ndarray
-    adjusted: bool = False
-    a_n: float = 0.0
+    adjusted: bool = field(default=False, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", np.atleast_2d(np.asarray(self.rows, dtype=float)))
@@ -97,13 +97,11 @@ class AdjustmentPolicy:
 
     rule: "max_half_log" (a_n = max(1, ln(n)/2)) or "half_log"
     (a_n = ln(n)/2), the choices in ``RULES``.  Values are capped at n/2 so
-    a_n stays o(n).  ``trim`` winsorizes each psi column at its empirical
-    1st/99th percentiles before forming psibar (the data rows themselves are
-    never altered); off by default.
+    a_n stays o(n).  psibar is always the mean row, which is what
+    guarantees the adjusted problem a solution.
     """
 
     rule: str = "max_half_log"
-    trim: bool = False
 
     RULES = ("max_half_log", "half_log")
 
@@ -175,15 +173,9 @@ def adjust_rows(rows, policy: AdjustmentPolicy = MAX_HALF_LOG) -> np.ndarray:
     along contiguous memory too.
     """
     m, k = rows.shape[-2:]
-    if policy.trim:
-        lo = np.percentile(rows, 1.0, axis=-2, keepdims=True)
-        hi = np.percentile(rows, 99.0, axis=-2, keepdims=True)
-        psibar = np.clip(rows, lo, hi).mean(axis=-2)
-    else:
-        psibar = rows.mean(axis=-2)
     out = np.empty(rows.shape[:-2] + (k, m + 1)).swapaxes(-1, -2)
     out[..., :m, :] = rows
-    np.multiply(-policy.a_n(m), psibar, out=out[..., m, :])
+    np.multiply(-policy.a_n(m), rows.mean(axis=-2), out=out[..., m, :])
     return out
 
 
@@ -192,7 +184,9 @@ def adjust(psi: PsiMatrix, policy: AdjustmentPolicy = MAX_HALF_LOG) -> PsiMatrix
     already-adjusted matrix is an error."""
     if psi.adjusted:
         raise InputError("psi matrix is already adjusted")
-    return PsiMatrix(adjust_rows(psi.rows, policy), adjusted=True, a_n=policy.a_n(psi.m))
+    out = PsiMatrix(adjust_rows(psi.rows, policy))
+    object.__setattr__(out, "adjusted", True)
+    return out
 
 
 def _gradient_and_hessian(cols, t):
@@ -431,10 +425,9 @@ def solve_duals(rows, adjusted: bool = False, start=None) -> DualBatch:
     r >= 3 a linear program finds no direction d with x_j'd >= 0 for all
     rows and > 0 for some.  An uncertified problem is STATUS_NO_SOLUTION,
     with ``iterations`` 0 and ``residual`` NaN.  The test is skipped when
-    ``adjusted`` is set, for rows whose last row is the pseudo-observation
-    -a_n psibar of an untrimmed mean: the weights 1, ..., 1, n / a_n
-    combine them to zero.  A trimmed psibar is not covered by that argument,
-    so trimmed adjusted rows are passed with ``adjusted`` False.
+    ``adjusted`` is set, for rows built by :func:`adjust_rows`, whose last
+    row is the pseudo-observation -a_n psibar of the mean row psibar: the
+    weights 1, ..., 1, n / a_n combine them to zero.
 
     The rank needs an SVD only where a cheaper certificate fails.  With X a
     problem's rows, G = X'X and u = eps / 2, the computed Gram matrix G^
@@ -567,13 +560,13 @@ def solve_duals(rows, adjusted: bool = False, start=None) -> DualBatch:
 def solve_dual(psi: PsiMatrix) -> ElSolution:
     """Solve one EL Lagrange dual: the N = 1 call of :func:`solve_duals`.
 
-    Every problem is certified, adjusted or not, since a PsiMatrix does not
-    record whether its psibar was trimmed.  Raises NoSolutionError when zero
-    is not in the relative interior of the convex hull of the rows, and
-    ConvergenceError (carrying the residual and iteration count) when the
-    iteration fails; :func:`solve_duals` gives the rules.
+    It certifies exactly the matrices that :func:`adjust` did not build.
+    Raises NoSolutionError when zero is not in the relative interior of the
+    convex hull of the rows, and ConvergenceError (carrying the residual and
+    iteration count) when the iteration fails; :func:`solve_duals` gives the
+    rules.
     """
-    res = solve_duals(psi.rows[None])
+    res = solve_duals(psi.rows[None], adjusted=psi.adjusted)
     status, text = int(res.status[0]), _REASON_TEXT.get(int(res.reason[0]))
     if status == STATUS_NO_SOLUTION:
         raise NoSolutionError(text)

@@ -66,7 +66,6 @@ class ExperimentPlan:
     seed: int = 0
     a_n: str = "half_log"
     noise_centering: str = "exact"
-    trim: bool = False
     tb_constants: tuple = ()  # ((param_tuple, b), ...)
 
     def __post_init__(self):
@@ -137,7 +136,7 @@ class ExperimentPlan:
 
     @property
     def policy(self) -> AdjustmentPolicy:
-        return AdjustmentPolicy(self.a_n, trim=self.trim)
+        return AdjustmentPolicy(self.a_n)
 
 
 @dataclass(frozen=True)
@@ -292,7 +291,7 @@ def paired_summary(report: CoverageReport) -> PairedSummary:
 
 _PLAN_KEYS = {
     "model", "params", "sample_sizes", "noises", "replications", "level",
-    "methods", "seed", "a_n", "noise_centering", "trim", "tb_constants",
+    "methods", "seed", "a_n", "noise_centering", "tb_constants",
 }
 
 

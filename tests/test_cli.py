@@ -314,6 +314,13 @@ class TestCoverageCommand:
         assert main(["coverage", "--plan", str(path), "--out", str(tmp_path / "c.csv")]) == 2
         assert "sample_sizes" in capsys.readouterr().err
 
+    def test_plan_naming_trim_exit_2(self, tmp_path, capsys):
+        # psibar is always the mean row, so the removed "trim" key is unknown
+        path = Path(self.plan_file(tmp_path))
+        path.write_text(json.dumps({**json.loads(path.read_text()), "trim": True}))
+        assert main(["coverage", "--plan", str(path), "--out", str(tmp_path / "c.csv")]) == 2
+        assert "trim" in capsys.readouterr().err
+
     def test_paired_summary_printed(self, tmp_path, capsys):
         out = tmp_path / "cov.csv"
         main(["coverage", "--plan", self.plan_file(tmp_path), "--out", str(out)])

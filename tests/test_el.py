@@ -33,6 +33,7 @@ from elspec.el import (
     solve_dual,
     solve_duals,
 )
+from elspec.whittle import psi_profile_rows
 
 
 class TestAdjustmentPolicy:
@@ -65,7 +66,6 @@ class TestAdjust:
         out = adjust(PsiMatrix(rows), MAX_HALF_LOG)
         assert out.adjusted and out.m == 4
         a_n = MAX_HALF_LOG.a_n(3)
-        assert out.a_n == a_n
         np.testing.assert_allclose(out.rows[-1], -(a_n / 3.0) * rows.sum(axis=0), rtol=1e-15)
 
     def test_zero_mean_rows_append_zero(self):
@@ -78,14 +78,13 @@ class TestAdjust:
         with pytest.raises(InputError):
             adjust(out, MAX_HALF_LOG)
 
-    def test_trim_winsorizes_only_the_mean(self):
-        rng = np.random.default_rng(0)
-        rows = rng.standard_normal((200, 1))
-        rows[0, 0] = 1e6  # gross outlier
-        plain = adjust(PsiMatrix(rows), HALF_LOG)
-        trimmed = adjust(PsiMatrix(rows), AdjustmentPolicy("half_log", trim=True))
-        assert np.array_equal(plain.rows[:-1], trimmed.rows[:-1])
-        assert abs(trimmed.rows[-1, 0]) < abs(plain.rows[-1, 0])
+    def test_only_adjust_marks_rows_adjusted(self):
+        # solve_dual trusts the flag, so rows cannot claim it themselves
+        rows = np.array([[0.5], [2.0]])
+        with pytest.raises(TypeError):
+            PsiMatrix(rows, adjusted=True)
+        assert not PsiMatrix(rows).adjusted
+        assert adjust(PsiMatrix(rows)).adjusted
 
 
 class TestSolveDual:
@@ -284,22 +283,50 @@ class TestSolveDual:
         assert sol.converged
         assert sol.stat >= 0.0
 
-    def test_trimmed_psibar_is_certified(self):
-        # The 99th-percentile clip zeroes the second component of psibar, so
-        # the pseudo-observation lies on the first axis and every row has a
-        # second component >= 0: zero is on the boundary of the hull.
-        rows = np.array([(j, 0.0) for j in range(1, 120)] + [(1.0, 0.2)])
-        trim = AdjustmentPolicy("max_half_log", trim=True)
-        assert adjust(PsiMatrix(rows), trim).rows[-1, 1] == 0.0
-        with pytest.raises(NoSolutionError):
-            solve_dual(adjust(PsiMatrix(rows), trim))
-        res = method_stats(rows[None], ("ael",), trim)["ael"]
-        assert res.status[0] == STATUS_NO_SOLUTION and np.isnan(res.stat[0])
-        # without trim the mean row certifies the same rows
-        plain = method_stats(rows[None], ("ael",), MAX_HALF_LOG)["ael"]
-        assert plain.status[0] == STATUS_OK
-        assert plain.stat[0] == solve_dual(adjust(PsiMatrix(rows), MAX_HALF_LOG)).stat
-        assert plain.stat[0] == pytest.approx(71.3127, abs=1e-4)
+
+@pytest.fixture(scope="module")
+def grid_stacks():
+    """Profile psi stacks of two simulated series: ARMA(1,1) at T = 40 on
+    the cell centres of a 20 x 20 grid over (0,1)^2, whose phi = theta
+    nodes have rank-1 rows, and ARMA(2,1) at T = 40 (k = 3), a quarter of
+    its models with an AR root cancelled by the MA root (rank 2)."""
+    nodes = (np.arange(20) + 0.5) / 20
+    phi, theta = (g.reshape(-1, 1) for g in np.meshgrid(nodes, nodes, indexing="ij"))
+    ts = simulate(ArmaSpec(ar=[0.7], ma=[0.5]), 40, NoiseKind.STANDARD_NORMAL, seed=4)
+    pg = compute_periodogram(ts)
+    arma11 = psi_profile_rows(pg.freqs, pg.ords, phi, theta)
+    rng = np.random.default_rng(0)
+    roots = rng.uniform(-0.8, 0.8, size=(80, 2))
+    ar = np.stack([roots.sum(axis=1), -roots.prod(axis=1)], axis=1)
+    ma = np.where(np.arange(80) < 20, roots[:, 0], rng.uniform(-0.8, 0.8, size=80))[:, None]
+    ts = simulate(ArmaSpec(ar=[0.5, 0.2], ma=[0.4]), 40, NoiseKind.STANDARD_NORMAL, seed=3)
+    pg = compute_periodogram(ts)
+    return {"arma11": arma11, "arma21": psi_profile_rows(pg.freqs, pg.ords, ar, ma)}
+
+
+class TestAdjustedExistence:
+    """solve_dual and method_stats trust rows built by adjust; the hull
+    certificate, run on those rows as an independent oracle, must agree
+    that every adjusted problem has a solution."""
+
+    def test_stacks_include_rank_deficient_problems(self, grid_stacks):
+        for rows in grid_stacks.values():
+            k = rows.shape[2]
+            ranks = np.array([np.linalg.matrix_rank(r) for r in rows])
+            assert np.count_nonzero(ranks == k - 1) >= 20 and np.count_nonzero(ranks == k) > 0
+
+    @pytest.mark.parametrize("policy", [MAX_HALF_LOG, HALF_LOG], ids=lambda p: p.rule)
+    @pytest.mark.parametrize("model", ["arma11", "arma21"])
+    def test_certificate_passes_every_adjusted_problem(self, grid_stacks, policy, model):
+        rows = grid_stacks[model]
+        cert = solve_duals(adjust_rows(rows, policy), adjusted=False)
+        assert np.all(cert.status == STATUS_OK)
+        for i in range(rows.shape[0]):
+            ref = solve_duals(adjust_rows(rows[i:i + 1], policy), adjusted=False)
+            sol = solve_dual(adjust(PsiMatrix(rows[i]), policy))
+            assert ref.status[0] == STATUS_OK
+            assert sol.stat == ref.stat[0]
+            assert sol.inner_iterations == ref.iterations[0]
 
 
 class TestSolveDualsStart:

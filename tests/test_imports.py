@@ -4,9 +4,9 @@ package modules each module imports.
 ``import elspec`` pulls in numpy only, and not ``numpy.random``; each
 subcommand loads the scipy modules it calls (``fit`` none at all), and
 nothing loads ``scipy.stats`` or, outside ``coverage``, ``scipy.signal``;
-``interval_1d`` loads no ``scipy.optimize``.  These checks
-read ``sys.modules`` in a child process rather than timing it, so they do
-not depend on host load.  The module layers are read from the source with
+``interval_1d`` and an adjusted k = 3 statistic load no ``scipy.optimize``.
+These checks read ``sys.modules`` in a child process rather than timing it,
+so they do not depend on host load.  The module layers are read from the source with
 ``ast``: ``el`` imports only ``errors``, and ``arma`` none of the modules
 built on the solver.
 """
@@ -109,6 +109,19 @@ def test_interval_loads_no_optimize():
     )
     assert not {m for m in scipy_after(code) if m.startswith("scipy.optimize")}
 
+
+
+def test_adjusted_k3_statistic_loads_no_optimize():
+    # adjusted rows always have a solution, so no rank >= 3 hull LP runs;
+    # the unadjusted statistic of the same model may still load linprog
+    code = (
+        "import numpy as np\n"
+        "from elspec import ArmaSpec, TimeSeries, compute_periodogram, el_stat\n"
+        "e = np.random.default_rng(3).standard_normal(201)\n"
+        "pg = compute_periodogram(TimeSeries(e[1:] + 0.5 * e[:-1]))\n"
+        "el_stat(pg, ArmaSpec(ar=[0.3, 0.1], ma=[0.4]), adjusted=True)\n"
+    )
+    assert not {m for m in scipy_after(code) if m.startswith("scipy.optimize")}
 
 def package_imports():
     """The sibling modules each ``src/elspec`` module imports, read from its
