@@ -99,7 +99,7 @@ class ArmaSpec:
 
     Invariants (checked unless ``validate=False``): the AR polynomial is
     stationary, the MA polynomial invertible (all companion eigenvalues of
-    modulus < 1 - STATIONARITY_MARGIN), and sigma2 > 0.
+    modulus < 1 - STATIONARITY_MARGIN), and sigma2 is positive and finite.
     """
 
     ar: np.ndarray = field(default=())
@@ -112,8 +112,8 @@ class ArmaSpec:
         object.__setattr__(self, "ma", np.atleast_1d(np.asarray(self.ma, dtype=float)))
         object.__setattr__(self, "sigma2", float(self.sigma2))
         if validate:
-            if self.sigma2 <= 0.0:
-                raise InvalidModelError(f"sigma2 must be positive, got {self.sigma2}")
+            if not 0.0 < self.sigma2 < np.inf:
+                raise InvalidModelError(f"sigma2 must be positive and finite, got {self.sigma2}")
             mod_ar = max_companion_modulus(self.ar)
             if mod_ar >= 1.0 - STATIONARITY_MARGIN:
                 raise InvalidModelError(

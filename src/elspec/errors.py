@@ -10,7 +10,8 @@ class InputError(ElspecError, ValueError):
 
 
 class InvalidModelError(ElspecError, ValueError):
-    """Parameter vector violates stationarity/invertibility or sigma2 > 0."""
+    """Parameter vector violates stationarity/invertibility, or sigma2 is not
+    positive and finite."""
 
 
 class DegenerateInputError(ElspecError, ValueError):

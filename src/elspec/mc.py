@@ -310,17 +310,20 @@ def load_plan(path) -> ExperimentPlan:
     for required in ("model", "params", "sample_sizes"):
         if required not in raw:
             raise InputError(f"plan file {path}: missing required field {required!r}")
-    kwargs = dict(raw)
-    if "tb_constants" in kwargs and isinstance(kwargs["tb_constants"], dict):
-        parsed = []
-        for key, b in kwargs["tb_constants"].items():
-            parts = [float(x) for x in str(key).replace(";", ",").split(",")]
-            parsed.append((tuple(parts), float(b)))
-        kwargs["tb_constants"] = tuple(parsed)
-    for tuple_key in ("params", "sample_sizes", "noises", "methods"):
-        if tuple_key in kwargs:
-            val = kwargs[tuple_key]
-            if not isinstance(val, (list, tuple)):
-                raise InputError(f"plan file {path}: field {tuple_key!r} must be a list")
-            kwargs[tuple_key] = tuple(tuple(v) if isinstance(v, list) else v for v in val)
-    return ExperimentPlan(**kwargs)
+    try:
+        kwargs = dict(raw)
+        if "tb_constants" in kwargs and isinstance(kwargs["tb_constants"], dict):
+            parsed = []
+            for key, b in kwargs["tb_constants"].items():
+                parts = [float(x) for x in str(key).replace(";", ",").split(",")]
+                parsed.append((tuple(parts), float(b)))
+            kwargs["tb_constants"] = tuple(parsed)
+        for tuple_key in ("params", "sample_sizes", "noises", "methods"):
+            if tuple_key in kwargs:
+                val = kwargs[tuple_key]
+                if not isinstance(val, (list, tuple)):
+                    raise InputError(f"field {tuple_key!r} must be a list")
+                kwargs[tuple_key] = tuple(tuple(v) if isinstance(v, list) else v for v in val)
+        return ExperimentPlan(**kwargs)
+    except (TypeError, ValueError) as exc:  # InputError is a ValueError too
+        raise InputError(f"plan file {path}: {exc}") from exc

@@ -33,7 +33,6 @@ from .errors import InputError, SingularMatrixError
 from .periodogram import Periodogram
 
 _MAX_COND = 1e12
-_SANDWICH_STEP = 1e-6  # relative central-difference step of sandwich's a_hat
 _SCORE_TOL = 1e-7  # max-norm of a converged fit's mean score in u
 _GTOL = 1e-9  # max-norm of the mean score in u at which a BFGS start stops
 _ARMIJO, _CURVATURE = 1e-4, 0.9  # Wolfe constants of the BFGS line search
@@ -489,12 +488,12 @@ def whittle_fit(
 
 @dataclass(frozen=True, eq=False)
 class SandwichDiag:
-    """Sandwich-matrix diagnostics at (or near) the estimator.
+    """Sandwich matrices of the n + 1 adjusted psi rows at one parameter.
 
-    a_hat is the averaged Jacobian of the psi rows, sigma_hat their averaged
-    outer product (both over the n+1 adjusted rows), and v_hat the sandwich
-    a_hat^{-1} sigma_hat a_hat^{-T} scaling the quadratic approximation of
-    the adjusted statistic.
+    a_hat is the Jacobian of their mean row, (1 - a_n/n) times the Whittle
+    log-likelihood's Hessian over n + 1; sigma_hat is their mean outer
+    product; v_hat = a_hat^{-1} sigma_hat a_hat^{-T} scales the quadratic
+    approximation (n + 1) delta' v_hat^{-1} delta of the adjusted statistic.
     """
 
     a_hat: np.ndarray
@@ -502,14 +501,23 @@ class SandwichDiag:
     v_hat: np.ndarray
 
 
-def _psi_rows(pg, vec, order, profile, policy):
-    spec = (
-        ArmaSpec.from_beta1(order, vec, validate=False)
-        if profile
-        else ArmaSpec.from_beta(order, vec, validate=False)
-    )
-    psi = psi_profile(pg, spec) if profile else psi_full(pg, spec)
-    return adjust(psi, policy).rows
+def _loglik_hessian(pg: Periodogram, spec: ArmaSpec) -> np.ndarray:
+    """Exact Hessian of :func:`whittle_loglik` in beta = (phi's, theta's,
+    sigma2): sum_j (r_j - 1) grad^2 h_j - r_j grad h_j grad h_j', with
+    h = ln g and r = I/g.  With z_l = e^{-iwl}/P for a lag polynomial
+    P = 1 - sum_l c_l e^{-iwl}, d^2 ln|P|^2 / dc_l dc_m = -2 Re(z_l z_m);
+    h takes it with + for theta and - for phi, has no AR-MA cross terms,
+    and d^2 h / dsigma2^2 = -1/sigma2^2."""
+    w, p = pg.freqs, spec.p
+    r = pg.ords / spectral_density(spec, w)
+    grad = log_spectral_gradient(spec, w, profile=False)
+    hess = -(r[:, None] * grad).T @ grad
+    for block, coeffs, sign in ((slice(0, p), spec.ar, 2.0), (slice(p, -1), spec.ma, -2.0)):
+        e = np.exp(-1j * np.outer(w, np.arange(1.0, coeffs.size + 1.0)))
+        z = e / (1.0 - e @ coeffs)[:, None]
+        hess[block, block] += sign * ((r - 1.0) * z.T @ z).real
+    hess[-1, -1] -= (r - 1.0).sum() / spec.sigma2**2
+    return hess
 
 
 def sandwich(
@@ -518,31 +526,27 @@ def sandwich(
     profile: bool = True,
     policy: AdjustmentPolicy = MAX_HALF_LOG,
 ) -> SandwichDiag:
-    """Finite-difference sandwich matrices of the (adjusted) psi rows at
-    ``spec``.
+    """Sandwich matrices of the adjusted psi rows at ``spec``, in closed form.
 
-    a_hat[:, i] is the central difference of the averaged psi row in
-    parameter i (relative step 1e-6); sigma_hat = mean of psi psi' including
-    the adjustment row.  Raises SingularMatrixError (with the condition
-    number attached) when a_hat is not invertible.
+    The adjusted rows sum to (1 - a_n/n) times the exact score, so a_hat is
+    that factor times :func:`_loglik_hessian` over n + 1; the profile form
+    takes its Schur complement at sigma2_hat = :func:`profile_sigma2` (the
+    sigma2 of ``spec`` is ignored).  sigma_hat is the mean of psi psi'
+    including the adjustment row.  Raises SingularMatrixError (with the
+    condition number attached) when a_hat is not invertible.
     """
     pg.require_power()
-    vec = spec.beta1 if profile else spec.beta
-    order = spec.order
-    rows0 = _psi_rows(pg, vec, order, profile, policy)
-    m, k = rows0.shape
+    if profile:
+        spec = ArmaSpec(spec.ar, spec.ma, profile_sigma2(pg, spec), validate=False)
+    rows = adjust(psi_profile(pg, spec) if profile else psi_full(pg, spec), policy).rows
+    m, k = rows.shape
     if k == 0:
         raise InputError("sandwich diagnostics need at least one parameter")
-    a_hat = np.empty((k, k))
-    for i in range(k):
-        h = _SANDWICH_STEP * max(1.0, abs(vec[i]))
-        up, dn = vec.copy(), vec.copy()
-        up[i] += h
-        dn[i] -= h
-        s_up = _psi_rows(pg, up, order, profile, policy).sum(axis=0)
-        s_dn = _psi_rows(pg, dn, order, profile, policy).sum(axis=0)
-        a_hat[:, i] = (s_up - s_dn) / (2.0 * h * m)
-    sigma_hat = rows0.T @ rows0 / m
+    hess = _loglik_hessian(pg, spec)
+    if profile:  # the sigma2 entry is -n / sigma2_hat^2 at sigma2_hat
+        hess = hess[:-1, :-1] - np.outer(hess[:-1, -1], hess[-1, :-1]) / hess[-1, -1]
+    a_hat = (1.0 - policy.a_n(pg.n) / pg.n) * hess / m
+    sigma_hat = rows.T @ rows / m
     cond = float(np.linalg.cond(a_hat))
     if not np.isfinite(cond) or cond > _MAX_COND:
         raise SingularMatrixError(

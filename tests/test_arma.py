@@ -36,6 +36,12 @@ class TestArmaSpec:
         with pytest.raises(InvalidModelError):
             ArmaSpec(**bad)
 
+    @pytest.mark.parametrize("sigma2", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma2_raises(self, sigma2):
+        with pytest.raises(InvalidModelError, match="sigma2 must be positive and finite"):
+            ArmaSpec(ma=[0.3], sigma2=sigma2)
+        assert math.isnan(ArmaSpec(sigma2=math.nan, validate=False).sigma2)
+
     def test_ar2_stationarity_triangle(self):
         # (phi1, phi2) = (0.5, 0.4) is stationary; (0.5, 0.6) is not
         ArmaSpec(ar=[0.5, 0.4])

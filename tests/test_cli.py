@@ -321,6 +321,18 @@ class TestCoverageCommand:
         assert main(["coverage", "--plan", str(path), "--out", str(tmp_path / "c.csv")]) == 2
         assert "trim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", [
+        {"replications": "ten"},
+        {"level": "high"},
+        {"methods": ["tb"], "tb_constants": {"abc": 1.0}},
+        {"params": ["x"]},
+    ], ids=["replications", "level", "tb_constants", "params"])
+    def test_plan_field_of_wrong_type_exit_2(self, tmp_path, capsys, field):
+        path = Path(self.plan_file(tmp_path))
+        path.write_text(json.dumps({**json.loads(path.read_text()), **field}))
+        assert main(["coverage", "--plan", str(path), "--out", str(tmp_path / "c.csv")]) == 2
+        assert f"error: plan file {path}: " in capsys.readouterr().err
+
     def test_paired_summary_printed(self, tmp_path, capsys):
         out = tmp_path / "cov.csv"
         main(["coverage", "--plan", self.plan_file(tmp_path), "--out", str(out)])

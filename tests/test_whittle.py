@@ -1,3 +1,4 @@
+import functools
 import itertools
 import logging
 import math
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
 from elspec import (
+    MAX_HALF_LOG,
     ArmaSpec,
     DegenerateInputError,
     NoiseKind,
@@ -32,9 +34,11 @@ from elspec import (
 from elspec.arma import STATIONARITY_MARGIN, max_companion_modulus
 from elspec.errors import InputError
 from elspec.periodogram import periodogram_stack
+from elspec.el import adjust
 from elspec.whittle import (
     _bfgs_path,
     _lockstep,
+    _loglik_hessian,
     _neg_loglik_stack,
     _pacf_coefficients,
     _pacf_from_coefficients,
@@ -524,6 +528,103 @@ class TestSandwich:
         diag = sandwich(ma1_pg_t70, fit.to_spec(), profile=False)
         assert diag.a_hat.shape == (2, 2)
         assert diag.v_hat.shape == (2, 2)
+
+
+SANDWICH_MODELS = {
+    (0, 0): ArmaSpec(sigma2=1.5),
+    (1, 0): ArmaSpec(ar=[0.6]),
+    (0, 1): ArmaSpec(ma=[0.5]),
+    (1, 1): ArmaSpec(ar=[0.7], ma=[0.5]),
+    (0, 2): ArmaSpec(ma=[0.4, -0.3]),
+    (2, 1): ArmaSpec(ar=[0.5, -0.3], ma=[0.4]),
+    (2, 2): ArmaSpec(ar=[0.5, -0.3], ma=[0.4, 0.2]),
+}
+
+
+@functools.cache
+def _sandwich_cases(order):
+    """(pg, spec, profile) at the fit and at an off-fit spec (beta1 * 0.9,
+    sigma2 = 1.3), for simulate seeds 0-3 and both forms ((0, 0) has no
+    profile form)."""
+    cases = []
+    for seed in range(4):
+        pg = compute_periodogram(simulate(SANDWICH_MODELS[order], 200,
+                                          NoiseKind.STANDARD_NORMAL, seed=seed))
+        for profile in (True, False)[order == (0, 0):]:
+            spec = whittle_fit(pg, order, profile=profile).to_spec(pg)
+            off = ArmaSpec.from_beta1(order, 0.9 * spec.beta1, sigma2=1.3)
+            cases += [(pg, spec, profile), (pg, off, profile)]
+    return cases
+
+
+def _central_jacobian(f, vec, step=1e-6):
+    """Central differences of the vector function f at vec, relative step."""
+    cols = []
+    for i in range(vec.size):
+        h = step * max(1.0, abs(vec[i]))
+        up, dn = vec.copy(), vec.copy()
+        up[i] += h
+        dn[i] -= h
+        cols.append((f(up) - f(dn)) / (2.0 * h))
+    return np.array(cols).T
+
+
+def _psi(pg, order, profile, vec):
+    """psi_profile rows at beta1 = vec, or psi_full rows at beta = vec."""
+    if profile:
+        return psi_profile(pg, ArmaSpec.from_beta1(order, vec, validate=False))
+    return psi_full(pg, ArmaSpec.from_beta(order, vec, validate=False))
+
+
+def _finite_difference_sandwich(pg, spec, profile, policy=MAX_HALF_LOG):
+    """a_hat as the central difference of the mean adjusted psi row, and
+    sigma_hat as their mean outer product (test oracle)."""
+    vec = spec.beta1 if profile else spec.beta
+    rows = lambda v: adjust(_psi(pg, spec.order, profile, v), policy).rows
+    rows0 = rows(vec)
+    m = len(rows0)
+    return _central_jacobian(lambda v: rows(v).sum(axis=0) / m, vec), rows0.T @ rows0 / m
+
+
+def _max_rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestSandwichHessian:
+    """The closed-form a_hat against finite differences of the psi rows."""
+
+    @pytest.mark.parametrize("order", list(SANDWICH_MODELS), ids=str)
+    def test_a_hat_matches_finite_difference_oracle(self, order):
+        for pg, spec, profile in _sandwich_cases(order):
+            diag = sandwich(pg, spec, profile=profile)
+            a_fd, sigma_fd = _finite_difference_sandwich(pg, spec, profile)
+            assert _max_rel(diag.a_hat, a_fd) < 1e-8
+            np.testing.assert_array_equal(diag.sigma_hat, sigma_fd)
+
+    @pytest.mark.parametrize("order", list(SANDWICH_MODELS), ids=str)
+    def test_hessian_matches_score_differences(self, order):
+        # the exact score is the column sums of the psi_full rows
+        for pg, spec, _ in _sandwich_cases(order):
+            score = lambda beta: _psi(pg, order, False, beta).rows.sum(axis=0)
+            hess = _loglik_hessian(pg, spec)
+            assert _max_rel(hess, _central_jacobian(score, spec.beta)) < 1e-8
+
+    @pytest.mark.parametrize("order", [o for o in SANDWICH_MODELS if sum(o)], ids=str)
+    def test_profile_hessian_is_schur_complement(self, order):
+        # the profile form's a_hat, rescaled to the unadjusted sums, is the
+        # Jacobian of the psi_profile column sums (the profile score), and
+        # the sigma2 entry it divides by is -n / sigma2_hat^2
+        for pg, spec, profile in _sandwich_cases(order):
+            if not profile:
+                continue
+            n = pg.n
+            a_hat = sandwich(pg, spec, profile=True).a_hat
+            hess = a_hat * (n + 1) / (1.0 - MAX_HALF_LOG.a_n(n) / n)
+            score = lambda beta1: _psi(pg, order, True, beta1).rows.sum(axis=0)
+            assert _max_rel(hess, _central_jacobian(score, spec.beta1)) < 1e-8
+            sigma2_hat = profile_sigma2(pg, spec)
+            corner = _loglik_hessian(pg, ArmaSpec(spec.ar, spec.ma, sigma2_hat))[-1, -1]
+            assert corner == pytest.approx(-n / sigma2_hat**2, rel=1e-12)
 
 
 class TestConstantSeries:
