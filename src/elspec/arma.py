@@ -363,6 +363,34 @@ def _seed_sequence_state(entropy, n_words: int, dtype=np.uint32) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
+def _word_count(v: int) -> int:
+    return max(1, -(-v.bit_length() // 32))
+
+
+def _value_words(values):
+    """The little-endian uint32 words of the non-negative integers
+    ``values``, one zero-padded row per value, and each value's word count.
+
+    Integer arrays, and ranges with a positive step, of values below 2^64
+    split with array shifts; other values are read one by one."""
+    if isinstance(values, range) and values.step > 0 and 0 <= values.start and values.stop <= 1 << 64:
+        values = np.arange(values.start, values.stop, values.step, dtype=np.uint64)
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        if values.size and values.min() < 0:
+            raise InputError("seeds must be non-negative integers")
+        v = values.astype(np.uint64, copy=False)
+        words = np.stack([v & np.uint64(_MASK32), v >> np.uint64(32)], axis=1).astype(np.uint32)
+        return words, 1 + (words[:, 1] != 0)
+    values = [operator.index(v) for v in values]
+    if min(values, default=0) < 0:
+        raise InputError("seeds must be non-negative integers")
+    counts = np.array([_word_count(v) for v in values], dtype=int)
+    words = np.zeros((len(values), counts.max(initial=1)), dtype=np.uint32)
+    for j in range(words.shape[1]):
+        words[:, j] = [v >> 32 * j & _MASK32 for v in values]
+    return words, counts
+
+
 def _seed_states(prefix, values, n_words: int, dtype=np.uint32) -> np.ndarray:
     """``np.random.SeedSequence((*prefix, v)).generate_state(n_words, dtype)``
     for each non-negative integer ``v`` of ``values``, one row per value.
@@ -374,25 +402,20 @@ def _seed_states(prefix, values, n_words: int, dtype=np.uint32) -> np.ndarray:
     """
     try:
         head = [operator.index(v) for v in prefix]
-        values = [operator.index(v) for v in values]
+        words, counts = _value_words(values)
     except TypeError:
         raise InputError("seeds must be integers")
-    if min(head + values, default=0) < 0:
+    if min(head, default=0) < 0:
         raise InputError("seeds must be non-negative integers")
-
-    def word_count(v):
-        return max(1, -(-v.bit_length() // 32))
-
-    head = [v >> 32 * j & _MASK32 for v in head for j in range(word_count(v))]
-    counts = [word_count(v) for v in values]
-    widths = np.array([max(len(head) + c, _POOL) for c in counts], dtype=int)
-    out = np.empty((len(values), n_words), dtype=dtype)
+    head = [v >> 32 * j & _MASK32 for v in head for j in range(_word_count(v))]
+    widths = np.maximum(len(head) + counts, _POOL)
+    out = np.empty((len(counts), n_words), dtype=dtype)
     for width in np.unique(widths).tolist():
-        rows = np.flatnonzero(widths == width).tolist()
+        rows = np.flatnonzero(widths == width)
+        cols = min(width - len(head), words.shape[1])
         entropy = np.zeros((len(rows), width), dtype=np.uint32)
         entropy[:, : len(head)] = head
-        for j in range(min(width - len(head), max(counts))):
-            entropy[:, len(head) + j] = [values[i] >> 32 * j & _MASK32 for i in rows]
+        entropy[:, len(head) : len(head) + cols] = words[rows, :cols]
         out[rows] = _seed_sequence_state(entropy, n_words, dtype)
     return out
 
@@ -454,11 +477,18 @@ def simulate_stack(spec: ArmaSpec, T: int, seeds, noise: NoiseKind, center: str)
     Row i draws from the stream of ``np.random.default_rng(seeds[i])``
     (seeds must be non-negative integers).  Every seed's PCG64 seed words
     come from one vectorized SeedSequence hash; each row then draws into a
-    chunk of rows, and scaling, centring and the filter run on the whole
-    chunk, with every row bitwise what it would be alone.  A chunk holds at
-    most ``_BATCH_ENTRIES`` standard-normal draws (five per innovation
-    for chi-square noise), so the buffers stay near the solver batches'
-    size however many seeds are given.
+    chunk of at most ``_BATCH_ENTRIES`` standard normals, so the buffers
+    stay near the solver batches' size however many seeds are given.
+
+    Every normal is drawn, so each row keeps its seed's stream, but only
+    the innovations that reach the output are formed: for p = 0 with exact
+    centring the last T + q, filtered by the lag sum
+    b_q a_{t-q} + ... + b_0 a_t added oldest first; otherwise whole rows
+    (empirical centring takes every innovation's mean), filtered by
+    ``scipy.signal.lfilter``.  Rows are bitwise those of the whole-row
+    ``lfilter`` loop, whose pure-MA path (``np.convolve``) adds the lags in
+    the same order while its dot product runs sequentially (q <= 10 with
+    numpy 2.4.6's OpenBLAS; longer sums differ by rounding).
     """
     if T < 4:
         raise InputError(f"need T >= 4, got {T}")
@@ -466,30 +496,43 @@ def simulate_stack(spec: ArmaSpec, T: int, seeds, noise: NoiseKind, center: str)
         raise InputError(f"unknown centering {center!r}; use 'exact' or 'empirical'")
     if noise not in (NoiseKind.STANDARD_NORMAL, NoiseKind.CENTERED_CHI2_5):
         raise InputError(f"unknown noise kind {noise!r}")
-    from scipy.signal import lfilter
-
     words = _seed_states((), seeds, 4, np.uint64)  # what default_rng(seed) hands PCG64
     generator = _generator_from_words()
     burn = 500 + 10 * (spec.p + spec.q)
     m = T + burn
     draws = 1 if noise is NoiseKind.STANDARD_NORMAL else 5  # per innovation
-    # lfilter applies z_t = sum phi_i z_{t-i} + a_t - sum theta_m a_{t-m}
-    # with zero initial conditions.
+    # z_t = sum phi_i z_{t-i} + a_t - sum theta_m a_{t-m}, from zero
+    # initial conditions.
     b = np.concatenate(([1.0], -spec.ma))
-    a_poly = np.concatenate(([1.0], -spec.ar))
+    lag_sum = spec.p == 0 and center == "exact"
+    first = burn - spec.q if lag_sum else 0  # the first innovation used
+    if not lag_sum:
+        from scipy.signal import lfilter
+
+        a_poly = np.concatenate(([1.0], -spec.ar))
     out = np.empty((len(words), T))
     for part in batch_slices(len(words), draws * m):
         buf = np.empty((part.stop - part.start, m, draws))
         for row, row_words in zip(buf, words[part]):
             generator(row_words).standard_normal(out=row)
+        used = buf[:, first:]
         if draws == 1:
-            buf = buf[..., 0]
+            a = used[..., 0]
+        else:  # np.sum's order over the five squares
+            np.square(used, out=used)
+            a = used[..., 0] + used[..., 1]
+            for d in range(2, draws):
+                a += used[..., d]
+            a -= 5.0
+        if spec.sigma2 != 1.0:
+            a *= np.sqrt(spec.sigma2)
+        if lag_sum:
+            z = out[part]
+            np.multiply(a[:, :T], b[-1], out=z)
+            for lag in range(spec.q - 1, -1, -1):
+                z += b[lag] * a[:, spec.q - lag : spec.q - lag + T]
         else:
-            np.square(buf, out=buf)
-            buf = np.sum(buf, axis=2)
-            buf -= 5.0
-        buf *= np.sqrt(spec.sigma2)
-        if center == "empirical":
-            buf -= buf.mean(axis=1, keepdims=True)
-        out[part] = lfilter(b, a_poly, buf, axis=1)[:, burn:]
+            if center == "empirical":
+                a -= a.mean(axis=1, keepdims=True)
+            out[part] = lfilter(b, a_poly, a, axis=1)[:, burn:]
     return out

@@ -33,12 +33,15 @@ its N = 1 call.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, InputError, NoSolutionError
+
+_log = logging.getLogger(__name__)
 
 # Gradient-norm tolerance of the dual (identical to the multiplier-equation
 # residual); tight enough that the statistic is stable to ~1e-8.
@@ -210,17 +213,20 @@ def _newton_directions(h, g):
     rows of every problem have full column rank, but rows of wildly
     different scales can still make it singular in floating point.  When the
     batched solve raises, the problems are solved one at a time, and those
-    whose h is singular get NaN directions."""
+    whose h is singular get NaN directions; a DEBUG record counts them."""
     try:
         return np.linalg.solve(h, g[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         pass
     d = np.full(g.shape, np.nan)
+    singular = 0
     for i in range(len(g)):
         try:  # the same (1, r, r) call as the problem's own N = 1 solve
             d[i] = np.linalg.solve(h[i : i + 1], g[i : i + 1, :, None])[0, :, 0]
         except np.linalg.LinAlgError:
-            pass
+            singular += 1
+    _log.debug("batched Newton solve of %d problems raised; solved one by one, %d singular",
+               len(g), singular)
     return d
 
 

@@ -42,6 +42,15 @@ def _as_param_tuple(model: str, value) -> tuple[float, ...]:
     return out
 
 
+def _read_field(name: str, convert, value):
+    """``convert(value)`` for plan field ``name``; a value it cannot read
+    raises an InputError that names the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:  # InputError is a ValueError too
+        raise InputError(f"{name}: cannot read {value!r} ({exc})") from exc
+
+
 def _param_label(param: tuple[float, ...]) -> str:
     return ";".join(f"{v:g}" for v in param)
 
@@ -71,9 +80,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.model not in MODEL_ORDERS:
             raise InputError(f"unknown model {self.model!r}; choose from {tuple(MODEL_ORDERS)}")
-        object.__setattr__(
-            self, "params", tuple(_as_param_tuple(self.model, v) for v in self.params)
-        )
+        object.__setattr__(self, "params", _read_field(
+            "params", lambda vs: tuple(_as_param_tuple(self.model, v) for v in vs), self.params))
         if not self.params:
             raise InputError("params must be non-empty")
         for param in self.params:
@@ -81,7 +89,7 @@ class ExperimentPlan:
                 ArmaSpec.from_beta1(MODEL_ORDERS[self.model], param)
             except InvalidModelError as exc:
                 raise InputError(f"params: {param} is outside the valid region ({exc})")
-        sizes = tuple(int(t) for t in self.sample_sizes)
+        sizes = _read_field("sample_sizes", lambda ts: tuple(int(t) for t in ts), self.sample_sizes)
         if not sizes or any(t < 4 for t in sizes):
             raise InputError(f"sample_sizes must all be >= 4, got {self.sample_sizes!r}")
         object.__setattr__(self, "sample_sizes", sizes)
@@ -90,14 +98,17 @@ class ExperimentPlan:
             if nz not in NOISE_BY_NAME:
                 raise InputError(f"unknown noise {nz!r}; choose from {tuple(NOISE_BY_NAME)}")
         object.__setattr__(self, "noises", noises)
-        if int(self.replications) < 1:
+        replications = _read_field("replications", int, self.replications)
+        if replications < 1:
             raise InputError(f"replications must be >= 1, got {self.replications}")
-        object.__setattr__(self, "replications", int(self.replications))
+        object.__setattr__(self, "replications", replications)
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
-        if not 0.0 < self.level < 1.0:
+        level = _read_field("level", float, self.level)
+        if not 0.0 < level < 1.0:
             raise InputError(f"level must be in (0, 1), got {self.level}")
+        object.__setattr__(self, "level", level)
         methods = tuple(self.methods)
         for m in methods:
             if m not in METHODS:
@@ -109,14 +120,15 @@ class ExperimentPlan:
             AdjustmentPolicy(self.a_n)
         except InputError as exc:
             raise InputError(f"a_n: {exc}")
-        tb = {}
-        raw = self.tb_constants
-        if isinstance(raw, dict):
-            raw = tuple(raw.items())
-        if np.isscalar(raw) and raw != ():
-            raw = tuple((p, float(raw)) for p in self.params)
-        for key, b in raw:
-            tb[_as_param_tuple(self.model, key)] = float(b)
+
+        def read_tb(raw):
+            if isinstance(raw, dict):
+                raw = raw.items()
+            elif np.isscalar(raw):
+                raw = [(p, raw) for p in self.params]
+            return {_as_param_tuple(self.model, key): float(b) for key, b in raw}
+
+        tb = _read_field("tb_constants", read_tb, self.tb_constants)
         for param, b in tb.items():
             try:  # a negative b shrinks 1 + b/n most at the smallest n
                 bartlett_scale(b, (min(sizes) - 1) // 2)
@@ -313,11 +325,9 @@ def load_plan(path) -> ExperimentPlan:
     try:
         kwargs = dict(raw)
         if "tb_constants" in kwargs and isinstance(kwargs["tb_constants"], dict):
-            parsed = []
-            for key, b in kwargs["tb_constants"].items():
-                parts = [float(x) for x in str(key).replace(";", ",").split(",")]
-                parsed.append((tuple(parts), float(b)))
-            kwargs["tb_constants"] = tuple(parsed)
+            kwargs["tb_constants"] = _read_field("tb_constants", lambda tb: tuple(
+                (tuple(float(x) for x in str(key).replace(";", ",").split(",")), b)
+                for key, b in tb.items()), kwargs["tb_constants"])
         for tuple_key in ("params", "sample_sizes", "noises", "methods"):
             if tuple_key in kwargs:
                 val = kwargs[tuple_key]

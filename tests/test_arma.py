@@ -17,7 +17,7 @@ from elspec import (
     simulate,
     spectral_density,
 )
-from elspec.arma import _seed_sequence_state, batch_slices, simulate_stack
+from elspec.arma import _seed_sequence_state, _seed_states, batch_slices, simulate_stack
 from conftest import rng_specs
 
 TWO_PI = 2.0 * math.pi
@@ -332,6 +332,8 @@ STACK_SPECS = {
     (0, 0): ArmaSpec(sigma2=2.0),
     (1, 0): ArmaSpec(ar=[0.6]),
     (0, 1): ArmaSpec(ma=[-0.5], sigma2=0.7),
+    (0, 2): ArmaSpec(ma=[0.5, -0.3], sigma2=1.3),
+    (0, 3): ArmaSpec(ma=[0.4, 0.2, -0.3], sigma2=0.4),
     (1, 1): ArmaSpec(ar=[0.7], ma=[0.4]),
     (2, 1): ArmaSpec(ar=[0.5, -0.3], ma=[0.4], sigma2=1.5),
 }
@@ -363,6 +365,53 @@ def test_simulate_stack_across_chunks(noise, center):
     stack = simulate_stack(spec, 20, seeds, noise, center)
     for row, seed in zip(stack, seeds):
         assert np.array_equal(row, simulate(spec, 20, noise, seed, center).values)
+
+
+@pytest.mark.parametrize("noise", list(NoiseKind))
+def test_pure_ma_stack_across_chunks(noise):
+    # a pure-MA series filters only its last T + q innovations; over three
+    # chunks every row is still the whole-row lfilter series
+    spec = STACK_SPECS[(0, 2)]
+    seeds = np.arange(100, 250, dtype=np.uint64)
+    draws = 1 if noise is NoiseKind.STANDARD_NORMAL else 5
+    assert len(batch_slices(len(seeds), draws * (20 + 520))) >= 3
+    stack = simulate_stack(spec, 20, seeds, noise, "exact")
+    for row, seed in zip(stack, seeds.tolist()):
+        assert np.array_equal(row, _reference_series(spec, 20, noise, seed, "exact"))
+
+
+SEED_VALUES = [0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("prefix", [(), (7,), (2**33,), (1, 2**40)],
+                         ids=["0 words", "1 word", "2 words", "3 words"])
+@pytest.mark.parametrize("seeds", [
+    np.array(SEED_VALUES, dtype=np.uint64),
+    np.array([0, 5, 2**32 - 1, 2**32, 2**62], dtype=np.int64),
+    range(0, 6),
+    range(2**32 - 2, 2**32 + 2),
+    range(2**64 - 3, 2**64),
+    range(5, 40, 7),
+    range(3, 3),
+], ids=["uint64", "int64", "range", "range_32", "range_64", "range_step", "range_empty"])
+@pytest.mark.parametrize("n_words, dtype", [(1, np.uint64), (4, np.uint64), (5, np.uint32)])
+def test_seed_states_of_arrays_and_ranges_match_numpy(prefix, seeds, n_words, dtype):
+    got = _seed_states(prefix, seeds, n_words, dtype)
+    assert got.dtype == dtype and got.shape == (len(seeds), n_words)
+    for row, v in zip(got, [int(v) for v in seeds]):
+        want = np.random.SeedSequence((*prefix, v)).generate_state(n_words, dtype)
+        assert np.array_equal(row, want)
+
+
+def test_seed_states_rejects_arrays_as_it_does_lists():
+    with pytest.raises(InputError, match="seeds must be non-negative integers"):
+        _seed_states((), np.array([3, -1]), 4, np.uint64)
+    with pytest.raises(InputError, match="seeds must be non-negative integers"):
+        _seed_states((), range(-2, 3), 4, np.uint64)
+    with pytest.raises(InputError, match="seeds must be integers"):
+        _seed_states((), np.array([1.0, 2.0]), 4, np.uint64)
+    with pytest.raises(InputError, match="seeds must be integers"):
+        _seed_states((), np.array([[1, 2]]), 4, np.uint64)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 9])

@@ -333,6 +333,26 @@ class TestCoverageCommand:
         assert main(["coverage", "--plan", str(path), "--out", str(tmp_path / "c.csv")]) == 2
         assert f"error: plan file {path}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("replications", {"replications": "ten"}),
+        ("level", {"level": "high"}),
+        ("tb_constants", {"methods": ["tb"], "tb_constants": {"abc": 1.0}}),
+        ("tb_constants", {"methods": ["tb"], "tb_constants": {"0.5": "big"}}),
+        ("params", {"params": ["x"]}),
+        ("params", {"params": [[0.5, 0.2]]}),
+        ("sample_sizes", {"sample_sizes": ["many"]}),
+    ], ids=["replications", "level", "tb_key", "tb_value", "params", "params_length",
+            "sample_sizes"])
+    def test_plan_error_names_the_field(self, tmp_path, capsys, field, value):
+        # each field is converted before it is compared, so a value of the
+        # wrong type is reported against its field, not as a bare TypeError
+        path = Path(self.plan_file(tmp_path))
+        path.write_text(json.dumps({**json.loads(path.read_text()), **value}))
+        assert main(["coverage", "--plan", str(path), "--out", str(tmp_path / "c.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: plan file {path}: {field}: " in err
+        assert "not supported between" not in err
+
     def test_paired_summary_printed(self, tmp_path, capsys):
         out = tmp_path / "cov.csv"
         main(["coverage", "--plan", self.plan_file(tmp_path), "--out", str(out)])

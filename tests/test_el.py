@@ -1,3 +1,4 @@
+import logging
 import math
 from unittest import mock
 
@@ -220,6 +221,25 @@ class TestSolveDual:
         assert np.array_equal(res.iterations, plain.iterations - 1)
         assert np.all(res.residual < elspec.el.DUAL_GRAD_TOL)
         np.testing.assert_allclose(res.stat, plain.stat, rtol=1e-12)
+
+    def test_per_problem_fallback_is_logged(self, caplog):
+        # one exactly singular h makes the batched solve raise; the others
+        # are solved one by one, and one DEBUG record counts both
+        h = np.stack([np.eye(2) * 2.0, np.zeros((2, 2)), np.array([[2.0, 1.0], [1.0, 3.0]])])
+        g = np.array([[1.0, 2.0], [1.0, 1.0], [3.0, 4.0]])
+        with caplog.at_level(logging.DEBUG, logger="elspec"):
+            caplog.clear()
+            d = elspec.el._newton_directions(h, g)
+        assert np.array_equal(d[0], np.linalg.solve(h[:1], g[:1, :, None])[0, :, 0])
+        assert np.isnan(d[1]).all() and np.isfinite(d[2]).all()
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG and record.name.startswith("elspec")
+        assert record.getMessage() == (
+            "batched Newton solve of 3 problems raised; solved one by one, 1 singular")
+        with caplog.at_level(logging.DEBUG, logger="elspec"):
+            caplog.clear()
+            elspec.el._newton_directions(h[[0, 2]], g[[0, 2]])
+        assert not caplog.records
 
     def test_step_cap_fails_only_the_unfinished(self, monkeypatch):
         # rows {-1, 1} solve at xi = 0 and end after their trailing step;

@@ -3,7 +3,8 @@ package modules each module imports.
 
 ``import elspec`` pulls in numpy only, and not ``numpy.random``; each
 subcommand loads the scipy modules it calls (``fit`` none at all), and
-nothing loads ``scipy.stats`` or, outside ``coverage``, ``scipy.signal``;
+nothing loads ``scipy.stats`` or, outside ``coverage`` of models with an AR
+part, ``scipy.signal`` (pure-MA series are filtered by a numpy lag sum);
 ``interval_1d`` and an adjusted k = 3 statistic load no ``scipy.optimize``.
 These checks read ``sys.modules`` in a child process rather than timing it,
 so they do not depend on host load.  The module layers are read from the source with
@@ -95,6 +96,18 @@ def test_fit_and_region_skip_stats_and_signal(series_file, tmp_path, argv):
     loaded = scipy_modules(command, series_file, *options, *out)
     assert "scipy.stats" not in loaded
     assert "scipy.signal" not in loaded
+
+
+@pytest.mark.parametrize("model, param, signal", [("ma1", 0.5, False), ("ar1", 0.5, True)])
+def test_coverage_loads_signal_only_for_ar_models(tmp_path, model, param, signal):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"model": model, "params": [param], "sample_sizes": [20],
+                                "replications": 5, "methods": ["el", "ael"]}))
+    loaded = scipy_modules("coverage", "--plan", str(plan), "--out", str(tmp_path / "c.csv"))
+    assert "scipy.special" in loaded
+    assert ("scipy.signal" in loaded) == signal
+    if not signal:  # scipy.signal itself imports scipy.stats
+        assert "scipy.stats" not in loaded
 
 
 def test_interval_loads_no_optimize():
