@@ -185,21 +185,44 @@ class TimeSeries:
         return int(self.values.size)
 
 
-def _lag_poly(coeffs, cos, sin, grad=None):
+def lag_table(omega, lags: int):
+    """The lag table cos(wl), sin(wl) for l = 1..``lags`` at the 1-D
+    frequency grid ``omega``: a pair of (n, lags) arrays.
+
+    Entry (j, l - 1) is the cosine or sine of the product w_j * l alone, so
+    column l of a wider table is bitwise the same column of a narrower one,
+    and a lag polynomial of order r reads the first r columns of any table
+    as it would read its own.  One table to lag max(p, q) serves every
+    value, gradient and curvature evaluation of a request.
+    """
+    arg = np.asarray(omega, dtype=float)[:, None] * np.arange(1.0, lags + 1.0)
+    return np.cos(arg), np.sin(arg)
+
+
+def _lag_poly(coeffs, table, grad=None, curv=None):
     """|P|^2 of P(w) = 1 - sum_k c_k e^{-iwk} for a stack of coefficient
-    vectors ``coeffs`` (N, r) from the lag table cos(wl), sin(wl) (n, L >= r);
-    when ``grad`` (an (N, n, r) array) is given, its log-derivatives are
-    written into it.
+    vectors ``coeffs`` (N, r) from the :func:`lag_table` ``table`` (lags
+    >= r); when ``grad`` (an (N, n, r) array) is given, its log-derivatives
+    are written into it, and when ``curv`` (an (N, n, r, r) array) is given
+    too, its log-curvatures (from ``grad``).
 
     Real arithmetic throughout: Re P = 1 - sum_k c_k cos(wk) and
     Im P = sum_k c_k sin(wk), so |P|^2 = Re P^2 + Im P^2 and, exactly for
     every order,
 
-        d ln|P|^2 / d c_l = -2 (cos(wl) Re P - sin(wl) Im P) / |P|^2.
+        d ln|P|^2 / d c_l = -2 Re z_l = -2 (cos(wl) Re P - sin(wl) Im P) / |P|^2
 
-    The sums run lag by lag, so each row's values do not depend on the
-    stack it is in.
+    with z_l = e^{-iwl} / P = (cos(wl) - i sin(wl)) (Re P - i Im P) / |P|^2,
+    whose imaginary part is -y_l, y_l = (sin(wl) Re P + cos(wl) Im P) / |P|^2.
+    So the curvature is
+
+        d^2 ln|P|^2 / d c_l d c_m = -2 Re(z_l z_m) = 2 y_l y_m - grad_l grad_m / 2,
+
+    which needs no lag beyond r and no complex numbers.  The sums run lag
+    by lag and the curvature lag pair by lag pair, so each row's values do
+    not depend on the stack it is in.
     """
+    cos, sin = table
     r = coeffs.shape[1]
     c, s = cos[:, :r], sin[:, :r]
     re, im = coeffs[:, :1] * c[:, 0], coeffs[:, :1] * s[:, 0]
@@ -213,18 +236,29 @@ def _lag_poly(coeffs, cos, sin, grad=None):
         grad -= s * im[..., None]
         grad *= -2.0
         grad /= mod2[..., None]
+    if curv is not None:
+        y = s * re[..., None]
+        y += c * im[..., None]
+        y /= mod2[..., None]
+        for l in range(r):
+            for m in range(l, r):
+                curv[..., l, m] = 2.0 * y[..., l] * y[..., m] - grad[..., l] * grad[..., m] / 2.0
+                curv[..., m, l] = curv[..., l, m]
     return mod2
 
 
-def shape_and_gradient_stack(ar, ma, omega, gradient: bool = True):
+def shape_and_gradient_stack(ar, ma, table, gradient: bool = True, hessian: bool = False):
     """g1(w) and, when ``gradient``, the (phi's, theta's) columns of
-    grad ln g1 (else None) for a stack of models, all from one lag table.
+    grad ln g1 (else None) for a stack of models, all from one lag table;
+    with ``hessian`` also the curvature of ln g1, as a third result.
 
-    ``ar`` is (N, p) and ``ma`` (N, q), one model per row; ``omega`` is a
-    1-D frequency grid of length n.  Returns g1 of shape (N, n) and the
-    gradient of shape (N, n, p + q).  ln g1 = ln|theta|^2 - ln|phi|^2 -
-    ln(2 pi), so the AR columns are the negated lag-polynomial derivatives;
-    empty polynomials (P = 1) are skipped.
+    ``ar`` is (N, p) and ``ma`` (N, q), one model per row; ``table`` is the
+    :func:`lag_table` of a frequency grid of length n, with lags >=
+    max(p, q).  Returns g1 of shape (N, n), the gradient of shape
+    (N, n, p + q) and the curvature of shape (N, n, p + q, p + q).
+    ln g1 = ln|theta|^2 - ln|phi|^2 - ln(2 pi), so the AR columns and block
+    are the negated lag-polynomial derivatives, and the curvature has no
+    AR-MA cross terms; empty polynomials (P = 1) are skipped.
 
     The gradient is stored column-major: it is the (N, n, p + q) view of an
     (N, p + q, n) array, so each model's column over the frequencies is
@@ -232,25 +266,36 @@ def shape_and_gradient_stack(ar, ma, omega, gradient: bool = True):
     psi centring and the dual's sums over rows).
     """
     ar, ma = np.asarray(ar, dtype=float), np.asarray(ma, dtype=float)
-    w = np.asarray(omega, dtype=float)
-    count, p, q = max(len(ar), len(ma)), ar.shape[1], ma.shape[1]
-    grad = np.empty((count, p + q, w.size)).transpose(0, 2, 1) if gradient else None
-    if not (p or q):
-        return np.full((count, w.size), 1.0 / (2.0 * np.pi)), grad
-    arg = w[:, None] * np.arange(1.0, max(p, q) + 1.0)
-    cos, sin = np.cos(arg), np.sin(arg)
-    ar_mod2 = _lag_poly(ar, cos, sin, None if grad is None else grad[..., :p]) if p else 1.0
-    ma_mod2 = _lag_poly(ma, cos, sin, None if grad is None else grad[..., p:]) if q else 1.0
-    if grad is not None:
-        np.negative(grad[..., :p], out=grad[..., :p])
-    return ma_mod2 / ar_mod2 / (2.0 * np.pi), grad
+    count, n, p, q = max(len(ar), len(ma)), len(table[0]), ar.shape[1], ma.shape[1]
+    grad = np.empty((count, p + q, n)).transpose(0, 2, 1) if gradient or hessian else None
+    curv = np.zeros((count, n, p + q, p + q)) if hessian else None
+    if p or q:
+        ar_mod2 = _lag_poly(ar, table, *_blocks(grad, curv, slice(0, p))) if p else 1.0
+        ma_mod2 = _lag_poly(ma, table, *_blocks(grad, curv, slice(p, p + q))) if q else 1.0
+        g1 = ma_mod2 / ar_mod2 / (2.0 * np.pi)
+        if grad is not None:
+            np.negative(grad[..., :p], out=grad[..., :p])
+        if curv is not None:
+            np.negative(curv[..., :p, :p], out=curv[..., :p, :p])
+    else:
+        g1 = np.full((count, n), 1.0 / (2.0 * np.pi))
+    if hessian:
+        return g1, grad, curv
+    return g1, grad
+
+
+def _blocks(grad, curv, cols):
+    """The gradient columns and curvature block of one lag polynomial."""
+    return (None if grad is None else grad[..., cols],
+            None if curv is None else curv[..., cols, cols])
 
 
 def _shape_and_gradient(spec: ArmaSpec, omega, gradient: bool = True):
     """:func:`shape_and_gradient_stack` for one model at frequencies of any
     shape; the gradient gets a trailing parameter axis."""
     w = np.asarray(omega, dtype=float)
-    g1, grad = shape_and_gradient_stack(spec.ar[None], spec.ma[None], w.ravel(), gradient)
+    table = lag_table(w.ravel(), max(spec.order))
+    g1, grad = shape_and_gradient_stack(spec.ar[None], spec.ma[None], table, gradient)
     g1 = g1[0].reshape(w.shape)
     return g1, None if grad is None else grad[0].reshape(w.shape + (spec.p + spec.q,))
 

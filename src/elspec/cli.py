@@ -44,24 +44,44 @@ EXIT_NONCONVERGED = 3
 
 
 def read_series(path) -> TimeSeries:
-    """Parse a series file: one value per line, blank lines and ``#``
-    comments ignored.  Parse failures name the offending line."""
-    values = []
+    """Parse a series file: one value per line.  Lines that are blank or
+    whose first non-blank character is ``#`` are skipped; every other line,
+    stripped, must be a number that ``float`` accepts (an inline comment is
+    a parse error).  Failures name the offending line.
+
+    The file is read once and split at newlines (text mode turns CRLF and
+    lone CR into them, as iterating the file would); only a parse error
+    scans the lines again, to find the first bad one."""
     try:
         with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    raise InputError(f"{path}:{lineno}: cannot parse {text!r} as a number")
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise InputError(f"cannot read series file {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}:{_undecodable_line(path)}: cannot decode the line as "
+                         f"{exc.encoding} text ({exc.reason})")
+    texts = [text for text in map(str.strip, lines) if text and text[0] != "#"]
+    try:
+        values = np.fromiter(map(float, texts), float, len(texts))
+    except ValueError:
+        for lineno, text in enumerate(map(str.strip, lines), start=1):
+            if text and text[0] != "#":
+                try:
+                    float(text)
+                except ValueError:
+                    raise InputError(f"{path}:{lineno}: cannot parse {text!r} as a number")
     if len(values) < 4:
         raise InputError(f"{path}: need at least 4 observations, found {len(values)}")
-    return TimeSeries(np.array(values))
+    return TimeSeries(values)
+
+
+def _undecodable_line(path) -> int:
+    """The number of the first line of the text file ``path`` that holds a
+    byte its encoding rejects.  Under ``surrogateescape`` each such byte
+    reads back as a lone surrogate, which no valid text decodes to."""
+    with open(path, errors="surrogateescape") as fh:
+        return next(lineno for lineno, line in enumerate(fh, start=1)
+                    if any("\udc80" <= ch <= "\udcff" for ch in line))
 
 
 def _metadata(command: str, args_extra: dict) -> dict:

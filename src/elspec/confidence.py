@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arma import ArmaSpec, STATIONARITY_MARGIN, batch_slices, stationary_invertible
+from .arma import ArmaSpec, STATIONARITY_MARGIN, batch_slices, lag_table, stationary_invertible
 from .bartlett import bartlett_constants, bartlett_scale, chi2_quantile
 from .el import (
     MAX_HALF_LOG,
@@ -32,7 +32,7 @@ from .el import (
 )
 from .errors import ConvergenceError, InputError, InvalidModelError
 from .periodogram import Periodogram
-from .whittle import FitResult, psi_profile_rows, whittle_fit
+from .whittle import FitResult, _whittle_fit, psi_profile_rows
 
 METHODS = ("el", "ael", "eb", "tb")
 
@@ -234,6 +234,7 @@ def scan_region(
     xi = np.zeros((len(nodes) + 1, k))
     ready = np.zeros(len(nodes) + 1, dtype=bool)
     batches = batch_slices(solved.size, (pg.n + 1) * k)
+    table = lag_table(pg.freqs, max(order))
     warm = rejected = newton_steps = 0
     for part in batches:
         at, par = solved[part], parents[part]
@@ -243,7 +244,7 @@ def scan_region(
         if given.any():
             start = np.where(have[:, :, None], xi[par], 0.0).sum(axis=1)
             start /= np.maximum(count, 1)[:, None]
-        rows = psi_profile_rows(pg.freqs, pg.ords, ar[at], ma[at])
+        rows = psi_profile_rows(table, pg.ords, ar[at], ma[at])
         res = method_stats(rows, (method,), policy, start)[method]
         ok = res.status == STATUS_OK
         stat[at], status[at] = res.stat, res.status
@@ -360,7 +361,8 @@ def interval_1d(
         raise InputError(f"interval_1d handles exactly one free parameter, got order {order}")
     pg.require_power()
     threshold = method_threshold(method, 1, 1.0 - alpha, pg.n, tb_constant)
-    fitres = fit if fit is not None else whittle_fit(pg, order, profile=True)
+    table = lag_table(pg.freqs, 1)  # for the fit and every statistic round
+    fitres = fit if fit is not None else _whittle_fit(pg, table, order)
     if not fitres.converged:
         raise ConvergenceError("Whittle fit did not converge; no center for the interval scan")
     bhat = float(fitres.estimate[0])
@@ -382,7 +384,7 @@ def interval_1d(
         gap = np.full(len(beta), np.inf)
         valid = np.flatnonzero(stationary_invertible(ar, ma))
         if valid.size:
-            rows = psi_profile_rows(pg.freqs, pg.ords, ar[valid], ma[valid])
+            rows = psi_profile_rows(table, pg.ords, ar[valid], ma[valid])
             res = method_stats(rows, (method,), policy)[method]
             ok = res.status == STATUS_OK
             gap[valid[ok]] = res.stat[ok] - threshold

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arma import ArmaSpec, NoiseKind, _seed_states, batch_slices, simulate_stack
+from .arma import ArmaSpec, NoiseKind, _seed_states, batch_slices, lag_table, simulate_stack
 from .bartlett import bartlett_scale
 from .confidence import METHODS, method_stats, method_threshold
 from .el import STATUS_FAILED, STATUS_NO_SOLUTION, AdjustmentPolicy
 from .errors import InputError, InvalidModelError
-from .periodogram import periodogram_stack
+from .periodogram import _retained_freqs, periodogram_stack
 from .whittle import psi_profile_rows
 
 MODEL_ORDERS = {"ma1": (0, 1), "ar1": (1, 0), "arma11": (1, 1)}
@@ -227,6 +227,7 @@ def run_coverage(plan: ExperimentPlan) -> CoverageReport:
                 hits = {m: 0 for m in plan.methods}
                 nosol = {m: 0 for m in plan.methods}
                 fails = {m: 0 for m in plan.methods}
+                table = lag_table(_retained_freqs(T), max(order))
                 # The FFT's complex buffers (about 5 T doubles a series)
                 # outweigh a replication's (n + 1) k psi entries, so they size
                 # the batches; simulate_stack fills each batch's series in
@@ -234,9 +235,9 @@ def run_coverage(plan: ExperimentPlan) -> CoverageReport:
                 # burn-in) is longer still.
                 for part in batch_slices(plan.replications, max((n + 1) * k, 2 * T)):
                     seeds = derive_seeds(plan.seed, cell_index, range(part.start, part.stop))
-                    freqs, ords = periodogram_stack(
-                        simulate_stack(spec_true, T, seeds, noise, plan.noise_centering))
-                    rows = psi_profile_rows(freqs, ords, spec_true.ar[None], spec_true.ma[None])
+                    ords = periodogram_stack(
+                        simulate_stack(spec_true, T, seeds, noise, plan.noise_centering))[1]
+                    rows = psi_profile_rows(table, ords, spec_true.ar[None], spec_true.ma[None])
                     stats = method_stats(rows, plan.methods, policy)
                     for m in plan.methods:
                         res = stats[m]
@@ -312,6 +313,10 @@ def load_plan(path) -> ExperimentPlan:
     try:
         with open(path) as fh:
             raw = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read plan file {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"plan file {path}: not {exc.encoding} text ({exc.reason} at byte {exc.start})")
     except json.JSONDecodeError as exc:
         raise InputError(f"plan file {path}: invalid JSON ({exc})")
     if not isinstance(raw, dict):

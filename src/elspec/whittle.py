@@ -22,6 +22,7 @@ import numpy as np
 
 from .arma import (
     ArmaSpec,
+    lag_table,
     log_spectral_gradient,
     shape_and_gradient_stack,
     spectral_density,
@@ -54,8 +55,11 @@ _log = logging.getLogger(__name__)
 def whittle_loglik(pg: Periodogram, spec: ArmaSpec) -> float:
     """Frequency-domain log-likelihood -sum ln g_j - sum I_j/g_j over the
     retained ordinates."""
-    g = spectral_density(spec, pg.freqs)
-    return float(-np.log(g).sum() - (pg.ords / g).sum())
+    return _whittle_loglik(pg.ords, spectral_density(spec, pg.freqs))
+
+
+def _whittle_loglik(ords, g):
+    return float(-np.log(g).sum() - (ords / g).sum())
 
 
 def profile_sigma2(pg: Periodogram, spec: ArmaSpec) -> float:
@@ -73,10 +77,12 @@ def profile_loglik(pg: Periodogram, spec: ArmaSpec) -> float:
     Equals max over sigma2 of :func:`whittle_loglik` at the same beta1; the
     sigma2 of ``spec`` is ignored.
     """
-    g1 = spectrum_shape(spec, pg.freqs)
-    n = pg.n
-    ratio_mean = float(np.mean(pg.ords / g1))
-    return float(-n * np.log(ratio_mean) - np.log(g1).sum() - n)
+    return _profile_loglik(pg.ords, spectrum_shape(spec, pg.freqs))
+
+
+def _profile_loglik(ords, g1):
+    n = ords.size
+    return float(-n * np.log(float(np.mean(ords / g1))) - np.log(g1).sum() - n)
 
 
 def psi_full(pg: Periodogram, spec: ArmaSpec) -> PsiMatrix:
@@ -104,16 +110,18 @@ def psi_profile(pg: Periodogram, spec: ArmaSpec) -> PsiMatrix:
     internal Gram matrix by the squared mean of the ordinate ratios and
     roughly halves the statistic.  sigma2 of ``spec`` is ignored.
     """
-    return PsiMatrix(psi_profile_rows(pg.freqs, pg.ords, spec.ar[None], spec.ma[None])[0])
+    table = lag_table(pg.freqs, max(spec.order))
+    return PsiMatrix(psi_profile_rows(table, pg.ords, spec.ar[None], spec.ma[None])[0])
 
 
-def psi_profile_rows(freqs, ords, ar, ma) -> np.ndarray:
+def psi_profile_rows(table, ords, ar, ma) -> np.ndarray:
     """:func:`psi_profile` rows for a stack of problems, shape (N, n, p + q).
 
     ``ords`` is one periodogram (n,) or a stack (R, n) at the common
-    frequencies ``freqs``; ``ar`` (N', p) and ``ma`` (N', q) hold one model
-    per row.  Stacks of length 1 broadcast against the other, so one series
-    can be scanned over many models or many series taken at one model.
+    frequencies of the :func:`elspec.arma.lag_table` ``table`` (lags >=
+    max(p, q)); ``ar`` (N', p) and ``ma`` (N', q) hold one model per row.
+    Stacks of length 1 broadcast against the other, so one series can be
+    scanned over many models or many series taken at one model.
     Each problem's rows do not depend on the stack it is in.
 
     The rows are stored column-major, like the gradient of
@@ -122,7 +130,7 @@ def psi_profile_rows(freqs, ords, ar, ma) -> np.ndarray:
     the sums over rows in :func:`elspec.el.solve_duals` run along contiguous
     memory.  A caller that needs C order can take ``np.ascontiguousarray``.
     """
-    g1, grad = shape_and_gradient_stack(ar, ma, freqs)
+    g1, grad = shape_and_gradient_stack(ar, ma, table)
     ratio = ords / g1
     del g1
     weight, grad = _profile_weights(ratio, grad)
@@ -229,9 +237,10 @@ def _row_dot(a, b):
     return out
 
 
-def _neg_loglik_stack(pg: Periodogram, order, x):
+def _neg_loglik_stack(pg: Periodogram, table, order, x):
     """-L/n and its gradient in u at each row of the stack ``x`` (S, p + q),
-    from one :func:`shape_and_gradient_stack` call.
+    from one :func:`shape_and_gradient_stack` call on the lag table
+    ``table`` of ``pg.freqs``.
 
     L is :func:`profile_loglik` at the weights that :func:`_pacf_coefficients`
     maps u to.  The gradient is the column sums of the :func:`psi_profile`
@@ -241,7 +250,7 @@ def _neg_loglik_stack(pg: Periodogram, order, x):
     p = order[0]
     ar, jar = _pacf_coefficients(x[:, :p])
     ma, jma = _pacf_coefficients(x[:, p:])
-    g1, grad = shape_and_gradient_stack(ar, ma, pg.freqs)
+    g1, grad = shape_and_gradient_stack(ar, ma, table)
     ratio = pg.ords / g1
     value = np.log(ratio.mean(axis=1)) + np.log(g1).mean(axis=1) + 1.0
     score = _row_dot(*_profile_weights(ratio, grad))
@@ -443,7 +452,15 @@ def whittle_fit(
     :func:`profile_loglik` there.  So a full fit (``profile=False``) is this
     fit with sigma2_hat = profile_sigma2 appended to the estimate and
     ``loglik`` taken by :func:`whittle_loglik` at (beta1_hat, sigma2_hat).
+    One lag table of ``pg.freqs`` serves every round and the final
+    likelihood.
     """
+    return _whittle_fit(pg, lag_table(pg.freqs, max(order)), order, profile, init, max_iter)
+
+
+def _whittle_fit(pg: Periodogram, table, order, profile=True, init=None, max_iter=2000) -> FitResult:
+    """:func:`whittle_fit` on the lag table ``table`` of ``pg.freqs`` (lags
+    >= max(p, q)), which the caller may share with later evaluations."""
     p, q = order
     if p < 0 or q < 0:
         raise InputError(f"order components must be nonnegative, got {order}")
@@ -459,21 +476,24 @@ def whittle_fit(
         starts = [np.arctanh(0.5) * np.array(c) for c in [[0.0] * (p + q), *corners]]
 
     if p + q:
-        ends = _lockstep(lambda u: _neg_loglik_stack(pg, order, u),
+        ends = _lockstep(lambda u: _neg_loglik_stack(pg, table, order, u),
                          [_bfgs_path(x0, max_iter) for x0 in starts])
         u, _, g, steps = min(ends, key=lambda end: end[1])
     else:
         u, g, steps = np.empty(0), np.empty(0), 0
     ar, ma = _pacf_coefficients(u[:p])[0], _pacf_coefficients(u[p:])[0]
-    spec = ArmaSpec(ar, ma, validate=False)
-    if not profile:
-        spec = ArmaSpec(ar, ma, profile_sigma2(pg, spec), validate=False)
+    g1 = shape_and_gradient_stack(ar[None], ma[None], table, gradient=False)[0][0]
+    if profile:
+        spec, loglik = ArmaSpec(ar, ma, validate=False), _profile_loglik(pg.ords, g1)
+    else:  # sigma2 = profile_sigma2
+        spec = ArmaSpec(ar, ma, float(np.mean(pg.ords / g1)), validate=False)
+        loglik = _whittle_loglik(pg.ords, spec.sigma2 * g1)
     score_norm = float(np.abs(g).max(initial=0.0))
     fit = FitResult(
         estimate=spec.beta1 if profile else spec.beta,
         converged=bool(score_norm <= _SCORE_TOL and steps < max_iter),
         iterations=steps,
-        loglik=profile_loglik(pg, spec) if profile else whittle_loglik(pg, spec),
+        loglik=loglik,
         order=order,
         profile=profile,
     )
@@ -503,21 +523,33 @@ class SandwichDiag:
 
 def _loglik_hessian(pg: Periodogram, spec: ArmaSpec) -> np.ndarray:
     """Exact Hessian of :func:`whittle_loglik` in beta = (phi's, theta's,
-    sigma2): sum_j (r_j - 1) grad^2 h_j - r_j grad h_j grad h_j', with
-    h = ln g and r = I/g.  With z_l = e^{-iwl}/P for a lag polynomial
-    P = 1 - sum_l c_l e^{-iwl}, d^2 ln|P|^2 / dc_l dc_m = -2 Re(z_l z_m);
-    h takes it with + for theta and - for phi, has no AR-MA cross terms,
-    and d^2 h / dsigma2^2 = -1/sigma2^2."""
-    w, p = pg.freqs, spec.p
-    r = pg.ords / spectral_density(spec, w)
-    grad = log_spectral_gradient(spec, w, profile=False)
+    sigma2), from one lag table and one spectral evaluation (see
+    :func:`_hessian_terms`)."""
+    return _hessian_terms(pg.ords, spec.sigma2, *_spectral_terms(pg, spec))[0]
+
+
+def _spectral_terms(pg: Periodogram, spec: ArmaSpec):
+    """g1, grad ln g1 and the curvature of ln g1 at ``spec`` over
+    ``pg.freqs``, as stacks of one, from one lag table."""
+    table = lag_table(pg.freqs, max(spec.order))
+    return shape_and_gradient_stack(spec.ar[None], spec.ma[None], table, hessian=True)
+
+
+def _hessian_terms(ords, sigma2, g1, grad1, curv1):
+    """The Hessian of :func:`whittle_loglik` at (beta1, ``sigma2``) from the
+    :func:`_spectral_terms` of beta1, with the ratios r = I/g and the
+    gradient of h = ln g it is built from.
+
+    The Hessian is sum_j (r_j - 1) grad^2 h_j - r_j grad h_j grad h_j'.
+    grad^2 h is the curvature of ln g1 (:func:`elspec.arma._lag_poly`) in
+    the (phi's, theta's) block and -1/sigma2^2 in the sigma2 entry, with no
+    cross terms; grad h appends 1/sigma2 to grad ln g1."""
+    r = ords / (sigma2 * g1[0])
+    grad = np.concatenate([grad1[0], np.full((r.size, 1), 1.0 / sigma2)], axis=-1)
     hess = -(r[:, None] * grad).T @ grad
-    for block, coeffs, sign in ((slice(0, p), spec.ar, 2.0), (slice(p, -1), spec.ma, -2.0)):
-        e = np.exp(-1j * np.outer(w, np.arange(1.0, coeffs.size + 1.0)))
-        z = e / (1.0 - e @ coeffs)[:, None]
-        hess[block, block] += sign * ((r - 1.0) * z.T @ z).real
-    hess[-1, -1] -= (r - 1.0).sum() / spec.sigma2**2
-    return hess
+    hess[:-1, :-1] += np.tensordot(r - 1.0, curv1[0], axes=1)
+    hess[-1, -1] -= (r - 1.0).sum() / sigma2**2
+    return hess, r, grad
 
 
 def sandwich(
@@ -532,19 +564,26 @@ def sandwich(
     that factor times :func:`_loglik_hessian` over n + 1; the profile form
     takes its Schur complement at sigma2_hat = :func:`profile_sigma2` (the
     sigma2 of ``spec`` is ignored).  sigma_hat is the mean of psi psi'
-    including the adjustment row.  Raises SingularMatrixError (with the
-    condition number attached) when a_hat is not invertible.
+    including the adjustment row.  sigma2_hat, the rows and the Hessian all
+    come from one lag table and one spectral evaluation, and equal those of
+    :func:`profile_sigma2`, :func:`psi_profile` or :func:`psi_full`.
+    Raises SingularMatrixError (with the condition number attached) when
+    a_hat is not invertible.
     """
     pg.require_power()
-    if profile:
-        spec = ArmaSpec(spec.ar, spec.ma, profile_sigma2(pg, spec), validate=False)
-    rows = adjust(psi_profile(pg, spec) if profile else psi_full(pg, spec), policy).rows
-    m, k = rows.shape
-    if k == 0:
+    if not sum(spec.order) and profile:
         raise InputError("sandwich diagnostics need at least one parameter")
-    hess = _loglik_hessian(pg, spec)
+    g1, grad1, curv1 = _spectral_terms(pg, spec)
+    sigma2 = float(np.mean(pg.ords / g1[0])) if profile else spec.sigma2
+    hess, r, grad = _hessian_terms(pg.ords, sigma2, g1, grad1, curv1)
     if profile:  # the sigma2 entry is -n / sigma2_hat^2 at sigma2_hat
         hess = hess[:-1, :-1] - np.outer(hess[:-1, -1], hess[-1, :-1]) / hess[-1, -1]
+        weight, centred = _profile_weights(pg.ords / g1, grad1)
+        rows = (weight[..., None] * centred)[0]
+    else:
+        rows = (r - 1.0)[:, None] * grad
+    rows = adjust(PsiMatrix(rows), policy).rows
+    m = len(rows)
     a_hat = (1.0 - policy.a_n(pg.n) / pg.n) * hess / m
     sigma_hat = rows.T @ rows / m
     cond = float(np.linalg.cond(a_hat))

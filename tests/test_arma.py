@@ -17,7 +17,14 @@ from elspec import (
     simulate,
     spectral_density,
 )
-from elspec.arma import _seed_sequence_state, _seed_states, batch_slices, simulate_stack
+from elspec.arma import (
+    _seed_sequence_state,
+    _seed_states,
+    batch_slices,
+    lag_table,
+    shape_and_gradient_stack,
+    simulate_stack,
+)
 from conftest import rng_specs
 
 TWO_PI = 2.0 * math.pi
@@ -240,6 +247,68 @@ def test_log_spectral_gradient_matches_complex_step(ar_pacf, ma_pacf, sigma2, om
     want = _complex_step_log_gradient(spec, omega, profile)
     scale = np.abs(want).max(initial=0.0)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _complex_step_log_curvature(ar, ma, omega, h=1e-30):
+    """Complex-step derivatives of the gradient of ln g1 in beta1, with the
+    gradient written in real arithmetic: -2 (cos(wl) A - sin(wl) B) /
+    (A^2 + B^2) per lag polynomial (negated for phi), A and B as in
+    :func:`_complex_step_log_gradient`.  The gradient is analytic in real
+    beta1, so the complex step is exact to rounding and independent of the
+    curvature formula."""
+    p = ar.size
+    base = np.concatenate([ar, ma]).astype(complex)
+
+    def grad(beta1):
+        out = []
+        for coeffs, sign in ((beta1[:p], -1.0), (beta1[p:], 1.0)):
+            lags = np.arange(1, coeffs.size + 1)
+            cos, sin = np.cos(omega * lags), np.sin(omega * lags)
+            a, b = 1.0 - coeffs @ cos, coeffs @ sin
+            out.append(-2.0 * sign * (cos * a - sin * b) / (a * a + b * b))
+        return np.concatenate(out)
+
+    steps = np.eye(base.size) * 1j * h
+    return np.array([grad(base + step).imag / h for step in steps]).reshape(base.size, base.size)
+
+
+@given(ar_pacf=_pacfs, ma_pacf=_pacfs, omega=st.floats(0.01, math.pi - 0.01))
+@settings(max_examples=200, deadline=None)
+def test_log_spectral_curvature_matches_complex_step(ar_pacf, ma_pacf, omega):
+    ar, ma = _from_pacf(ar_pacf), _from_pacf(ma_pacf)
+    table = lag_table(np.array([omega]), max(ar.size, ma.size))
+    curv = shape_and_gradient_stack(ar[None], ma[None], table, hessian=True)[2][0, 0]
+    want = _complex_step_log_curvature(ar, ma, omega)
+    scale = np.abs(want).max(initial=0.0)
+    np.testing.assert_allclose(curv, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("order", [(1, 0), (0, 1), (1, 1), (2, 1), (0, 3), (3, 3)])
+def test_lag_table_width_and_curvature_keep_shape_and_gradient(order):
+    # a wider table's columns, and so g1 and grad ln g1, are bitwise those
+    # of the narrow one; asking for the curvature changes neither; and each
+    # row of a stack is what that model gives alone
+    p, q = order
+    rng = np.random.default_rng(11)
+    ar = np.array([_from_pacf(r) for r in rng.uniform(-0.9, 0.9, (25, p))]).reshape(25, p)
+    ma = np.array([_from_pacf(r) for r in rng.uniform(-0.9, 0.9, (25, q))]).reshape(25, q)
+    freqs = TWO_PI * np.arange(1, 100) / 199
+    narrow, wide = lag_table(freqs, max(order)), lag_table(freqs, 2 * max(order))
+    for col, full in zip(narrow, wide):
+        np.testing.assert_array_equal(col, full[:, : max(order)])
+    g1, grad = shape_and_gradient_stack(ar, ma, narrow)
+    for table in (narrow, wide):
+        np.testing.assert_array_equal(shape_and_gradient_stack(ar, ma, table, False)[0], g1)
+        np.testing.assert_array_equal(shape_and_gradient_stack(ar, ma, table)[1], grad)
+    hess_g1, hess_grad, curv = shape_and_gradient_stack(ar, ma, narrow, hessian=True)
+    np.testing.assert_array_equal(hess_g1, g1)
+    np.testing.assert_array_equal(hess_grad, grad)
+    np.testing.assert_array_equal(curv, np.swapaxes(curv, 2, 3))
+    assert not curv[..., :p, p:].any()
+    for i in (0, 13, 24):
+        alone = shape_and_gradient_stack(ar[i : i + 1], ma[i : i + 1], narrow, hessian=True)
+        for got, want in zip(alone, (g1, grad, curv)):
+            np.testing.assert_array_equal(got[0], want[i])
 
 
 class TestSimulate:

@@ -23,7 +23,7 @@ from elspec import (
     simulate,
 )
 import elspec.el
-from elspec.arma import shape_and_gradient_stack, stationary_invertible
+from elspec.arma import lag_table, shape_and_gradient_stack, stationary_invertible
 from elspec.cli import main
 from elspec.confidence import STATUS_FAILED, STATUS_INVALID, STATUS_NO_SOLUTION, STATUS_OK
 from elspec.el import (
@@ -226,7 +226,7 @@ def _arma_grid(steps):
 
 def _row_major_psi(freqs, ords, ar, ma):
     """The psi_profile rows formula on C-ordered arrays."""
-    g1, grad = shape_and_gradient_stack(ar, ma, freqs)
+    g1, grad = shape_and_gradient_stack(ar, ma, lag_table(freqs, max(ar.shape[1], ma.shape[1])))
     grad = np.ascontiguousarray(grad)
     ratio = ords / g1
     weight = ratio / ratio.mean(axis=-1, keepdims=True) - 1.0
@@ -251,7 +251,7 @@ def test_column_major_rows_match_row_major_formulas(order):
     ords = np.stack([pg.ords, pg.ords[::-1], 2.0 * pg.ords])
     # many models at one series, and many series at one model
     for args in ((pg.ords, ar, ma), (ords, ar[:1], ma[:1])):
-        rows = psi_profile_rows(pg.freqs, *args)
+        rows = psi_profile_rows(lag_table(pg.freqs, max(order)), *args)
         assert rows.transpose(0, 2, 1).flags.c_contiguous
         adjusted = adjust_rows(rows, MAX_HALF_LOG)
         assert adjusted.transpose(0, 2, 1).flags.c_contiguous
@@ -269,7 +269,7 @@ def test_column_major_rows_match_row_major_formulas(order):
 def test_solve_duals_agrees_between_layouts():
     pg = compute_periodogram(simulate(ArmaSpec(ar=[0.7], ma=[0.5]), 50,
                                       NoiseKind.STANDARD_NORMAL, seed=2))
-    rows = psi_profile_rows(pg.freqs, pg.ords, *_arma_grid(14))
+    rows = psi_profile_rows(lag_table(pg.freqs, 1), pg.ords, *_arma_grid(14))
     assert min(np.linalg.matrix_rank(x) for x in rows) == 1
     for stack, adjusted in ((rows, False), (adjust_rows(rows, MAX_HALF_LOG), True)):
         copy = np.ascontiguousarray(stack)

@@ -2,15 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import elspec
-from elspec import ArmaSpec, NoiseKind, compute_periodogram, scan_region, simulate
-from elspec.cli import main
+from elspec import ArmaSpec, InputError, NoiseKind, TimeSeries, compute_periodogram, scan_region, simulate
+from elspec.cli import main, read_series
 from elspec.confidence import STATUS_LABELS, STATUS_NO_SOLUTION, STATUS_OK, RegionGrid, grid_axis
 
 
@@ -33,6 +35,82 @@ def ma1_file(tmp_path):
 
 def payload_lines(path):
     return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+
+def _read_series_line_loop(path):
+    """The line-by-line parser that read_series replaced (test oracle)."""
+    values = []
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    raise InputError(f"{path}:{lineno}: cannot parse {text!r} as a number")
+    except OSError as exc:
+        raise InputError(f"cannot read series file {path}: {exc}")
+    if len(values) < 4:
+        raise InputError(f"{path}: need at least 4 observations, found {len(values)}")
+    return TimeSeries(np.array(values))
+
+
+def _outcome(reader, path):
+    """The values' bytes, or the InputError message."""
+    try:
+        return reader(path).values.tobytes()
+    except InputError as exc:
+        return str(exc)
+
+
+# |x| <= 1e300 keeps TimeSeries' mean of up to 12 values finite
+_SERIES_FLOATS = st.floats(-1e300, 1e300)
+_SERIES_LINES = st.one_of(
+    _SERIES_FLOATS.map(repr),
+    _SERIES_FLOATS.map(lambda x: f" \t{x!r}  "),
+    st.sampled_from(["", " ", "\t", " \t \x0c", "# comment", "   # indented", "\t#1.0",
+                     "1_000", "1.5 # x", "abc", "nan", "-inf", "\x851.25\u2028", "1.0 2.0"]),
+)
+
+
+class TestReadSeries:
+    @given(lines=st.lists(st.tuples(_SERIES_LINES, st.sampled_from(["\n", "\r\n", "\r"])),
+                          max_size=12),
+           final_newline=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_line_loop(self, lines, final_newline):
+        # bitwise-equal values, or the same message, for every mix of line
+        # kinds and endings, with or without a final newline
+        text = "".join(line + end for line, end in lines)
+        if lines and not final_newline:
+            text = text[: -len(lines[-1][1])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "series.txt")
+            with open(path, "wb") as fh:
+                fh.write(text.encode())
+            assert _outcome(read_series, path) == _outcome(_read_series_line_loop, path)
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"# x\r\n1.0\r\n\r\n  2.0\rbad\n3.0\nworse\n4.0\n")
+        with pytest.raises(InputError) as exc:
+            read_series(str(path))
+        assert str(exc.value) == f"{path}:5: cannot parse 'bad' as a number"
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--order", "0,1"],
+        ["region", "--order", "0,1", "--box=-0.5:0.5", "--out", "o.csv"],
+        ["periodogram", "--out", "o.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_undecodable_file_exit_2(self, tmp_path, capsys, argv):
+        src = tmp_path / "bad.txt"
+        src.write_bytes(b"1.0\r\n2.0\r\n\xff3.0\r\n4.0\r\n5.0\r\n")
+        argv = [str(tmp_path / a) if a == "o.csv" else a for a in argv]
+        assert main([argv[0], str(src), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {src}:3: cannot decode the line as " in err
 
 
 class TestPeriodogramCommand:
@@ -352,6 +430,17 @@ class TestCoverageCommand:
         err = capsys.readouterr().err
         assert f"error: plan file {path}: {field}: " in err
         assert "not supported between" not in err
+
+    def test_undecodable_plan_exit_2(self, tmp_path, capsys):
+        path = Path(self.plan_file(tmp_path))
+        path.write_bytes(path.read_bytes().replace(b'"ma1"', b'"ma1\xff"'))
+        assert main(["coverage", "--plan", str(path), "--out", str(tmp_path / "c.csv")]) == 2
+        assert f"error: plan file {path}: not " in capsys.readouterr().err
+
+    def test_missing_plan_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nope.json"
+        assert main(["coverage", "--plan", str(path), "--out", str(tmp_path / "c.csv")]) == 2
+        assert f"cannot read plan file {path}" in capsys.readouterr().err
 
     def test_paired_summary_printed(self, tmp_path, capsys):
         out = tmp_path / "cov.csv"

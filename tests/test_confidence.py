@@ -23,7 +23,7 @@ from elspec import (
     simulate,
     whittle_fit,
 )
-from elspec.arma import STATIONARITY_MARGIN, batch_slices, stationary_invertible
+from elspec.arma import STATIONARITY_MARGIN, batch_slices, lag_table, stationary_invertible
 from elspec.confidence import (
     METHODS,
     STATUS_INVALID,
@@ -272,7 +272,7 @@ def _oracle_excess(pg, order, method, threshold):
         ar, ma = (beta, beta[:, :0]) if order[0] else (beta[:, :0], beta)
         if not stationary_invertible(ar, ma)[0]:
             return 1e12
-        res = method_stats(psi_profile_rows(pg.freqs, pg.ords, ar, ma), (method,))[method]
+        res = method_stats(psi_profile_rows(lag_table(pg.freqs, 1), pg.ords, ar, ma), (method,))[method]
         return float(res.stat[0]) - threshold if res.status[0] == STATUS_OK else 1e12
     return excess
 
@@ -638,7 +638,8 @@ def _cold_scan(pg, grid, order, method):
     nodes = np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1).reshape(-1, sum(order))
     ar, ma = nodes[:, :order[0]], nodes[:, order[0]:]
     valid = stationary_invertible(ar, ma)
-    res = method_stats(psi_profile_rows(pg.freqs, pg.ords, ar[valid], ma[valid]), (method,))[method]
+    rows = psi_profile_rows(lag_table(pg.freqs, max(order)), pg.ords, ar[valid], ma[valid])
+    res = method_stats(rows, (method,))[method]
     status = np.full(len(nodes), STATUS_INVALID)
     stat, iterations = np.full(len(nodes), np.nan), np.zeros(len(nodes), dtype=int)
     status[valid], stat[valid], iterations[valid] = res.status, res.stat, res.iterations

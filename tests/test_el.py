@@ -21,6 +21,7 @@ from elspec import (
     simulate,
     whittle_fit,
 )
+from elspec.arma import lag_table
 from elspec.confidence import method_stats
 from elspec.el import (
     HALF_LOG,
@@ -314,14 +315,14 @@ def grid_stacks():
     phi, theta = (g.reshape(-1, 1) for g in np.meshgrid(nodes, nodes, indexing="ij"))
     ts = simulate(ArmaSpec(ar=[0.7], ma=[0.5]), 40, NoiseKind.STANDARD_NORMAL, seed=4)
     pg = compute_periodogram(ts)
-    arma11 = psi_profile_rows(pg.freqs, pg.ords, phi, theta)
+    arma11 = psi_profile_rows(lag_table(pg.freqs, 1), pg.ords, phi, theta)
     rng = np.random.default_rng(0)
     roots = rng.uniform(-0.8, 0.8, size=(80, 2))
     ar = np.stack([roots.sum(axis=1), -roots.prod(axis=1)], axis=1)
     ma = np.where(np.arange(80) < 20, roots[:, 0], rng.uniform(-0.8, 0.8, size=80))[:, None]
     ts = simulate(ArmaSpec(ar=[0.5, 0.2], ma=[0.4]), 40, NoiseKind.STANDARD_NORMAL, seed=3)
     pg = compute_periodogram(ts)
-    return {"arma11": arma11, "arma21": psi_profile_rows(pg.freqs, pg.ords, ar, ma)}
+    return {"arma11": arma11, "arma21": psi_profile_rows(lag_table(pg.freqs, 2), pg.ords, ar, ma)}
 
 
 class TestAdjustedExistence:

@@ -31,7 +31,7 @@ from elspec import (
     whittle_fit,
     whittle_loglik,
 )
-from elspec.arma import STATIONARITY_MARGIN, max_companion_modulus
+from elspec.arma import STATIONARITY_MARGIN, lag_table, max_companion_modulus
 from elspec.errors import InputError
 from elspec.periodogram import periodogram_stack
 from elspec.el import adjust
@@ -363,7 +363,7 @@ class TestBatchedBfgs:
         pg = arma11_pg_t60
         objective, _ = _oracle_objective(pg, order, True)
         u = np.random.default_rng(3).uniform(-2.0, 2.0, (6, sum(order)))
-        values, grads = _neg_loglik_stack(pg, order, u)
+        values, grads = _neg_loglik_stack(pg, lag_table(pg.freqs, max(order)), order, u)
         for x, value, grad in zip(u, values, grads):
             want_value, want_grad = objective(x)
             assert value == pytest.approx(want_value, rel=1e-13)
@@ -371,8 +371,10 @@ class TestBatchedBfgs:
 
     @pytest.mark.parametrize("order", [(1, 1), (2, 1)])
     def test_start_does_not_depend_on_its_batch(self, arma11_pg_t60, order):
+        table = lag_table(arma11_pg_t60.freqs, max(order))
+
         def objective(u):
-            return _neg_loglik_stack(arma11_pg_t60, order, u)
+            return _neg_loglik_stack(arma11_pg_t60, table, order, u)
 
         starts = _fixed_starts(order, True, arma11_pg_t60)
         together = _lockstep(objective, [_bfgs_path(x0, 2000) for x0 in starts])
@@ -625,6 +627,120 @@ class TestSandwichHessian:
             sigma2_hat = profile_sigma2(pg, spec)
             corner = _loglik_hessian(pg, ArmaSpec(spec.ar, spec.ma, sigma2_hat))[-1, -1]
             assert corner == pytest.approx(-n / sigma2_hat**2, rel=1e-12)
+
+
+# (AR, MA) coefficients; each polynomial's absolute coefficients sum to
+# less than 1, so it is stationary or invertible
+CURVATURE_MODELS = {
+    (1, 0): ([0.6], []),
+    (0, 1): ([], [-0.5]),
+    (1, 1): ([0.7], [0.4]),
+    (2, 1): ([0.5, -0.3], [0.4]),
+    (0, 3): ([], [0.5, -0.3, 0.1]),
+    (3, 3): ([0.5, -0.2, 0.1], [-0.3, 0.4, 0.2]),
+}
+
+
+def _complex_step_score_jacobian(pg, spec, profile, h=1e-30):
+    """Complex-step Jacobian of the Whittle score: of sum_j (I_j/g_j - 1)
+    grad ln g_j in beta, or, with ``profile``, of the profile score
+    sum_j (r_j / mean(r) - 1) grad ln g1_j, r = I/g1, in beta1.  Each lag
+    polynomial enters through A = 1 - sum c_l cos(wl) and
+    B = sum c_l sin(wl), so the score is analytic in real beta and the
+    complex step is exact to rounding (test oracle of the Hessian)."""
+    p, q = spec.order
+    w = pg.freqs[:, None]
+
+    def shape_and_gradient(beta1):
+        mods, grads = [], []
+        for coeffs in (beta1[:p], beta1[p : p + q]):
+            lags = np.arange(1, coeffs.size + 1)
+            cos, sin = np.cos(w * lags), np.sin(w * lags)
+            a, b = 1.0 - cos @ coeffs, sin @ coeffs
+            mods.append(a * a + b * b)
+            grads.append(-2.0 * (cos * a[:, None] - sin * b[:, None]) / mods[-1][:, None])
+        return mods[1] / mods[0] / TWO_PI, np.concatenate([-grads[0], grads[1]], axis=1)
+
+    def score(beta):
+        if profile:
+            g1, grad = shape_and_gradient(beta)
+            r = pg.ords / g1
+            return ((r / r.mean() - 1.0)[:, None] * grad).sum(axis=0)
+        g1, grad = shape_and_gradient(beta[:-1])
+        sigma2 = beta[-1]
+        grad = np.concatenate([grad, np.full((pg.n, 1), 1.0 / sigma2)], axis=1)
+        return ((pg.ords / (sigma2 * g1) - 1.0)[:, None] * grad).sum(axis=0)
+
+    base = (spec.beta1 if profile else spec.beta).astype(complex)
+    return np.array([score(base + step).imag / h for step in np.eye(base.size) * 1j * h])
+
+
+class TestCurvature:
+    """The Whittle Hessian from the lag-polynomial curvature against a
+    complex step of the score, up to order (3, 3)."""
+
+    @pytest.mark.parametrize("order", list(CURVATURE_MODELS), ids=str)
+    @pytest.mark.parametrize("profile", [True, False], ids=["profile", "full"])
+    def test_hessian_matches_complex_step_of_score(self, order, profile):
+        ar, ma = (np.array(c) for c in CURVATURE_MODELS[order])
+        model = ArmaSpec(ar, ma)
+        for seed in range(3):
+            pg = compute_periodogram(simulate(model, 200, NoiseKind.STANDARD_NORMAL, seed=seed))
+            for spec in (model, ArmaSpec(0.8 * ar, 0.9 * ma, sigma2=1.3)):
+                n = pg.n
+                if profile:  # a_hat rescaled to the unadjusted score's Jacobian
+                    a_hat = sandwich(pg, spec, profile=True).a_hat
+                    hess = a_hat * (n + 1) / (1.0 - MAX_HALF_LOG.a_n(n) / n)
+                else:
+                    hess = _loglik_hessian(pg, spec)
+                assert _max_rel(hess, _complex_step_score_jacobian(pg, spec, profile)) < 1e-12
+
+
+class TestOneLagTable:
+    """Each request builds one lag table and shares it between its
+    evaluations; run_coverage builds one per cell."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        import elspec.arma
+        import elspec.confidence
+        import elspec.mc
+        import elspec.whittle
+
+        built, original = [], elspec.arma.lag_table
+
+        def counting(omega, lags):
+            built.append(lags)
+            return original(omega, lags)
+
+        for module in (elspec.arma, elspec.whittle, elspec.confidence, elspec.mc):
+            monkeypatch.setattr(module, "lag_table", counting)
+        return built
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 1), (2, 1)], ids=str)
+    @pytest.mark.parametrize("profile", [True, False], ids=["profile", "full"])
+    def test_fit_and_sandwich(self, built, arma11_pg_t60, order, profile):
+        fit = whittle_fit(arma11_pg_t60, order, profile=profile)
+        assert built == [max(order)]
+        spec = fit.to_spec() if not profile else ArmaSpec.from_beta1(order, fit.estimate)
+        built.clear()
+        sandwich(arma11_pg_t60, spec, profile=profile)
+        assert built == [max(order)]
+
+    def test_interval_and_scan(self, built, ma1_pg_t70, arma11_pg_t60):
+        interval_1d(ma1_pg_t70, (0, 1))
+        assert built == [1]
+        built.clear()
+        scan_region(arma11_pg_t60, (1, 1), ((0.0, 0.9), (0.0, 0.9)), 8)
+        assert built == [1]
+
+    def test_coverage_one_per_cell(self, built):
+        from elspec.mc import ExperimentPlan, run_coverage
+
+        plan = ExperimentPlan(model="ma1", params=((0.25,), (0.5,)), sample_sizes=(20, 30),
+                              replications=5, methods=("el",))
+        run_coverage(plan)
+        assert built == [1] * 4
 
 
 class TestConstantSeries:
