@@ -26,8 +26,9 @@ from .errors import InputError, InvalidModelError
 STATIONARITY_MARGIN = 1e-8
 
 # Callers batch at most about this many psi entries (N * m * k) per
-# el.solve_duals call, and simulate_stack this many innovation samples per
-# chunk, which keeps the temporaries near 1 MB.
+# el.solve_duals call, simulate_stack this many innovation samples per
+# chunk and periodogram_stack half as many series samples per FFT call,
+# which keeps the temporaries near 1 MB.
 _BATCH_ENTRIES = 1 << 15
 
 # numpy's SeedSequence (O'Neill's seed_seq mixer, PCG report HMC-CS-2014-0905):
@@ -166,7 +167,9 @@ class ArmaSpec:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Observed real-valued series (an owned 1-D copy) with its sample mean cached."""
+    """Observed real-valued series (an owned 1-D copy) with its sample mean
+    cached.  Fewer than 4 values, a non-finite value and a sum that
+    overflows raise InputError."""
 
     values: np.ndarray
     mean: float = field(init=False)
@@ -177,8 +180,12 @@ class TimeSeries:
             raise InputError(f"series must have at least 4 observations, got {vals.size}")
         if not np.all(np.isfinite(vals)):
             raise InputError("series contains non-finite values")
+        with np.errstate(over="ignore"):
+            mean = float(vals.mean())
+        if not np.isfinite(mean):
+            raise InputError("series mean is not finite: the sum of the values overflows")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "mean", float(vals.mean()))
+        object.__setattr__(self, "mean", mean)
 
     @property
     def T(self) -> int:

@@ -12,6 +12,7 @@ also tallied separately so its frequency can be audited.
 from __future__ import annotations
 
 import json
+import logging
 import numbers
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from .bartlett import bartlett_scale
 from .confidence import METHODS, method_stats, method_threshold
 from .el import STATUS_FAILED, STATUS_NO_SOLUTION, AdjustmentPolicy
 from .errors import InputError, InvalidModelError
-from .periodogram import _retained_freqs, periodogram_stack
+from .periodogram import _fft_slices, _retained_freqs, periodogram_stack
 from .whittle import psi_profile_rows
 
 MODEL_ORDERS = {"ma1": (0, 1), "ar1": (1, 0), "arma11": (1, 1)}
@@ -30,6 +31,8 @@ NOISE_BY_NAME = {
     "normal": NoiseKind.STANDARD_NORMAL,
     "chi2_5": NoiseKind.CENTERED_CHI2_5,
 }
+
+_log = logging.getLogger(__name__)
 
 
 def _as_param_tuple(model: str, value) -> tuple[float, ...]:
@@ -203,12 +206,18 @@ def run_coverage(plan: ExperimentPlan) -> CoverageReport:
     the same estimating-function rows at the true parameter, so method
     comparisons are paired.  Replication r of cell c draws its series from
     ``np.random.default_rng(derive_seed(plan.seed, c, r))``.  The
-    replications of a cell run in batches of up to several hundred (fewer
-    for long series): a batch's seeds come from one :func:`derive_seeds`
-    hash and its series from one :func:`elspec.arma.simulate_stack` call,
-    as one (R, T) array, and they share one FFT, one psi construction and
-    one dual solve per method.  No replication builds a TimeSeries or a
-    SeedSequence.
+    replications of a cell run in dual batches of at most about 32k psi
+    entries (:func:`elspec.arma.batch_slices` of (n + 1) k entries each; 218
+    replications at T = 300 with k = 1): a batch's seeds come from one
+    :func:`derive_seeds` hash, its series from one
+    :func:`elspec.arma.simulate_stack` call as one (R, T) array, its
+    ordinates from one :func:`elspec.periodogram.periodogram_stack` call,
+    and it has one psi construction and one dual solve per method.  The
+    simulation and the FFT chunk their own buffers.  No replication builds a
+    TimeSeries or a SeedSequence.  A problem's rows and statistic do not
+    depend on its batch, so neither does the report.  One DEBUG record on
+    the ``elspec`` logger per cell gives its replications, dual batches, FFT
+    chunks, and each method's Newton steps, no-solution and failed counts.
     """
     order = plan.order
     k = sum(order)
@@ -228,15 +237,14 @@ def run_coverage(plan: ExperimentPlan) -> CoverageReport:
                 nosol = {m: 0 for m in plan.methods}
                 fails = {m: 0 for m in plan.methods}
                 table = lag_table(_retained_freqs(T), max(order))
-                # The FFT's complex buffers (about 5 T doubles a series)
-                # outweigh a replication's (n + 1) k psi entries, so they size
-                # the batches; simulate_stack fills each batch's series in
-                # chunks of its own, since an innovation row (T plus the
-                # burn-in) is longer still.
-                for part in batch_slices(plan.replications, max((n + 1) * k, 2 * T)):
+                parts = batch_slices(plan.replications, (n + 1) * k)
+                chunks = 0
+                steps = {m: 0 for m in plan.methods}
+                for part in parts:
                     seeds = derive_seeds(plan.seed, cell_index, range(part.start, part.stop))
                     ords = periodogram_stack(
                         simulate_stack(spec_true, T, seeds, noise, plan.noise_centering))[1]
+                    chunks += len(_fft_slices(len(seeds), T))
                     rows = psi_profile_rows(table, ords, spec_true.ar[None], spec_true.ma[None])
                     stats = method_stats(rows, plan.methods, policy)
                     for m in plan.methods:
@@ -246,6 +254,11 @@ def run_coverage(plan: ExperimentPlan) -> CoverageReport:
                         hits[m] += int(np.count_nonzero(res.stat <= limit[m]))
                         nosol[m] += int(np.count_nonzero(res.status == STATUS_NO_SOLUTION))
                         fails[m] += int(np.count_nonzero(res.status == STATUS_FAILED))
+                        steps[m] += int(res.iterations.sum())
+                _log.debug("%s coverage cell %d (T=%d, %s noise, param %s): %d replications, "
+                           "%d dual batches, %d FFT chunks, Newton steps %s, no solution %s, "
+                           "failed %s", plan.model, cell_index, T, noise_name, _param_label(param),
+                           plan.replications, len(parts), chunks, steps, nosol, fails)
                 for m in plan.methods:
                     phat = hits[m] / plan.replications
                     se = float(np.sqrt(phat * (1.0 - phat) / plan.replications))

@@ -70,6 +70,17 @@ class TestTimeSeries:
         with pytest.raises(InputError):
             TimeSeries([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("values", [[1e308, 1.5e308, -1e308, 1.7e308, 1e308, 1e308],
+                                        [-1.7e308] * 4])
+    def test_overflowing_sum_raises(self, values):
+        # every value is finite, but the mean is not
+        with pytest.raises(InputError, match="mean is not finite"):
+            TimeSeries(values)
+
+    def test_largest_finite_mean_accepted(self):
+        ts = TimeSeries([1.7e308, -1.7e308, 1.7e308, -1.7e308])
+        assert ts.mean == 0.0
+
 
 class TestSpectralDensity:
     def test_white_noise_flat(self):

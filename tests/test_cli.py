@@ -349,6 +349,27 @@ def test_constant_series_exit_2_without_warning(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values, cause", [
+    ([1e308, 1.5e308, -1e308, 1.7e308, 1e308, 1e308], "mean is not finite"),
+    ([1e200, -2e200, 3e200, 1e200, -1e200, 2e200], "ordinates are not finite"),
+])
+@pytest.mark.parametrize("argv", [
+    ("periodogram",),
+    ("fit", "--order", "1,0"),
+    ("region", "--order", "1,0", "--box", "0.1:0.9", "--steps", "6"),
+])
+def test_overflowing_series_exit_2_without_warning(tmp_path, capsys, values, cause, argv):
+    command, *options = argv
+    src = write_series(tmp_path / "big.txt", values)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, src, *options, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert cause in err and "Warning" not in err
+    assert not out.exists()
+
+
 class TestCoverageCommand:
     def plan_file(self, tmp_path, reps=20, seed=99):
         path = tmp_path / "plan.json"

@@ -1,4 +1,7 @@
+import ast
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -19,10 +22,15 @@ from elspec import (
     run_coverage,
     simulate,
 )
-from elspec.arma import batch_slices
+import elspec.arma
+from elspec.arma import batch_slices, lag_table, simulate_stack
+from elspec.cli import main
+from elspec.confidence import method_stats
 from elspec.el import HALF_LOG, adjust, solve_dual
 from elspec.errors import ConvergenceError
 from elspec.mc import NOISE_BY_NAME
+from elspec.periodogram import _fft_slices, periodogram_stack
+from elspec.whittle import psi_profile_rows
 
 
 def small_plan(**overrides):
@@ -150,13 +158,17 @@ class TestRunCoverage:
         assert tb.coverage >= el.coverage
 
 
-    def test_stacked_run_matches_per_replication_loop(self):
-        # T = 20 simulates in chunks of 61 series within one dual batch;
-        # T = 300 runs three dual batches of 54 against chunks of 40 series
+    def test_stacked_run_matches_per_replication_loop(self, monkeypatch):
+        # Under a 4k-entry budget, T = 20 is one dual batch of 150 whose FFT
+        # runs in two chunks and whose normal series are simulated in chunks
+        # of 7; T = 300 runs six dual batches of up to 27, each FFT in up to
+        # five chunks of 6 series.
+        monkeypatch.setattr(elspec.arma, "_BATCH_ENTRIES", 1 << 12)
         plan = small_plan(sample_sizes=(20, 300), noises=("normal", "chi2_5"),
                           replications=150, noise_centering="empirical")
-        assert len(batch_slices(150, 20 + 510)) == 3
-        assert len(batch_slices(150, 2 * 300)) == 3
+        assert len(batch_slices(150, 10)) == 1 and len(_fft_slices(150, 20)) == 2
+        assert len(batch_slices(150, 20 + 510)) == 22
+        assert len(batch_slices(150, 150)) == 6 and len(_fft_slices(27, 300)) == 5
         report = run_coverage(plan)
         spec = ArmaSpec(ma=[0.5])
         thr = chi2.ppf(plan.level, 1)
@@ -180,6 +192,76 @@ class TestRunCoverage:
                     assert cell.coverage == hits / plan.replications
                     assert (cell.nosolution, cell.failures) == (nosol, fails)
                 cell_index += 1
+
+
+def _coverage_lines(tmp_path, plan, name):
+    """The metadata lines (timestamp dropped) and the payload of an
+    ``elspec coverage`` run of the plan dict ``plan``."""
+    path, out = tmp_path / "plan.json", tmp_path / f"{name}.csv"
+    path.write_text(json.dumps(plan))
+    assert main(["coverage", "--plan", str(path), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    meta = [ln for ln in lines if ln.startswith("#") and not ln.startswith("# timestamp:")]
+    return meta, "".join(ln for ln in lines if not ln.startswith("#"))
+
+
+def _coverage_records(records):
+    """(replications, dual batches, FFT chunks, Newton steps, no solution,
+    failed) of each coverage cell's DEBUG record, the last three as dicts."""
+    found = []
+    for record in records:
+        if record.name != "elspec.mc":
+            continue
+        assert record.levelno == logging.DEBUG
+        match = re.search(r"(\d+) replications, (\d+) dual batches, (\d+) FFT chunks, Newton "
+                          r"steps (\{.*\}), no solution (\{.*\}), failed (\{.*\})$",
+                          record.getMessage())
+        found.append(tuple(int(x) for x in match.groups()[:3])
+                     + tuple(ast.literal_eval(x) for x in match.groups()[3:]))
+    return found
+
+
+@pytest.mark.parametrize("plan", [
+    {"model": "ar1", "params": [0.5, 0.9], "sample_sizes": [20, 120],
+     "noises": ["normal", "chi2_5"], "replications": 120, "methods": ["el", "ael", "eb"],
+     "seed": 11, "noise_centering": "exact"},
+    {"model": "arma11", "params": [[0.5, 0.3]], "sample_sizes": [30, 120],
+     "noises": ["normal", "chi2_5"], "replications": 120, "methods": ["el", "ael"],
+     "seed": 12, "noise_centering": "empirical"},
+])
+def test_payload_does_not_depend_on_batch_budget(plan, tmp_path, monkeypatch, caplog):
+    # A 512-entry budget splits every cell into many dual batches, the T =
+    # 120 batches into several FFT chunks, and simulates one series at a time.
+    meta, payload = _coverage_lines(tmp_path, plan, "default")
+    monkeypatch.setattr(elspec.arma, "_BATCH_ENTRIES", 1 << 9)
+    with caplog.at_level(logging.DEBUG, logger="elspec"):
+        small_meta, small_payload = _coverage_lines(tmp_path, plan, "small")
+    assert small_payload == payload and small_meta == meta
+    cells = _coverage_records(caplog.records)
+    assert len(cells) == len(plan["sample_sizes"]) * 2 * len(plan["params"])
+    assert all(batches > 2 for _, batches, _, _, _, _ in cells)
+    assert any(chunks >= 2 * batches for _, batches, chunks, _, _, _ in cells)
+
+
+def test_coverage_debug_record(caplog):
+    plan = small_plan(sample_sizes=(300,), replications=500, methods=("el", "ael", "eb"))
+    quiet = run_coverage(plan)
+    with caplog.at_level(logging.DEBUG, logger="elspec"):
+        report = run_coverage(plan)
+    assert report.cells == quiet.cells
+    [(reps, batches, chunks, steps, nosol, failed)] = _coverage_records(caplog.records)
+    # dual batches of 218, 218 and 64 replications; FFT chunks of up to 54
+    assert (reps, batches, chunks) == (500, 3, 5 + 5 + 2)
+    for m in plan.methods:
+        cell = report.cell(300, "normal", (0.5,), m)
+        assert (nosol[m], failed[m]) == (cell.nosolution, cell.failures)
+    # one cold solve of the whole stack takes the same Newton steps
+    spec = ArmaSpec(ma=[0.5])
+    freqs, ords = periodogram_stack(simulate_stack(
+        spec, 300, derive_seeds(plan.seed, 0, range(500)), NoiseKind.STANDARD_NORMAL, "exact"))
+    rows = psi_profile_rows(lag_table(freqs, 1), ords, spec.ar[None], spec.ma[None])
+    whole = method_stats(rows, plan.methods, plan.policy)
+    assert steps == {m: int(whole[m].iterations.sum()) for m in plan.methods}
 
 
 class TestPairedSummary:

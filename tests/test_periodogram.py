@@ -10,7 +10,7 @@ from elspec import (
     all_fourier_ordinates,
     compute_periodogram,
 )
-from elspec.periodogram import periodogram_stack
+from elspec.periodogram import _fft_slices, periodogram_stack
 
 TWO_PI = 2.0 * math.pi
 
@@ -22,6 +22,15 @@ def test_constant_series_has_zero_ordinates():
     # non-dyadic constant: cancellation up to rounding of the mean
     pg2 = compute_periodogram(TimeSeries(np.full(12, 3.7)))
     assert np.all(pg2.ords < 1e-30)
+
+
+@pytest.mark.parametrize("values", [[1e200, -2e200, 3e200, 1e200, -1e200, 2e200],
+                                    [1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.0]])
+def test_overflowing_ordinates_raise(values):
+    # finite values and mean; the squared Fourier sums overflow, and in the
+    # second series the Fourier sums themselves
+    with pytest.raises(InputError, match="ordinates are not finite"):
+        compute_periodogram(TimeSeries(values))
 
 
 def test_alternating_series_t4_hand_value():
@@ -127,11 +136,13 @@ def test_matches_direct_sums_long_series(T):
         assert pg.ords[j - 1] == pytest.approx(expected, rel=1e-12, abs=1e-12 * pg.ords.mean())
 
 
-@pytest.mark.parametrize("T", [4, 9, 70, 501])
-def test_stack_rows_equal_single_periodograms(T):
-    values = np.random.default_rng(T).standard_normal((7, T)) * 3.0 + 1.5
+@pytest.mark.parametrize("R, T, chunks", [(7, 4, 1), (7, 9, 1), (7, 70, 1), (7, 501, 1),
+                                           (300, 70, 2), (70, 501, 3)])
+def test_stack_rows_equal_single_periodograms(R, T, chunks):
+    values = np.random.default_rng(T).standard_normal((R, T)) * 3.0 + 1.5
     freqs, ords = periodogram_stack(values)
-    assert ords.shape == (7, (T - 1) // 2)
+    assert ords.shape == (R, (T - 1) // 2)
+    assert len(_fft_slices(R, T)) == chunks
     for row, o in zip(values, ords):
         pg = compute_periodogram(TimeSeries(row))
         assert np.array_equal(freqs, pg.freqs)
