@@ -30,9 +30,9 @@ from .el import (
     adjust_rows,
     solve_duals,
 )
-from .errors import ConvergenceError, InputError, InvalidModelError
+from .errors import ConvergenceError, InputError, InvalidModelError, SingularMatrixError
 from .periodogram import Periodogram
-from .whittle import FitResult, _whittle_fit, psi_profile_rows
+from .whittle import FitResult, _on_boundary, _sandwich, _whittle_fit, psi_profile_rows
 
 METHODS = ("el", "ael", "eb", "tb")
 
@@ -341,27 +341,44 @@ def interval_1d(
     """Confidence interval for a scalar-parameter model (order (1,0) or (0,1)).
 
     Walks a ladder of points outward from the Whittle estimate on both sides
-    until the effective statistic crosses its threshold, then solves both
+    until the effective statistic crosses its threshold c, then solves both
     crossings together by root bracketing (:func:`_bracket_roots`); a side
     that reaches the stationarity boundary (or the user ``bounds``) without
-    crossing is clamped there and flagged.  Points where the EL problem has
-    no solution count as beyond the region boundary.  Every evaluation is
-    one stacked statistic call on all the points that still need a value:
-    the estimate with the first two ladder points of each side, then the
-    next two points of each side that has not crossed, then one point per
-    unfinished bracket.
+    crossing is clamped there and flagged.  The root-finding runs on the
+    signed root sqrt(stat) - sqrt(c), which is close to linear in the
+    parameter (DiCiccio, Hall & Romano 1991) and has the same roots as
+    stat - c.  The ladder's first step is the sandwich half-width
+    sqrt(c v_hat / (n + 1)) at the estimate (:func:`elspec.whittle.sandwich`).
+    Where the sandwich is singular or its half-width not finite, and at an
+    estimate on the boundary (its partial autocorrelation rounds to +-1 at
+    four decimals, where the profile score need not vanish and the quadratic
+    approximation fails), the first step is max(1e-4, 2% of the span to the
+    bound) instead (:func:`_ladder`).  Points where the EL problem has no
+    solution count as beyond the region boundary.  Every evaluation is one
+    stacked statistic call on all the points that still need a value: the
+    estimate with the first two ladder points of each side, then the next
+    two points of each side that has not crossed, then one point per
+    unfinished bracket.  One lag table serves the fit, the sandwich and
+    every statistic call.
 
-    Raises ConvergenceError when the fit did not converge, and when the
-    statistic at the estimate itself exceeds the threshold (possible for an
-    estimate hugging the stationarity boundary, where the profile score
-    need not vanish): the interval then has no interior to expand from.
+    A ``fit`` passed in must be of ``order``; a full fit (beta1, sigma2)
+    serves as well as a profile one.  Raises ConvergenceError when the fit
+    did not converge, and when the statistic at the estimate itself exceeds
+    the threshold (possible for an estimate hugging the stationarity
+    boundary, where the profile score need not vanish): the interval then
+    has no interior to expand from.  One DEBUG record on the ``elspec``
+    logger gives the stacked rounds and problems solved, the first ladder
+    steps, the ladder and bracket rounds and the Newton steps.
     """
     p, q = order
     if p + q != 1:
         raise InputError(f"interval_1d handles exactly one free parameter, got order {order}")
+    if fit is not None and tuple(fit.order) != tuple(order):
+        raise InputError(f"the fit is of order {tuple(fit.order)}, the interval of order "
+                         f"{tuple(order)}")
     pg.require_power()
     threshold = method_threshold(method, 1, 1.0 - alpha, pg.n, tb_constant)
-    table = lag_table(pg.freqs, 1)  # for the fit and every statistic round
+    table = lag_table(pg.freqs, 1)  # for the fit, the sandwich and every statistic round
     fitres = fit if fit is not None else _whittle_fit(pg, table, order)
     if not fitres.converged:
         raise ConvergenceError("Whittle fit did not converge; no center for the interval scan")
@@ -373,12 +390,13 @@ def interval_1d(
     if not lo_bound < bhat < hi_bound:
         raise InputError(f"estimate {bhat:.6g} is outside the search bounds")
 
-    rounds = solved = 0
+    rounds = solved = newton = 0
+    root_c = math.sqrt(threshold)
 
     def excess(points):
-        """stat - threshold at each point; +inf where the model is invalid
-        or the statistic undefined."""
-        nonlocal rounds, solved
+        """The signed root sqrt(stat) - sqrt(threshold) at each point; +inf
+        where the model is invalid or the statistic undefined."""
+        nonlocal rounds, solved, newton
         beta = np.asarray(points, dtype=float)[:, None]
         ar, ma = (beta, beta[:, :0]) if p else (beta[:, :0], beta)
         gap = np.full(len(beta), np.inf)
@@ -387,14 +405,35 @@ def interval_1d(
             rows = psi_profile_rows(table, pg.ords, ar[valid], ma[valid])
             res = method_stats(rows, (method,), policy)[method]
             ok = res.status == STATUS_OK
-            gap[valid[ok]] = res.stat[ok] - threshold
+            gap[valid[ok]] = np.sqrt(res.stat[ok]) - root_c
+            newton += int(res.iterations.sum())
         rounds += 1
         solved += valid.size
         return gap
 
+    # The first ladder step: the sandwich half-width at the estimate.  A
+    # scalar model's partial autocorrelation is beta / limit.
+    half, why = math.nan, "the estimate is on the stationarity/invertibility boundary"
+    if not _on_boundary(bhat / limit):
+        spec = ArmaSpec.from_beta1(order, fitres.estimate[:1])
+        try:
+            v_hat = _sandwich(pg, table, spec, policy=policy).v_hat[0, 0]
+        except SingularMatrixError as exc:
+            why = str(exc)
+        else:
+            half = math.sqrt(threshold * v_hat / (pg.n + 1))
+            why = f"half-width {half:.3g}"
+    if 0.0 < half < math.inf:
+        firsts = [half, half]
+    else:
+        firsts = [max(1e-4, 0.02 * abs(bound - bhat)) for bound in (lo_bound, hi_bound)]
+        _log.debug("%s interval of order %s: no sandwich ladder step at the estimate %.8g "
+                   "(%s); the first steps are 2%% of the spans to the bounds",
+                   method, order, bhat, why)
+
     # Per side (lower, upper): its ladder, and the excess at the evaluated
     # prefix of it.
-    ladders = [_ladder(bhat, lo_bound), _ladder(bhat, hi_bound)]
+    ladders = [_ladder(bhat, lo_bound, firsts[0]), _ladder(bhat, hi_bound, firsts[1])]
     gaps = [[], []]
     est_gap = None
     pending = [0, 1]
@@ -405,7 +444,7 @@ def interval_1d(
             est_gap = values.pop(0)
             if est_gap > 0.0:
                 value = ("undefined (no dual solution)" if math.isinf(est_gap)
-                         else f"{est_gap + threshold:.6g}")
+                         else f"{(est_gap + root_c) ** 2:.6g}")
                 raise ConvergenceError(
                     f"{method} statistic at the Whittle estimate {bhat:.8g} is {value}, above "
                     f"the threshold {threshold:.6g}: the estimate lies outside its own region")
@@ -413,6 +452,7 @@ def interval_1d(
             gaps[s] += values[:len(pts)]
             del values[:len(pts)]
         pending = [s for s in pending if max(gaps[s]) <= 0.0 and len(gaps[s]) < len(ladders[s])]
+    ladder_rounds = rounds
 
     # A side that crossed brackets its root between the crossing point and
     # the point before it (the estimate, for the first ladder point).
@@ -430,8 +470,10 @@ def interval_1d(
         for s, root in zip(sides, _bracket_roots(excess, a, b, fa, fb)):
             ends[s] = float(root)
     (lo, hi), (trunc_lo, trunc_hi) = ends, truncated
-    _log.debug("%s interval of order %s: %d stacked rounds, %d problems solved",
-               method, order, rounds, solved)
+    _log.debug("%s interval of order %s: %d stacked rounds, %d problems solved; first ladder "
+               "steps %.3g / %.3g, %d ladder and %d bracket rounds, %d Newton steps",
+               method, order, rounds, solved, firsts[0], firsts[1], ladder_rounds,
+               rounds - ladder_rounds, newton)
     for name, end, trunc in (("lower", lo, trunc_lo), ("upper", hi, trunc_hi)):
         if trunc:
             _log.info("%s interval of order %s: %s end truncated at %.8g without crossing "
@@ -442,12 +484,11 @@ def interval_1d(
     )
 
 
-def _ladder(start: float, bound: float) -> list:
+def _ladder(start: float, bound: float, step: float) -> list:
     """Search points from ``start`` towards ``bound``: a first step of
-    max(1e-4, 0.02 |bound - start|), each later step 1.6 times the last,
-    the last point clamped at ``bound``."""
+    ``step`` (> 0), each later step 1.6 times the last, the last point
+    clamped at ``bound``."""
     direction = 1.0 if bound > start else -1.0
-    step = max(1e-4, 0.02 * abs(bound - start))
     points = []
     x = start
     while x != bound:
@@ -468,15 +509,19 @@ def _bracket_roots(f, a, b, fa, fb):
     once on the new point of each unfinished bracket, so a bracket's path
     does not depend on the others.  ``fa`` and ``fb`` are the values at the
     ends and must not share a sign; +inf is allowed (say, a point without a
-    statistic).  A step bisects wherever inverse-quadratic interpolation is
-    not admissible or meets an infinite value.  A bracket stops when its
-    width is below 2 (1e-12 + 8.9e-16 |x|) or f(x) = 0, x being its end
-    with the smaller |f|, and returns that x.
+    statistic).  The first point of a bracket is the regula-falsi point
+    a + fa/(fa - fb) (b - a) where both end values are finite, its midpoint
+    otherwise, so a linear f is solved by the first call and the bracket
+    closed by the second.  A later step bisects wherever inverse-quadratic
+    interpolation is not admissible or meets an infinite value.  A bracket
+    stops when its width is below 2 (1e-12 + 8.9e-16 |x|) or f(x) = 0, x
+    being its end with the smaller |f|, and returns that x.
     """
     x1, x2 = np.array(a, dtype=float), np.array(b, dtype=float)
     f1, f2 = np.array(fa, dtype=float), np.array(fb, dtype=float)
     x3, f3 = x2.copy(), f2.copy()
-    t = np.full(x1.shape, 0.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(np.isfinite(f1) & np.isfinite(f2), f1 / (f1 - f2), 0.5)
     for _ in range(_MAX_ROOT_ITER):
         small = np.abs(f1) < np.abs(f2)
         root = np.where(small, x1, x2)

@@ -500,10 +500,17 @@ def _whittle_fit(pg: Periodogram, table, order, profile=True, init=None, max_ite
     if not fit.converged:
         _log.warning("Whittle fit of order %s did not converge: mean score max-norm %.3g "
                      "after %d iterations", order, score_norm, fit.iterations)
-    if np.any(np.round(np.abs(np.tanh(u)), _BOUNDARY_DIGITS) == 1.0):
+    if _on_boundary(np.tanh(u)):
         _log.info("Whittle fit of order %s ends on the stationarity/invertibility boundary: "
                   "a partial autocorrelation rounds to +-1 (estimate %s)", order, fit.estimate)
     return fit
+
+
+def _on_boundary(pacf) -> bool:
+    """Whether a partial autocorrelation in ``pacf`` rounds to +-1 at
+    _BOUNDARY_DIGITS decimals: an estimate on the stationarity/invertibility
+    boundary, where the profile score need not vanish."""
+    return bool(np.any(np.round(np.abs(pacf), _BOUNDARY_DIGITS) == 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,13 +532,13 @@ def _loglik_hessian(pg: Periodogram, spec: ArmaSpec) -> np.ndarray:
     """Exact Hessian of :func:`whittle_loglik` in beta = (phi's, theta's,
     sigma2), from one lag table and one spectral evaluation (see
     :func:`_hessian_terms`)."""
-    return _hessian_terms(pg.ords, spec.sigma2, *_spectral_terms(pg, spec))[0]
-
-
-def _spectral_terms(pg: Periodogram, spec: ArmaSpec):
-    """g1, grad ln g1 and the curvature of ln g1 at ``spec`` over
-    ``pg.freqs``, as stacks of one, from one lag table."""
     table = lag_table(pg.freqs, max(spec.order))
+    return _hessian_terms(pg.ords, spec.sigma2, *_spectral_terms(table, spec))[0]
+
+
+def _spectral_terms(table, spec: ArmaSpec):
+    """g1, grad ln g1 and the curvature of ln g1 at ``spec``, as stacks of
+    one, on the lag table ``table`` (lags >= max(p, q))."""
     return shape_and_gradient_stack(spec.ar[None], spec.ma[None], table, hessian=True)
 
 
@@ -573,7 +580,14 @@ def sandwich(
     pg.require_power()
     if not sum(spec.order) and profile:
         raise InputError("sandwich diagnostics need at least one parameter")
-    g1, grad1, curv1 = _spectral_terms(pg, spec)
+    return _sandwich(pg, lag_table(pg.freqs, max(spec.order)), spec, profile, policy)
+
+
+def _sandwich(pg: Periodogram, table, spec: ArmaSpec, profile=True,
+              policy: AdjustmentPolicy = MAX_HALF_LOG) -> SandwichDiag:
+    """:func:`sandwich` on the lag table ``table`` of ``pg.freqs`` (lags >=
+    max(p, q)), which the caller may share with other evaluations."""
+    g1, grad1, curv1 = _spectral_terms(table, spec)
     sigma2 = float(np.mean(pg.ords / g1[0])) if profile else spec.sigma2
     hess, r, grad = _hessian_terms(pg.ords, sigma2, g1, grad1, curv1)
     if profile:  # the sigma2 entry is -n / sigma2_hat^2 at sigma2_hat

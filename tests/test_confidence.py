@@ -263,6 +263,72 @@ class TestInterval1d:
         # the first round holds the estimate and two ladder points a side
         assert 1 < rounds < problems and problems >= 5
 
+    @pytest.mark.parametrize("model,T,method", [
+        ("ma1", 200, "el"), ("ma1", 200, "ael"), ("ma1", 200, "eb"),
+        ("ar1", 8000, "ael"), ("ma1", 8000, "ael"),
+    ], ids=str)
+    def test_round_budget(self, model, T, method, caplog):
+        # the signed root is close to linear and the ladder starts at the
+        # sandwich half-width: one ladder round, then regula falsi and a
+        # few bracket-closing steps
+        spec, order = _scalar_model(model)
+        pg = compute_periodogram(simulate(spec, T, NoiseKind.STANDARD_NORMAL, seed=1))
+        fit = whittle_fit(pg, order, profile=True)
+        with caplog.at_level(logging.DEBUG, logger="elspec"):
+            interval_1d(pg, order, method=method, fit=fit)
+        [record] = caplog.records
+        message = record.getMessage()
+        rounds = int(re.search(r"(\d+) stacked rounds", message)[1])
+        ladder, bracket = map(int, re.search(r"(\d+) ladder and (\d+) bracket rounds",
+                                             message).groups())
+        assert ladder + bracket == rounds <= 6
+        assert int(re.search(r"(\d+) Newton steps", message)[1]) > 0
+
+    def test_fit_of_another_order_is_rejected(self):
+        pg = compute_periodogram(simulate(ArmaSpec(ma=[0.5]), 200, NoiseKind.STANDARD_NORMAL,
+                                          seed=1))
+        fit = whittle_fit(pg, (1, 0), profile=True)
+        with pytest.raises(InputError, match=r"order \(1, 0\).*order \(0, 1\)"):
+            interval_1d(pg, (0, 1), fit=fit)
+
+    def test_full_fit_gives_the_profile_fit_interval(self, ma1_pg_t70):
+        full = whittle_fit(ma1_pg_t70, (0, 1), profile=False)
+        assert full.estimate.size == 2
+        assert interval_1d(ma1_pg_t70, (0, 1), fit=full) == interval_1d(ma1_pg_t70, (0, 1))
+
+    @pytest.mark.parametrize("cause", ["singular", "nan", "boundary"])
+    def test_ladder_falls_back_to_two_percent(self, ma1_pg_t70, monkeypatch, caplog, cause):
+        import elspec.confidence
+        from elspec.errors import SingularMatrixError
+
+        pg = ma1_pg_t70
+        if cause == "boundary":
+            # the fit ends at theta = .99999006, where the sandwich
+            # half-width is 2.4e-5 but the lower end lies at .625
+            pg = compute_periodogram(simulate(ArmaSpec(ma=[0.95]), 60,
+                                              NoiseKind.STANDARD_NORMAL, seed=5))
+
+        def sandwich_stub(*args, **kwargs):
+            if cause == "singular":
+                raise SingularMatrixError("averaged psi Jacobian is numerically singular",
+                                          cond=math.inf)
+            return type("Diag", (), {"v_hat": np.full((1, 1), np.nan)})()
+        if cause != "boundary":
+            monkeypatch.setattr(elspec.confidence, "_sandwich", sandwich_stub)
+        fit = whittle_fit(pg, (0, 1), profile=True)
+        expected = _oracle_interval(pg, (0, 1), "ael", fit)
+        with caplog.at_level(logging.DEBUG, logger="elspec"):
+            iv = interval_1d(pg, (0, 1), method="ael", fit=fit)
+        fallback, summary = [r for r in caplog.records if r.levelno == logging.DEBUG]
+        assert "2% of the spans" in fallback.getMessage()
+        if cause == "boundary":
+            assert "on the stationarity/invertibility boundary" in fallback.getMessage()
+        limit = 1.0 - 2.0 * STATIONARITY_MARGIN
+        steps = [max(1e-4, 0.02 * span) for span in (iv.estimate + limit, limit - iv.estimate)]
+        assert f"first ladder steps {steps[0]:.3g} / {steps[1]:.3g}" in summary.getMessage()
+        assert (iv.truncated_lo, iv.truncated_hi) == expected[2:]
+        assert abs(iv.lo - expected[0]) < 1e-10 and abs(iv.hi - expected[1]) < 1e-10
+
 
 def _oracle_excess(pg, order, method, threshold):
     """stat - threshold at one point, one N = 1 statistic call; 1e12 where
@@ -307,9 +373,14 @@ def _oracle_interval(pg, order, method, fit, tb_constant=None):
     return lo, hi, trunc_lo, trunc_hi
 
 
+def _scalar_model(model, value=0.5):
+    """(spec, order) of an AR(1) or MA(1) model with coefficient ``value``."""
+    return (ArmaSpec(ar=[value]), (1, 0)) if model == "ar1" else (ArmaSpec(ma=[value]), (0, 1))
+
+
 def _oracle_cases():
     for model in ("ar1", "ma1"):
-        for T in (30, 70, 2000):
+        for T in (30, 70, 2000, 8000):
             for method in METHODS:
                 yield pytest.param(model, 0.5, T, 1, method, id=f"{model}-T{T}-{method}")
     # eb's statistic stays below its threshold up to the bound: a truncated
@@ -319,7 +390,7 @@ def _oracle_cases():
 
 @pytest.mark.parametrize("model,value,T,seed,method", list(_oracle_cases()))
 def test_interval_matches_sequential_brentq(model, value, T, seed, method):
-    spec, order = (ArmaSpec(ar=[value]), (1, 0)) if model == "ar1" else (ArmaSpec(ma=[value]), (0, 1))
+    spec, order = _scalar_model(model, value)
     pg = compute_periodogram(simulate(spec, T, NoiseKind.STANDARD_NORMAL, seed=seed))
     fit = whittle_fit(pg, order, profile=True)
     tb_constant = 1.0 if method == "tb" else None
@@ -359,6 +430,22 @@ class TestBracketRoots:
         a, b = np.array([0.0, 0.2]), np.array([1.0, 0.9])
         roots = _bracket_roots(f, a, b, f(a), f(b))
         np.testing.assert_allclose(roots, 0.3, rtol=0, atol=2e-12)
+
+    @pytest.mark.parametrize("slope", [-3.0, 0.5, 7.0])
+    def test_linear_f_closes_in_two_calls(self, slope):
+        # regula falsi lands on the root; the next, minimal step closes
+        # the bracket across it
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return slope * (x - 0.3)
+        a, b = np.array([-0.7, 0.29, -3.7]), np.array([0.8, 3.3, 0.301])
+        fa, fb = f(a), f(b)
+        calls.clear()
+        roots = _bracket_roots(f, a, b, fa, fb)
+        np.testing.assert_allclose(roots, 0.3, rtol=0, atol=2e-12)
+        assert len(calls) <= 2
 
     def test_zero_at_an_end_returns_it(self):
         roots = _bracket_roots(np.sin, np.array([0.0]), np.array([1.0]),
