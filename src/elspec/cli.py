@@ -173,6 +173,7 @@ def cmd_fit(args) -> int:
         "ma": [float(x) for x in est[p : p + q]],
         "loglik": fit.loglik,
         "converged": fit.converged,
+        "boundary": fit.boundary,
         "iterations": fit.iterations,
         "sigma2_hat": spec.sigma2,
     }

@@ -32,7 +32,7 @@ from .el import (
 )
 from .errors import ConvergenceError, InputError, InvalidModelError, SingularMatrixError
 from .periodogram import Periodogram
-from .whittle import FitResult, _on_boundary, _sandwich, _whittle_fit, psi_profile_rows
+from .whittle import FitResult, _sandwich, _whittle_fit, psi_profile_rows
 
 METHODS = ("el", "ael", "eb", "tb")
 
@@ -411,10 +411,9 @@ def interval_1d(
         solved += valid.size
         return gap
 
-    # The first ladder step: the sandwich half-width at the estimate.  A
-    # scalar model's partial autocorrelation is beta / limit.
+    # The first ladder step: the sandwich half-width at the estimate.
     half, why = math.nan, "the estimate is on the stationarity/invertibility boundary"
-    if not _on_boundary(bhat / limit):
+    if not fitres.boundary:
         spec = ArmaSpec.from_beta1(order, fitres.estimate[:1])
         try:
             v_hat = _sandwich(pg, table, spec, policy=policy).v_hat[0, 0]

@@ -43,9 +43,6 @@ from .errors import ConvergenceError, InputError, NoSolutionError
 
 _log = logging.getLogger(__name__)
 
-# Gradient-norm tolerance of the dual (identical to the multiplier-equation
-# residual); tight enough that the statistic is stable to ~1e-8.
-DUAL_GRAD_TOL = 1e-9
 MAX_NEWTON_STEPS = 100
 
 # Per-problem outcome of the dual.
@@ -149,10 +146,11 @@ class DualBatch:
 
     ``stat`` is the log-ratio statistic 2 sum_j ln t_j (NaN unless
     ``status`` is STATUS_OK).  ``iterations`` counts Newton steps, the
-    trailing step after the residual meets the tolerance included; for a
-    failed problem, the step at which it stopped; 0 for STATUS_NO_SOLUTION,
-    which the hull certificate decides before any step.  ``residual`` is the
-    multiplier-equation norm at the end (NaN for STATUS_NO_SOLUTION).  ``xi``
+    trailing step after the squared Newton decrement falls to eps included;
+    for a failed problem, the step at which it stopped; 0 for
+    STATUS_NO_SOLUTION, which the hull certificate decides before any step.
+    ``residual`` is the multiplier-equation norm at the end (NaN for
+    STATUS_NO_SOLUTION); it is reported only and decides nothing.  ``xi``
     (N, k) holds the multipliers of solved problems (zeros otherwise);
     ``reason`` is 0 or the code of why a problem is unsolved; ``warm`` is
     True where Newton began at the problem's given start instead of 0.
@@ -302,18 +300,19 @@ class _Active:
             setattr(self, name, getattr(self, name)[mask])
 
 
-def _step(w, g, d):
+def _step(w, d, lam2):
     """Move every active problem along its Newton direction d (h d = g).
 
     A problem takes the full step xi + d when that keeps every t_j > 0 and
     does not raise f; otherwise it takes the damped step xi + d / (1 + lam),
-    lam^2 = g'd being its squared Newton decrement.  f is self-concordant, so
-    the damped iterate stays in the domain t > 0 and lowers f by at least
-    lam - ln(1 + lam) (Boyd & Vandenberghe 2004, sec. 9.6).  Only a direction
-    spoiled by rounding -- NaN from a singular h, lam^2 <= 0, or a damped
-    iterate outside the domain -- breaks that; such a problem keeps its
-    iterate.  Updates xi, t and f and returns the mask of those problems, or
-    None when there is none.
+    ``lam2`` = g'd being its squared Newton decrement lam^2, which
+    :func:`_newton` has computed for its stopping rule.  f is
+    self-concordant, so the damped iterate stays in the domain t > 0 and
+    lowers f by at least lam - ln(1 + lam) (Boyd & Vandenberghe 2004, sec.
+    9.6).  Only a direction spoiled by rounding -- NaN from a singular h,
+    lam^2 <= 0, or a damped iterate outside the domain -- breaks that; such
+    a problem keeps its iterate.  Updates xi, t and f and returns the mask
+    of those problems, or None when there is none.
     """
     xi = w.xi + d
     t = _affine(w.cols, xi)
@@ -322,11 +321,10 @@ def _step(w, g, d):
     stuck = None
     if np.count_nonzero(damp):
         damp = np.flatnonzero(damp)
-        dd = d[damp]
-        lam2 = _sum(g[damp] * dd, axis=1)
-        xd = w.xi[damp] + dd / (1.0 + np.sqrt(np.maximum(lam2, 0.0)))[:, None]
+        ld = lam2[damp]
+        xd = w.xi[damp] + d[damp] / (1.0 + np.sqrt(np.maximum(ld, 0.0)))[:, None]
         td = _affine(w.cols[damp], xd)
-        ok = (lam2 > 0.0) & (_min(td, axis=1) > 0.0)
+        ok = (ld > 0.0) & (_min(td, axis=1) > 0.0)
         if np.count_nonzero(ok) < ok.size:
             back = damp[~ok]
             xd[~ok], td[~ok] = w.xi[back], w.t[back]
@@ -350,45 +348,48 @@ def _newton(cols, pos, out, pad=None, start=None):
     if start is not None:
         out.warm[pos] = w.begin_at(start)
 
-    def settle(sel, resid, it):
+    def residual(sel):
+        return _norm(_sum(w.cols[sel] / w.t[sel][:, None, :], axis=2))
+
+    def settle(sel, it):
         eta[w.pos[sel]] = w.xi[sel]
         at = pos[w.pos[sel]]
         out.stat[at] = np.maximum(0.0, -2.0 * w.f[sel])
-        out.iterations[at], out.residual[at] = it, resid
+        out.iterations[at], out.residual[at] = it, residual(sel)
 
-    def stop(mask, code, resid, it):
+    def stop(mask, code, it):
         at = pos[w.pos[mask]]
         out.status[at], out.reason[at] = STATUS_FAILED, code
-        out.residual[at], out.iterations[at] = resid[mask], it
+        out.residual[at], out.iterations[at] = residual(mask), it
 
     for it in range(1, MAX_NEWTON_STEPS + 1):
         g, h = _gradient_and_hessian(w.cols, w.t)
         if w.pad is not None:
             h += w.pad
-        resid = _norm(g)
-        met = resid < DUAL_GRAD_TOL
-        stuck = _step(w, g, _newton_directions(h, g))
+        d = _newton_directions(h, g)
+        lam2 = _sum(g * d, axis=1)
+        met = np.abs(lam2) <= _EPS
+        stuck = _step(w, d, lam2)
         if stuck is not None:
-            # a problem that has met the tolerance ends at its iterate
-            settle(stuck & met, resid[stuck & met], it - 1)
-            stop(stuck & ~met, _SINGULAR, resid, it)
+            # a problem whose decrement has met eps ends at its iterate
+            settle(stuck & met, it - 1)
+            stop(stuck & ~met, _SINGULAR, it)
             met &= ~stuck
-        # A problem ends one step after its residual first meets the
-        # tolerance: that trailing step tightens sum(p) = 1 and
-        # sum(p psi) = 0 well past it.
+        # A problem ends one step after its squared decrement lam^2 first
+        # falls to eps: f - f* <= lam^2 there, so its statistic -2f is already
+        # within 2 eps of the optimum, and the trailing step only tightens
+        # sum(p) = 1 and sum(p psi) = 0.
         n_met = np.count_nonzero(met)
         if n_met:
-            sel = slice(None) if n_met == len(met) else met  # views when all end
-            settle(sel, _norm(_sum(w.cols[sel] / w.t[sel][:, None, :], axis=2)), it)
+            settle(slice(None) if n_met == len(met) else met, it)  # views when all end
         keep = ~met if stuck is None else ~(met | stuck)
         n_keep = np.count_nonzero(keep)
         if not n_keep:
             break
         if n_keep < len(keep):
             w.keep(keep)
-            resid = resid[keep]
     else:
-        stop(np.ones(w.pos.size, dtype=bool), _MAX_STEPS, resid, MAX_NEWTON_STEPS)
+        stop(np.ones(w.pos.size, dtype=bool), _MAX_STEPS, MAX_NEWTON_STEPS)
     return eta
 
 
@@ -473,15 +474,19 @@ def solve_duals(rows, adjusted: bool = False, start=None) -> DualBatch:
     damped step xi + d / (1 + lam), lam = sqrt(g'd) the Newton decrement,
     which stays in the domain and lowers f by at least lam - ln(1 + lam).
     There is no line search and no bound on t_j but t_j > 0.  A problem ends
-    one step after its multiplier-equation residual
-    ||sum psi_j / (1 + xi'psi_j)|| first drops below 1e-9: that trailing
-    step tightens the constraints well past the tolerance.  It is
-    STATUS_FAILED when its Newton matrix is numerically singular (LAPACK
-    finds an exactly zero pivot, or rounding spoils the direction so that
-    the damped step cannot be taken), unless its residual has already met
-    the tolerance, or after 100 Newton steps.  Given its start, each
-    problem's outcome is the one it would have alone: the batch only shares
-    the numpy calls.
+    one step after its squared decrement lam^2 = g'd first falls to eps in
+    absolute value.  lam^2 is unchanged by any invertible map of the psi
+    columns, so the rule is free of their scale, and f - f* <= lam^2 once
+    lam <= 0.68 (Boyd & Vandenberghe 2004, sec. 9.5-9.6): the statistic
+    -2f is within 2 eps of its optimum before the trailing step, which only
+    tightens sum(p) = 1 and sum(p psi) = 0.  The multiplier-equation
+    residual ||sum psi_j / (1 + xi'psi_j)|| is reported and decides
+    nothing.  A problem is STATUS_FAILED when its Newton matrix is
+    numerically singular (LAPACK finds an exactly zero pivot, or rounding
+    spoils the direction so that the damped step cannot be taken), unless
+    its decrement has already met eps, or after 100 Newton steps.  Given
+    its start, each problem's outcome is the one it would have alone: the
+    batch only shares the numpy calls.
 
     Newton works on the transposed rows (N, k, m), whose sums over rows
     then run along contiguous memory.  Column-major ``rows`` (the (N, m, k)

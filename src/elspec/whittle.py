@@ -170,7 +170,11 @@ class FitResult:
 
     ``estimate`` is beta1 for profile fits and (beta1, profiled sigma2)
     otherwise.  Non-convergence is reported through ``converged``; the
-    estimate is still the best point found.
+    estimate is still the best point found.  ``boundary`` is True when a
+    partial autocorrelation of the estimate rounds to +-1 at four decimals:
+    the estimate is then on the stationarity/invertibility boundary, where
+    the profile score need not vanish, so ``converged`` says little and the
+    quadratic approximation behind :func:`sandwich` fails.
     """
 
     estimate: np.ndarray
@@ -179,6 +183,7 @@ class FitResult:
     loglik: float
     order: tuple[int, int]
     profile: bool
+    boundary: bool
 
     def to_spec(self, pg: Periodogram | None = None) -> ArmaSpec:
         """Build the fitted ArmaSpec; profile fits take sigma2 from the
@@ -496,21 +501,15 @@ def _whittle_fit(pg: Periodogram, table, order, profile=True, init=None, max_ite
         loglik=loglik,
         order=order,
         profile=profile,
+        boundary=bool(np.any(np.round(np.abs(np.tanh(u)), _BOUNDARY_DIGITS) == 1.0)),
     )
     if not fit.converged:
         _log.warning("Whittle fit of order %s did not converge: mean score max-norm %.3g "
                      "after %d iterations", order, score_norm, fit.iterations)
-    if _on_boundary(np.tanh(u)):
+    if fit.boundary:
         _log.info("Whittle fit of order %s ends on the stationarity/invertibility boundary: "
                   "a partial autocorrelation rounds to +-1 (estimate %s)", order, fit.estimate)
     return fit
-
-
-def _on_boundary(pacf) -> bool:
-    """Whether a partial autocorrelation in ``pacf`` rounds to +-1 at
-    _BOUNDARY_DIGITS decimals: an estimate on the stationarity/invertibility
-    boundary, where the profile score need not vanish."""
-    return bool(np.any(np.round(np.abs(pacf), _BOUNDARY_DIGITS) == 1.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -55,15 +55,16 @@ def _column_scales(rng, n, k, power):
 
 
 @st.composite
-def psi_batches(draw):
+def psi_batches(draw, near_collinear=True):
     """Random (N, m, k) stacks mixing solvable problems, one-sided ones
     (zero far outside the hull of the rows) and exactly collinear ones, a
     cut, and random Newton starts (zero, small, moderate and large, so some
     are taken and some rejected).  Some stacks also have columns collinear
-    to within 1e-9, zero rows and all-zero problems, and per-column scales
-    10^+-6 or 10^+-150 (returned apart from the rows, (N, 1, k)): cases the
-    rank certificate of solve_duals sends to the SVD, a scale of 10^-150
-    by making the Gram underflow."""
+    to within 1e-9 (unless ``near_collinear`` is False), zero rows and
+    all-zero problems, and per-column scales 10^+-6 or 10^+-150 (returned
+    apart from the rows, (N, 1, k)): cases the rank certificate of
+    solve_duals sends to the SVD, a scale of 10^-150 by making the Gram
+    underflow."""
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(1, 12))
     m = draw(st.integers(4, 30))
@@ -75,7 +76,7 @@ def psi_batches(draw):
         rows[collinear, :, 1] = -rows[collinear, :, 0]
     cut = int(rng.integers(0, n + 1))
     start = rng.standard_normal((n, k)) * rng.choice([0.0, 0.05, 0.5, 5.0], size=(n, 1))
-    if draw(st.booleans()):
+    if near_collinear and draw(st.booleans()):
         near = rng.random(n) < 0.3
         rows[near] = rows[near] @ _near_collinear(k)
     if draw(st.booleans()):
@@ -96,8 +97,6 @@ def _same(a, b, i, j):
 @given(psi_batches())
 @settings(max_examples=60, deadline=None)
 def test_batch_invariance_and_nesting(batch):
-    # batch invariance on the scaled rows; nesting on the unscaled ones, since
-    # at 10^-150 the absolute residual tolerance ends Newton after one step
     rows, scale, cut, start = batch
     scaled = rows * scale
     for stack, adjusted in ((scaled, False), (adjust_rows(scaled, MAX_HALF_LOG), True)):
@@ -111,11 +110,59 @@ def test_batch_invariance_and_nesting(batch):
                 _same(whole, part(slice(i, i + 1)), i, 0)
                 half, j = (halves[0], i) if i < cut else (halves[1], i - cut)
                 _same(whole, half, i, j)
-    el = solve_duals(rows)
-    ael = solve_duals(adjust_rows(rows, MAX_HALF_LOG), adjusted=True)
+    el = solve_duals(scaled)
+    ael = solve_duals(adjust_rows(scaled, MAX_HALF_LOG), adjusted=True)
     both = (el.status == STATUS_OK) & (ael.status == STATUS_OK)
     assert np.all(ael.stat[both] <= el.stat[both] + 1e-9 * np.maximum(1.0, np.abs(el.stat[both])))
     assert not np.any(ael.status == STATUS_NO_SOLUTION)
+
+
+@given(psi_batches(near_collinear=False), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_stopping_rule_is_scale_free(batch, seed):
+    # Newton stops on its decrement, which no invertible map of the psi
+    # columns changes, so per-problem scales 10^+-150 and per-column scales
+    # 10^+-6 leave every status and statistic as it was, plain and adjusted.
+    # Left out is what such a map does change: the numerical rank (of
+    # columns collinear to within 1e-9, or under per-column 10^+-150), the
+    # rounding of the SVD span coordinates of rank-deficient rows, and the
+    # outcome on rows collinear to within 1e-9, whose Newton matrices are
+    # singular to rounding.  So per-column scales are compared only where
+    # both copies have full column rank.
+    rows = batch[0]
+    n, _, k = rows.shape
+    rng = np.random.default_rng(seed)
+    for scale in (_column_scales(rng, n, 1, 150), _column_scales(rng, n, k, 6)):
+        a, b = rows, rows * scale
+        if scale.shape[2] > 1:
+            full = (np.linalg.matrix_rank(a) == k) & (np.linalg.matrix_rank(b) == k)
+            a, b = a[full], b[full]
+        for adjusted in (False, True):
+            if adjusted:
+                a, b = adjust_rows(a, MAX_HALF_LOG), adjust_rows(b, MAX_HALF_LOG)
+            x, y = solve_duals(a, adjusted), solve_duals(b, adjusted)
+            assert np.array_equal(x.status, y.status)
+            ok = x.status == STATUS_OK
+            assert np.all(np.abs(x.stat[ok] - y.stat[ok]) <= 1e-12 * np.maximum(1.0, x.stat[ok]))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+@pytest.mark.parametrize("adjusted", [False, True])
+def test_extreme_problem_scale_solves_as_unscaled(scale, adjusted):
+    # The absolute residual tolerance this rule replaced took 1 step and a
+    # statistic of 3.17343 (EL, true 3.22181) at 1e-150, and failed after
+    # 100 steps at 1e150.
+    rng = np.random.default_rng(0)
+    m, k = rng.integers(4, 31), rng.integers(1, 4)
+    rows = rng.standard_normal((1, m, k)) + rng.choice([0.0, 0.4, 4.0], size=(1, 1, k))
+    base, scaled = rows, rows * scale
+    if adjusted:
+        base, scaled = adjust_rows(base, MAX_HALF_LOG), adjust_rows(scaled, MAX_HALF_LOG)
+    plain, res = solve_duals(base, adjusted), solve_duals(scaled, adjusted)
+    assert plain.status[0] == res.status[0] == STATUS_OK
+    assert res.stat[0] == pytest.approx(plain.stat[0], rel=1e-12)
+    if not adjusted:
+        assert res.stat[0] == pytest.approx(3.22181, abs=1e-5)
 
 
 @st.composite

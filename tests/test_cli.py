@@ -178,7 +178,7 @@ class TestFitCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert 0.45 <= doc["ma"][0] <= 0.55
-        assert doc["converged"] is True
+        assert doc["converged"] is True and doc["boundary"] is False
         assert doc["v_hat"] is not None
 
     def test_seed_flag_rejected(self, ma1_file):
@@ -209,7 +209,8 @@ class TestFitCommand:
         proc = subprocess.run([sys.executable, "-m", "elspec", "fit", src, "--order", "0,1"],
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0 and proc.stderr == ""
-        assert round(json.loads(proc.stdout)["ma"][0], 4) == 1.0
+        doc = json.loads(proc.stdout)
+        assert round(doc["ma"][0], 4) == 1.0 and doc["boundary"] is True
 
 
 class TestRegionCommand:

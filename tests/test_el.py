@@ -203,25 +203,27 @@ class TestSolveDual:
         assert np.linalg.norm((rows / t[:, None]).sum(axis=0)) < 1e-9
 
     def test_singular_trailing_direction_still_solves(self, monkeypatch):
-        # once the residual meets the tolerance the trailing step only
+        # once the squared Newton decrement meets eps the trailing step only
         # polishes: a NaN direction there leaves each problem solved at the
         # iterate it has
         rng = np.random.default_rng(6)
         rows = rng.standard_normal((5, 40, 2)) + 0.3
         plain = solve_duals(rows)
-        directions = elspec.el._newton_directions
+        step, eps = elspec.el._step, np.finfo(float).eps
 
-        def nan_when_met(h, g):
-            d = directions(h, g)
-            d[np.linalg.norm(g, axis=1) < elspec.el.DUAL_GRAD_TOL] = np.nan
-            return d
+        def nan_when_met(w, d, lam2):
+            return step(w, np.where(np.abs(lam2)[:, None] <= eps, np.nan, d), lam2)
 
-        monkeypatch.setattr(elspec.el, "_newton_directions", nan_when_met)
+        monkeypatch.setattr(elspec.el, "_step", nan_when_met)
         res = solve_duals(rows)
         assert np.all(res.status == STATUS_OK)
         assert np.array_equal(res.iterations, plain.iterations - 1)
-        assert np.all(res.residual < elspec.el.DUAL_GRAD_TOL)
         np.testing.assert_allclose(res.stat, plain.stat, rtol=1e-12)
+        # each returned xi meets the stopping rule g'h^-1 g <= eps
+        for x, xi in zip(rows, res.xi):
+            r = x / (1.0 + x @ xi)[:, None]
+            g = r.sum(axis=0)
+            assert g @ np.linalg.solve(r.T @ r, g) <= eps
 
     def test_per_problem_fallback_is_logged(self, caplog):
         # one exactly singular h makes the batched solve raise; the others

@@ -443,14 +443,22 @@ class TestFitLogging:
         pg = compute_periodogram(TimeSeries(np.diff(e)))
         with caplog.at_level(logging.DEBUG, logger="elspec"):
             fit = whittle_fit(pg, (0, 1))
-        assert fit.converged and round(float(fit.estimate[0]), 4) == 1.0
+        assert fit.converged and fit.boundary and round(float(fit.estimate[0]), 4) == 1.0
         [record] = caplog.records
         assert record.levelno == logging.INFO and "boundary" in record.getMessage()
 
     def test_interior_fit_logs_nothing(self, ma1_pg_t2000, caplog):
         with caplog.at_level(logging.DEBUG, logger="elspec"):
-            whittle_fit(ma1_pg_t2000, (0, 1))
-        assert caplog.records == []
+            fit = whittle_fit(ma1_pg_t2000, (0, 1))
+        assert caplog.records == [] and not fit.boundary
+
+    def test_boundary_flag_on_converged_ma1_fit(self):
+        # MA(1) .95 at T = 60: the fit converges to the invertibility
+        # boundary, which the flag reports
+        pg = compute_periodogram(simulate(ArmaSpec(ma=[0.95]), 60, seed=5))
+        fit = whittle_fit(pg, (0, 1))
+        assert fit.converged and fit.boundary
+        assert fit.estimate[0] == pytest.approx(0.99999006, abs=1e-7)
 
 
 def _u_vectors(bound):
