@@ -43,10 +43,14 @@ def bartlett_constants(columns) -> np.ndarray:
     """:func:`estimate_bartlett` for a stack of scalar psi columns (N, n):
     one b_hat per row, NaN for a constant column.
 
-    A constant column is centred by its common value, so it is exactly zero;
-    any other centred column is scaled to max |c| = 1 before its moments are
-    taken, so no power of c underflows or overflows, whatever the column's
-    scale (b_hat is scale-free)."""
+    Each column is first scaled by a power of two to max |x| in [1/2, 1),
+    which is exact for normal numbers, so its mean neither underflows (a
+    column of subnormals) nor overflows.  A constant column is centred by
+    its common value, so it is exactly zero; any other centred column is
+    scaled to max |c| = 1 before its moments are taken, so no power of c
+    underflows or overflows, whatever the column's scale (b_hat is
+    scale-free)."""
+    columns = np.ldexp(columns, -np.frexp(np.abs(columns).max(axis=1, keepdims=True))[1])
     c = _centred(columns, columns.mean(axis=1, keepdims=True))
     peak = np.abs(c).max(axis=1, keepdims=True)
     c /= np.where(peak > 0.0, peak, 1.0)

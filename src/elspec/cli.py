@@ -162,7 +162,7 @@ def cmd_fit(args) -> int:
     fit = whittle_fit(pg, args.order, profile=args.profile)
     p, q = args.order
     est = fit.estimate
-    spec = fit.to_spec(pg)
+    spec = fit.to_spec()  # a profile fit's sigma2_hat comes from the sandwich below
     result = {
         "version": __version__,
         "order": list(args.order),
@@ -175,15 +175,17 @@ def cmd_fit(args) -> int:
         "converged": fit.converged,
         "boundary": fit.boundary,
         "iterations": fit.iterations,
-        "sigma2_hat": spec.sigma2,
+        "sigma2_hat": None,
     }
     if p + q > 0 or not args.profile:
         try:
             diag = sandwich(pg, spec, profile=args.profile)
-            result["v_hat"] = diag.v_hat.tolist()
+            result["sigma2_hat"], result["v_hat"] = diag.sigma2, diag.v_hat.tolist()
         except ElspecError as exc:
             result["v_hat"] = None
             result["v_hat_error"] = str(exc)
+    if result["sigma2_hat"] is None:  # no sandwich, or it raised
+        result["sigma2_hat"] = fit.to_spec(pg).sigma2
     text = json.dumps(result, indent=1)
     print(text)
     if args.out:

@@ -13,13 +13,21 @@ included.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arma import ArmaSpec, STATIONARITY_MARGIN, batch_slices, lag_table, stationary_invertible
+from .arma import (
+    _BATCH_ENTRIES,
+    ArmaSpec,
+    STATIONARITY_MARGIN,
+    batch_slices,
+    lag_table,
+    stationary_invertible,
+)
 from .bartlett import bartlett_constants, bartlett_scale, chi2_quantile
 from .el import (
     MAX_HALF_LOG,
@@ -32,7 +40,14 @@ from .el import (
 )
 from .errors import ConvergenceError, InputError, InvalidModelError, SingularMatrixError
 from .periodogram import Periodogram
-from .whittle import FitResult, _sandwich, _whittle_fit, psi_profile_rows
+from .whittle import (
+    FitResult,
+    _sandwich,
+    _whittle_fit,
+    factor_table,
+    psi_factor_rows,
+    psi_profile_rows,
+)
 
 METHODS = ("el", "ael", "eb", "tb")
 
@@ -183,18 +198,31 @@ def scan_region(
 
     ``box`` is a per-parameter sequence of (lo, hi) ranges and ``steps`` the
     matching node counts (a single int is broadcast).  Per-node solver
-    failures are flagged in ``status`` without aborting the scan.  All
-    nodes are validated at once; the valid ones are solved in batches of up
-    to several hundred nodes (fewer for long series) by one
-    :func:`elspec.el.solve_duals` call each, coarsest first
-    (:func:`_coarse_to_fine`).  Each node starts Newton from the mean
-    multipliers of its parents that were solved in earlier batches, when
-    the dual accepts that start, and from 0 otherwise.  A node's status and
-    statistic are those of its cold solve up to rounding; its iteration
-    count depends on the order.  A grid that fits in one batch has no
-    solved parents and is solved cold.  One DEBUG record on the ``elspec``
-    logger gives the nodes, batches, warm-started nodes, rejected starts
-    and Newton steps of the scan.
+    failures are flagged in ``status`` without aborting the scan.  The
+    valid nodes are solved in batches of up to several hundred nodes (fewer
+    for long series) by one :func:`elspec.el.solve_duals` call each,
+    coarsest first (:func:`_coarse_to_fine`).  Each node starts Newton from
+    the mean multipliers of its parents that were solved in earlier
+    batches, when the dual accepts that start, and from 0 otherwise.  A
+    node's status and statistic are those of its cold solve up to rounding;
+    its iteration count depends on the order.  A grid that fits in one
+    batch has no solved parents and is solved cold.
+
+    The psi rows come from factor tables.  The AR block is the first p axes
+    and the MA block the last q.  Each block value is validated once, and
+    each valid one evaluated once (:func:`elspec.whittle.factor_table`):
+    |P|^2 and its centred gradient columns.  Each node gathers its AR and
+    MA factors (:func:`elspec.whittle.psi_factor_rows`), so a 60 x 60 scan
+    evaluates 120 lag-polynomial rows, not 7,200, and the rows are bitwise
+    those of :func:`elspec.whittle.psi_profile_rows` on the nodes.  A
+    block's table covers the whole scan when its entries (valid values x
+    n x (1 + block order)) fit the batch budget ``arma._BATCH_ENTRIES``;
+    otherwise each batch builds the table of its own distinct values
+    (:func:`_block_factors`).
+
+    One DEBUG record on the ``elspec`` logger gives the nodes, batches,
+    warm-started nodes, rejected starts and Newton steps of the scan, and
+    the AR and MA factor-table rows it evaluated.
     """
     p, q = order
     k = p + q
@@ -221,22 +249,30 @@ def scan_region(
         except InvalidModelError as exc:
             raise InputError(f"grid box leaves the stationarity/invertibility region: {exc}")
 
-    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
-    ar, ma = nodes[:, :p], nodes[:, p:]
-    valid = stationary_invertible(ar, ma)
-    stat = np.full(len(nodes), np.nan)
+    # Node f (row-major) has AR block value f // len(ma) and MA block
+    # value f % len(ma); a block value is valid where its polynomial is (the
+    # AR and MA rules are the same, so each block is checked alone).
+    ar, ma = (np.array(list(itertools.product(*block)), dtype=float)
+              for block in (axes[:p], axes[p:]))
+    ar_ok, ma_ok = (stationary_invertible(block, block[:, :0]) for block in (ar, ma))
+    valid = (ar_ok[:, None] & ma_ok).ravel()
+    stat = np.full(valid.size, np.nan)
     status = np.where(valid, STATUS_OK, STATUS_INVALID)
-    iterations = np.full(len(nodes), -1)
-    residual = np.full(len(nodes), np.nan)
+    iterations = np.full(valid.size, -1)
+    residual = np.full(valid.size, np.nan)
     shape = tuple(len(ax) for ax in axes)
     solved, parents = _coarse_to_fine(np.flatnonzero(valid), shape)
-    # one more entry than nodes: the index len(nodes) stands for "no parent"
-    xi = np.zeros((len(nodes) + 1, k))
-    ready = np.zeros(len(nodes) + 1, dtype=bool)
+    # one more entry than nodes: the index valid.size stands for "no parent"
+    xi = np.zeros((valid.size + 1, k))
+    ready = np.zeros(valid.size + 1, dtype=bool)
     batches = batch_slices(solved.size, (pg.n + 1) * k)
     table = lag_table(pg.freqs, max(order))
-    warm = rejected = newton_steps = 0
-    for part in batches:
+    ar_of, ma_of = np.divmod(solved, len(ma))
+    ar_factors = _block_factors(ar, ar_ok, (ar_of[part] for part in batches), table, True)
+    ma_factors = _block_factors(ma, ma_ok, (ma_of[part] for part in batches), table, False)
+    warm = rejected = newton_steps = ar_rows = ma_rows = 0
+    for part, (ar_table, ia, ar_new), (ma_table, im, ma_new) in zip(
+            batches, ar_factors, ma_factors):
         at, par = solved[part], parents[part]
         have = ready[par]
         count = np.count_nonzero(have, axis=1)
@@ -244,7 +280,8 @@ def scan_region(
         if given.any():
             start = np.where(have[:, :, None], xi[par], 0.0).sum(axis=1)
             start /= np.maximum(count, 1)[:, None]
-        rows = psi_profile_rows(table, pg.ords, ar[at], ma[at])
+        rows = psi_factor_rows(pg.ords, ar_table, ma_table, ia, im)
+        ar_rows, ma_rows = ar_rows + ar_new, ma_rows + ma_new
         res = method_stats(rows, (method,), policy, start)[method]
         ok = res.status == STATUS_OK
         stat[at], status[at] = res.stat, res.status
@@ -255,13 +292,39 @@ def scan_region(
         rejected += np.count_nonzero(given & ~res.warm & (res.status != STATUS_NO_SOLUTION))
         newton_steps += int(res.iterations.sum())
     _log.debug("%s scan of order %s: %d nodes, %d batches, %d warm-started, %d starts "
-               "rejected, %d Newton steps", method, order, solved.size, len(batches), warm,
-               rejected, newton_steps)
+               "rejected, %d Newton steps, %d AR and %d MA factor rows", method, order,
+               solved.size, len(batches), warm, rejected, newton_steps, ar_rows, ma_rows)
     return RegionGrid(
         axes=axes, stat=stat.reshape(shape), status=status.reshape(shape), threshold=threshold,
         method=method, alpha=alpha, order=order, iterations=iterations.reshape(shape),
         residual=residual.reshape(shape),
     )
+
+
+def _block_factors(values, ok, indices, table, ar):
+    """Per batch of a scan: the :func:`elspec.whittle.factor_table` of one
+    block, each of the batch's nodes' row in it, and the number of table
+    rows evaluated for the batch.
+
+    ``values`` (V, r) are the block's values, ``ok`` marks the valid ones
+    and ``indices`` yields each batch's block indices, all of valid values.
+    A table holds valid values only: a unit-root |P|^2 can be 0 at a
+    Fourier frequency.  When the valid values' V_ok * n * (1 + r) entries
+    fit the batch budget ``arma._BATCH_ENTRIES``, one table of all of them
+    serves every batch; otherwise each batch builds the table of its own
+    distinct values.  So a table never exceeds the budget or one batch's
+    own factor rows.
+    """
+    valid = np.flatnonzero(ok)
+    if valid.size * len(table[0]) * (1 + values.shape[1]) <= _BATCH_ENTRIES:
+        whole, row, new = factor_table(values[valid], table, ar), np.cumsum(ok) - 1, valid.size
+        for index in indices:
+            yield whole, row[index], new
+            new = 0
+    else:
+        for index in indices:
+            distinct, row = np.unique(index, return_inverse=True)
+            yield factor_table(values[distinct], table, ar), row, distinct.size
 
 
 def _coarse_to_fine(flat, shape):

@@ -22,6 +22,7 @@ import numpy as np
 
 from .arma import (
     ArmaSpec,
+    _lag_poly,
     lag_table,
     log_spectral_gradient,
     shape_and_gradient_stack,
@@ -124,27 +125,82 @@ def psi_profile_rows(table, ords, ar, ma) -> np.ndarray:
     scanned over many models or many series taken at one model.
     Each problem's rows do not depend on the stack it is in.
 
+    Two steps build the rows: :func:`factor_table` evaluates the AR and the
+    MA lag polynomial of every stack row, and :func:`psi_factor_rows` forms
+    g1, the profile weights and the rows from the two tables.  This call
+    passes no indices, so it gathers nothing: each problem reads its own
+    table rows, or the one row of a stack of length 1.
+
     The rows are stored column-major, like the gradient of
     :func:`elspec.arma.shape_and_gradient_stack`: the result is the
-    (N, n, p + q) view of an (N, p + q, n) array, so the centring below and
-    the sums over rows in :func:`elspec.el.solve_duals` run along contiguous
+    (N, n, p + q) view of an (N, p + q, n) array, so the centring and the
+    sums over rows in :func:`elspec.el.solve_duals` run along contiguous
     memory.  A caller that needs C order can take ``np.ascontiguousarray``.
     """
-    g1, grad = shape_and_gradient_stack(ar, ma, table)
-    ratio = ords / g1
-    del g1
-    weight, grad = _profile_weights(ratio, grad)
-    return weight[..., None] * grad
+    return psi_factor_rows(ords, factor_table(ar, table, ar=True),
+                           factor_table(ma, table, ar=False))
 
 
-def _profile_weights(ratio, grad):
-    """The two factors of the psi_profile rows, I_j/(sigma2_hat g1_j) - 1 and
-    the centred grad ln g1, computed in place from the ordinate ratios
-    I_j/g1_j (N, n) and grad ln g1 (N, n, k) of a stack."""
+def factor_table(coeffs, table, ar: bool):
+    """The factor of g1 = |theta|^2 / |phi|^2 / (2 pi) and of grad ln g1
+    that one lag polynomial gives, for a stack of coefficient rows
+    ``coeffs`` (V, r): |P|^2 (V, n) of P(w) = 1 - sum_k c_k e^{-iwk} and
+    its gradient columns (V, n, r), both from the
+    :func:`elspec.arma.lag_table` ``table`` (lags >= r).
+
+    The gradient is grad ln|P|^2, negated for the AR polynomial (``ar``),
+    with each column centred over the n frequencies as the
+    :func:`psi_profile` rows need; it is the (V, n, r) view of a (V, r, n)
+    array.  An empty polynomial (r = 0) gives no columns and |P|^2 = 1 as
+    a (V, 1) column, which broadcasts over the frequencies.
+    Each row's values do not depend on the stack it is in.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    count, r, n = len(coeffs), coeffs.shape[1], len(table[0])
+    grad = np.empty((count, r, n)).transpose(0, 2, 1)
+    mod2 = _lag_poly(coeffs, table, grad) if r else np.ones((count, 1))
+    if ar:
+        np.negative(grad, out=grad)
+    return mod2, _centre(grad)
+
+
+def psi_factor_rows(ords, ar_factors, ma_factors, ar_index=..., ma_index=...) -> np.ndarray:
+    """:func:`psi_profile` rows, shape (N, n, p + q), from the AR and MA
+    :func:`factor_table` results ``ar_factors`` and ``ma_factors`` and the
+    periodogram ``ords`` (n,) or (R, n) at their frequencies.
+
+    Problem i takes row ``ar_index[i]`` of the AR table and row
+    ``ma_index[i]`` of the MA table: g1 = M / A / (2 pi), the profile
+    weight I_j / (sigma2_hat g1_j) - 1, and psi = weight times the two
+    gathered gradients.  The default index ``...`` takes a table as it is,
+    without a gather, so tables of equal length pair row by row and a table
+    of length 1 broadcasts against the other and against a stack of
+    periodograms.  The rows are stored column-major, as
+    :func:`psi_profile_rows` describes, and are bitwise those of
+    :func:`psi_profile_rows` on the gathered coefficient rows.
+    """
+    (ar_mod2, ar_grad), (ma_mod2, ma_grad) = ar_factors, ma_factors
+    weight = _profile_weight(ords / (ma_mod2[ma_index] / ar_mod2[ar_index] / (2.0 * np.pi)))
+    p, n = ar_grad.shape[2], weight.shape[1]
+    rows = np.empty((len(weight), p + ma_grad.shape[2], n)).transpose(0, 2, 1)
+    np.multiply(weight[..., None], ar_grad[ar_index], out=rows[..., :p])
+    np.multiply(weight[..., None], ma_grad[ma_index], out=rows[..., p:])
+    return rows
+
+
+def _centre(grad):
+    """grad ln g1 (N, n, k) of a stack, each column centred over the n
+    frequencies in place."""
     grad -= grad.mean(axis=1, keepdims=True)
+    return grad
+
+
+def _profile_weight(ratio):
+    """The psi_profile weights I_j/(sigma2_hat g1_j) - 1 of a stack, in
+    place, from its ordinate ratios I_j/g1_j (N, n)."""
     ratio /= ratio.mean(axis=-1, keepdims=True)
     ratio -= 1.0
-    return ratio, grad
+    return ratio
 
 
 def el_stat(pg: Periodogram, spec: ArmaSpec, adjusted: bool = True, profile: bool = True,
@@ -258,7 +314,7 @@ def _neg_loglik_stack(pg: Periodogram, table, order, x):
     g1, grad = shape_and_gradient_stack(ar, ma, table)
     ratio = pg.ords / g1
     value = np.log(ratio.mean(axis=1)) + np.log(g1).mean(axis=1) + 1.0
-    score = _row_dot(*_profile_weights(ratio, grad))
+    score = _row_dot(_profile_weight(ratio), _centre(grad))
     du = [_row_dot(score[:, :p], jar), _row_dot(score[:, p:], jma)]
     return value, np.concatenate(du, axis=1) / -pg.n
 
@@ -520,11 +576,14 @@ class SandwichDiag:
     log-likelihood's Hessian over n + 1; sigma_hat is their mean outer
     product; v_hat = a_hat^{-1} sigma_hat a_hat^{-T} scales the quadratic
     approximation (n + 1) delta' v_hat^{-1} delta of the adjusted statistic.
+    ``sigma2`` is the innovation variance they are taken at: sigma2_hat =
+    :func:`profile_sigma2` for the profile form, the model's otherwise.
     """
 
     a_hat: np.ndarray
     sigma_hat: np.ndarray
     v_hat: np.ndarray
+    sigma2: float
 
 
 def _loglik_hessian(pg: Periodogram, spec: ArmaSpec) -> np.ndarray:
@@ -591,8 +650,7 @@ def _sandwich(pg: Periodogram, table, spec: ArmaSpec, profile=True,
     hess, r, grad = _hessian_terms(pg.ords, sigma2, g1, grad1, curv1)
     if profile:  # the sigma2 entry is -n / sigma2_hat^2 at sigma2_hat
         hess = hess[:-1, :-1] - np.outer(hess[:-1, -1], hess[-1, :-1]) / hess[-1, -1]
-        weight, centred = _profile_weights(pg.ords / g1, grad1)
-        rows = (weight[..., None] * centred)[0]
+        rows = (_profile_weight(pg.ords / g1)[..., None] * _centre(grad1))[0]
     else:
         rows = (r - 1.0)[:, None] * grad
     rows = adjust(PsiMatrix(rows), policy).rows
@@ -606,4 +664,4 @@ def _sandwich(pg: Periodogram, table, spec: ArmaSpec, profile=True,
         )
     a_inv = np.linalg.inv(a_hat)
     v_hat = a_inv @ sigma_hat @ a_inv.T
-    return SandwichDiag(a_hat=a_hat, sigma_hat=sigma_hat, v_hat=v_hat)
+    return SandwichDiag(a_hat=a_hat, sigma_hat=sigma_hat, v_hat=v_hat, sigma2=sigma2)

@@ -67,6 +67,19 @@ class TestEstimateBartlett:
         # centred to +-1.7e-154, whose fourth power underflows to zero
         assert bartlett_constants(np.array([[0.0, 3.4e-154]]))[0] == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("column", [[0.0, 5e-324], [0.0, 1.5e-323, 0.0, 1.5e-323],
+                                        [1.5e308, 1.5e308, -1.5e308, -1.5e308]])
+    def test_two_point_columns_at_the_float_range_ends(self, column):
+        # a subnormal mean would round (to 0 for [0, 5e-324], leaving the
+        # column uncentred), and a sum of 1.5e308's overflows
+        assert bartlett_constants(np.array([column]))[0] == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("power", [-900, -60, 60, 900])
+    def test_power_of_two_scale_is_bitwise_invisible(self, power):
+        rows = np.random.default_rng(8).standard_t(1.5, size=(40, 25))
+        np.testing.assert_array_equal(bartlett_constants(np.ldexp(rows, power)),
+                                      bartlett_constants(rows))
+
     @pytest.mark.parametrize("value", [0.0, 3.0, 0.1, -2.7e-200, 1e300])
     def test_constant_column_is_nan(self, value):
         # centred by its common value, a constant column is exactly zero

@@ -11,7 +11,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import elspec
-from elspec import ArmaSpec, InputError, NoiseKind, TimeSeries, compute_periodogram, scan_region, simulate
+import elspec.cli
+from elspec import (
+    ArmaSpec,
+    InputError,
+    NoiseKind,
+    SingularMatrixError,
+    TimeSeries,
+    compute_periodogram,
+    profile_sigma2,
+    scan_region,
+    simulate,
+)
 from elspec.cli import main, read_series
 from elspec.confidence import STATUS_LABELS, STATUS_NO_SOLUTION, STATUS_OK, RegionGrid, grid_axis
 
@@ -169,6 +180,25 @@ class TestFitCommand:
         doc = json.loads(capsys.readouterr().out)
         vals = np.loadtxt(wn_file)
         assert doc["sigma2_hat"] == pytest.approx(vals.var(), rel=0.10)
+
+    @pytest.mark.parametrize("order", ["0,0", "1,0", "0,1", "1,1", "2,1"])
+    @pytest.mark.parametrize("singular", [False, True], ids=["sandwich", "singular"])
+    def test_sigma2_hat_is_profile_sigma2_bitwise(self, ma1_file, capsys, monkeypatch, order,
+                                                  singular):
+        # taken from the sandwich's evaluation, or from profile_sigma2 where
+        # there is no sandwich (order 0,0) or it raises
+        if singular:
+            def raising(*args, **kwargs):
+                raise SingularMatrixError("singular", cond=np.inf)
+
+            monkeypatch.setattr(elspec.cli, "sandwich", raising)
+        assert main(["fit", ma1_file, "--order", order]) in (0, 3)
+        doc = json.loads(capsys.readouterr().out)
+        assert ("v_hat" in doc) == (order != "0,0")
+        if order != "0,0":
+            assert (doc["v_hat"] is None) == singular
+        pg = compute_periodogram(read_series(ma1_file))
+        assert doc["sigma2_hat"] == profile_sigma2(pg, ArmaSpec(ar=doc["ar"], ma=doc["ma"]))
 
     def test_bad_order_exit_2(self, wn_file):
         assert main(["fit", wn_file, "--order", "banana"]) == 2

@@ -707,6 +707,7 @@ def test_contour_with_nearby_ends_stays_open():
     assert not np.array_equal(polys[0][0], polys[0][-1])
 
 
+_ARMA21, _ARMA21_BOX = (ArmaSpec(ar=[0.5, 0.2], ma=[0.4]),), [(-0.3, 0.6), (-0.3, 0.3), (-0.5, 0.9)]
 _SCAN_CASES = {
     # name: (spec, T, seed, order, box, steps, method)
     **{f"{method}-T{T}": (ArmaSpec(ar=[0.7], ma=[0.5]), T, 1, (1, 1), [(0.0, 1.0), (0.0, 1.0)],
@@ -715,6 +716,10 @@ _SCAN_CASES = {
     "ar1-eb-k1": (ArmaSpec(ar=[0.5]), 200, 3, (1, 0), [(-0.95, 0.95)], 700, "eb"),
     "ael-12-single-batch": (ArmaSpec(ar=[0.7], ma=[0.5]), 200, 1, (1, 1),
                             [(0.0, 1.0), (0.0, 1.0)], 12, "ael"),
+    # AR-block table 64 x 199 x 3 entries, over the batch budget: built per
+    # batch; the MA table is built once
+    "ael-arma21-per-batch": _ARMA21 + (400, 1, (2, 1), _ARMA21_BOX, 8, "ael"),
+    "el-arma21-single-batch": _ARMA21 + (200, 2, (2, 1), _ARMA21_BOX, 4, "el"),
 }
 
 
@@ -772,6 +777,9 @@ def test_scan_debug_record(caplog, steps):
     for name in ("stat", "status", "iterations", "residual"):
         np.testing.assert_array_equal(getattr(grid, name), getattr(quiet, name))
     nodes, batches, warm, rejected, newton = _scan_record(caplog.records)
+    [record] = caplog.records
+    factor_rows = re.search(r", (\d+) AR and (\d+) MA factor rows$", record.getMessage())
+    assert tuple(map(int, factor_rows.groups())) == (steps, steps)
     assert nodes == np.count_nonzero(grid.status != STATUS_INVALID)
     assert batches == len(batch_slices(nodes, (pg.n + 1) * 2))
     assert newton == grid.iterations[grid.status == STATUS_OK].sum()
@@ -779,6 +787,33 @@ def test_scan_debug_record(caplog, steps):
         assert batches == 1 and warm == rejected == 0
     else:
         assert batches > 1 and 0 < rejected < warm < nodes
+
+
+def test_scan_factor_tables_stay_in_budget(caplog, monkeypatch):
+    # the per-batch case of _SCAN_CASES: each AR table holds one batch's
+    # distinct values, the MA table all 8 values once
+    import elspec.confidence
+
+    spec, T, seed, order, box, steps, method = _SCAN_CASES["ael-arma21-per-batch"]
+    pg = compute_periodogram(simulate(spec, T, NoiseKind.STANDARD_NORMAL, seed=seed))
+    tables, original = {True: [], False: []}, elspec.confidence.factor_table
+
+    def recording(coeffs, table, ar):
+        tables[ar].append(coeffs)
+        return original(coeffs, table, ar)
+
+    monkeypatch.setattr(elspec.confidence, "factor_table", recording)
+    with caplog.at_level(logging.DEBUG, logger="elspec"):
+        scan_region(pg, order, box, steps, method=method)
+    nodes, batches = _scan_record(caplog.records)[:2]
+    assert nodes == 512 and len(tables[True]) == batches > 1 and len(tables[False]) == 1
+    budget = elspec.confidence._BATCH_ENTRIES
+    assert 64 * pg.n * 3 > budget >= 8 * pg.n * 2 and len(tables[False][0]) == 8
+    size = batch_slices(nodes, (pg.n + 1) * 3)[0].stop
+    for coeffs in tables[True]:
+        assert len(coeffs) <= size and len(np.unique(coeffs, axis=0)) == len(coeffs)
+    ar_rows = sum(map(len, tables[True]))
+    assert caplog.records[0].getMessage().endswith(f", {ar_rows} AR and 8 MA factor rows")
 
 
 class TestExtractContour:

@@ -42,6 +42,9 @@ from elspec.whittle import (
     _neg_loglik_stack,
     _pacf_coefficients,
     _pacf_from_coefficients,
+    factor_table,
+    psi_factor_rows,
+    psi_profile_rows,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -287,6 +290,30 @@ class TestPsiProfile:
                 - profile_loglik(pg, ArmaSpec.from_beta1((1, 1), dn))
             ) / (2 * h)
             assert colsums[i] == pytest.approx(fd, abs=1e-4)
+
+
+    @pytest.mark.parametrize("order", [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2)],
+                             ids=str)
+    def test_factor_tables_give_the_rows_bitwise(self, arma11_pg_t60, order):
+        # every node of a grid, in shuffled order, gathers its AR and MA
+        # factors from one table per block
+        pg, (p, q) = arma11_pg_t60, order
+        axis = np.array([-0.4, 0.0, 0.3, 0.45])
+        ar_values, ma_values = (np.array(list(itertools.product(axis, repeat=r)), dtype=float)
+                                for r in order)
+        flat = np.random.default_rng(5).permutation(len(ar_values) * len(ma_values))
+        ia, im = flat // len(ma_values), flat % len(ma_values)
+        ar, ma = ar_values[ia], ma_values[im]
+        if p and q:  # the phi = theta nodes, where the model cancels
+            assert np.any(np.all(np.pad(ar, ((0, 0), (0, 2 - p))) == np.pad(ma, ((0, 0), (0, 2 - q))),
+                                 axis=1))
+        table = lag_table(pg.freqs, max(order))
+        rows = psi_factor_rows(pg.ords, factor_table(ar_values, table, ar=True),
+                               factor_table(ma_values, table, ar=False), ia, im)
+        want = psi_profile_rows(table, pg.ords, ar, ma)
+        assert rows.shape == want.shape == (len(flat), pg.n, p + q)
+        assert rows.transpose(0, 2, 1).flags.c_contiguous
+        np.testing.assert_array_equal(rows, want)
 
 
 class TestWhittleFit:
@@ -734,6 +761,16 @@ class TestOneLagTable:
         built.clear()
         sandwich(arma11_pg_t60, spec, profile=profile)
         assert built == [max(order)]
+
+    def test_fit_command(self, built, tmp_path, capsys):
+        # the fit's table, and the sandwich's, which also gives sigma2_hat
+        from elspec.cli import main
+
+        src = tmp_path / "arma11.txt"
+        np.savetxt(src, simulate(ArmaSpec(ar=[0.7], ma=[0.5]), 100, seed=3).values)
+        assert main(["fit", str(src), "--order", "1,1"]) == 0
+        capsys.readouterr()
+        assert built == [1, 1]
 
     def test_interval_and_scan(self, built, ma1_pg_t70, arma11_pg_t60):
         interval_1d(ma1_pg_t70, (0, 1))
