@@ -18,7 +18,7 @@ from .arma import (
     spectral_density,
     spectrum_shape,
 )
-from .bartlett import estimate_bartlett
+from .bartlett import bartlett_constants
 from .confidence import (
     Interval,
     RegionGrid,
@@ -32,10 +32,11 @@ from .el import (
     HALF_LOG,
     MAX_HALF_LOG,
     AdjustmentPolicy,
+    DualBatch,
     ElSolution,
-    PsiMatrix,
-    adjust,
+    adjust_rows,
     solve_dual,
+    solve_duals,
 )
 from .errors import (
     ConvergenceError,
@@ -51,21 +52,19 @@ from .mc import (
     CoverageReport,
     ExperimentPlan,
     PairedSummary,
-    derive_seed,
     derive_seeds,
     load_plan,
     paired_summary,
     run_coverage,
 )
-from .periodogram import Periodogram, all_fourier_ordinates, compute_periodogram
+from .periodogram import Periodogram, compute_periodogram
 from .whittle import (
     FitResult,
     SandwichDiag,
-    el_stat,
     profile_loglik,
     profile_sigma2,
-    psi_full,
     psi_profile,
+    psi_profile_rows,
     sandwich,
     whittle_fit,
     whittle_loglik,
@@ -78,15 +77,15 @@ __version__ = "0.1.0"
 __all__ = [
     "ArmaSpec", "NoiseKind", "TimeSeries", "simulate", "spectral_density",
     "spectrum_shape", "log_spectral_gradient", "max_companion_modulus",
-    "Periodogram", "compute_periodogram", "all_fourier_ordinates",
-    "PsiMatrix", "AdjustmentPolicy", "ElSolution", "adjust", "solve_dual",
-    "el_stat", "MAX_HALF_LOG", "HALF_LOG",
-    "whittle_loglik", "profile_loglik", "profile_sigma2", "psi_full",
+    "Periodogram", "compute_periodogram",
+    "AdjustmentPolicy", "adjust_rows", "solve_duals", "DualBatch", "solve_dual",
+    "ElSolution", "MAX_HALF_LOG", "HALF_LOG",
+    "whittle_loglik", "profile_loglik", "profile_sigma2", "psi_profile_rows",
     "psi_profile", "whittle_fit", "FitResult", "sandwich", "SandwichDiag",
-    "estimate_bartlett", "method_threshold",
+    "bartlett_constants", "method_threshold",
     "RegionGrid", "Interval", "scan_region", "interval_1d", "extract_contour", "grid_axis",
     "ExperimentPlan", "CoverageCell", "CoverageReport", "run_coverage",
-    "paired_summary", "PairedSummary", "load_plan", "derive_seed", "derive_seeds",
+    "paired_summary", "PairedSummary", "load_plan", "derive_seeds",
     "ElspecError", "InputError", "InvalidModelError", "DegenerateInputError",
     "NoSolutionError", "ConvergenceError", "SingularMatrixError",
 ]

@@ -14,34 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .el import PsiMatrix
-from .errors import DegenerateInputError, InputError
+from .errors import InputError
 from .periodogram import _centred
 
 
-def estimate_bartlett(psi: PsiMatrix) -> float:
-    """Moment-based Bartlett constant b from an unadjusted scalar PsiMatrix;
-    the scaled rejection rule is W > chi2_{k,1-alpha} * (1 + b/n).
-
-    The psi column is centered before the moments are taken, so the estimate
-    is invariant to rescaling psi.  Pearson's inequality for the sample
-    moments, mu4/mu2^2 >= 1 + mu3^2/mu2^3, gives b >= 1/2 + mu3^2/(6 mu2^3)
-    >= 1/2, so the scale 1 + b/n always exceeds 1.  Raises
-    DegenerateInputError when the column is constant.
-    """
-    if psi.adjusted:
-        raise InputError("estimate_bartlett expects an unadjusted psi matrix")
-    if psi.k != 1:
-        raise InputError(f"estimated Bartlett correction is scalar-parameter only, got k={psi.k}")
-    b = float(bartlett_constants(psi.rows[None, :, 0])[0])
-    if np.isnan(b):
-        raise DegenerateInputError("psi column is constant")
-    return b
-
-
 def bartlett_constants(columns) -> np.ndarray:
-    """:func:`estimate_bartlett` for a stack of scalar psi columns (N, n):
-    one b_hat per row, NaN for a constant column.
+    """Moment-based Bartlett constants b_hat, one per row of a stack of
+    unadjusted scalar psi columns (N, n), NaN for a constant column; the
+    rule is W > chi2_{1,1-alpha} (1 + b/n).  Pearson's inequality for the
+    sample moments, mu4/mu2^2 >= 1 + mu3^2/mu2^3, gives b >= 1/2.
 
     Each column is first scaled by a power of two to max |x| in [1/2, 1),
     which is exact for normal numbers, so its mean neither underflows (a

@@ -114,6 +114,8 @@ def grid_axis(lo: float, hi: float, steps: int) -> np.ndarray:
     """Node coordinates at the centers of ``steps`` equal subdivisions."""
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
+    if not math.isfinite(float(hi) - float(lo)):
+        raise InputError(f"axis range [{lo}, {hi}] is not finite")
     if not hi > lo:
         raise InputError(f"empty axis range [{lo}, {hi}]")
     edges = np.linspace(lo, hi, steps + 1)
@@ -160,7 +162,7 @@ def method_stats(rows, methods, policy: AdjustmentPolicy = MAX_HALF_LOG, start=N
             if rows.shape[2] != 1:
                 raise InputError(
                     f"estimated Bartlett correction is scalar-parameter only, got k={rows.shape[2]}")
-            # b_hat >= 1/2 (see estimate_bartlett), so the scale exceeds 1.
+            # b_hat >= 1/2 (see bartlett_constants), so the scale exceeds 1.
             stat = stat / (1.0 + bartlett_constants(rows[:, :, 0]) / rows.shape[1])
             status = np.where((status == STATUS_OK) & np.isnan(stat), STATUS_FAILED, status)
         out[method] = MethodStats(stat, status, el.iterations, el.residual, el.xi, el.warm)
@@ -441,15 +443,17 @@ def interval_1d(
                          f"{tuple(order)}")
     pg.require_power()
     threshold = method_threshold(method, 1, 1.0 - alpha, pg.n, tb_constant)
+    limit = 1.0 - 2.0 * STATIONARITY_MARGIN
+    lo_bound, hi_bound = (-limit, limit) if bounds is None else map(float, bounds)
+    lo_bound, hi_bound = max(lo_bound, -limit), min(hi_bound, limit)
+    if not lo_bound < hi_bound:
+        raise InputError(f"search bounds {tuple(bounds)} are empty within the stationarity "
+                         f"limits +-{limit}")
     table = lag_table(pg.freqs, 1)  # for the fit, the sandwich and every statistic round
     fitres = fit if fit is not None else _whittle_fit(pg, table, order)
     if not fitres.converged:
         raise ConvergenceError("Whittle fit did not converge; no center for the interval scan")
     bhat = float(fitres.estimate[0])
-
-    limit = 1.0 - 2.0 * STATIONARITY_MARGIN
-    lo_bound, hi_bound = (-limit, limit) if bounds is None else map(float, bounds)
-    lo_bound, hi_bound = max(lo_bound, -limit), min(hi_bound, limit)
     if not lo_bound < bhat < hi_bound:
         raise InputError(f"estimate {bhat:.6g} is outside the search bounds")
 

@@ -27,15 +27,16 @@ problems skip the certificate.
 
 Scans and Monte Carlo cells solve many unrelated problems of one shape; they
 stack them into an (N, m, k) array and call :func:`solve_duals`, which runs
-every problem's Newton iteration side by side.  :func:`solve_dual` is
-its N = 1 call.
+every problem's Newton iteration side by side, on rows that
+:func:`adjust_rows` may have adjusted (``adjusted=True``).
+:func:`solve_dual` is its N = 1 call.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,31 +65,6 @@ _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 # the same values without the method wrappers, whose cost dominates the
 # kernel's small N = 1 arrays.
 _sum, _min = np.add.reduce, np.minimum.reduce
-
-
-@dataclass(frozen=True, eq=False)
-class PsiMatrix:
-    """Stacked estimating-function rows, optionally with the adjustment row.
-
-    ``rows`` is (m, k); when ``adjusted`` the final row is the appended
-    pseudo-observation -a_n * psibar computed from the first m-1 rows.
-    Only :func:`adjust` sets ``adjusted``, so an adjusted matrix always has
-    a solution and :func:`solve_dual` trusts it without a certificate.
-    """
-
-    rows: np.ndarray
-    adjusted: bool = field(default=False, init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", np.atleast_2d(np.asarray(self.rows, dtype=float)))
-
-    @property
-    def m(self) -> int:
-        return int(self.rows.shape[0])
-
-    @property
-    def k(self) -> int:
-        return int(self.rows.shape[1])
 
 
 @dataclass(frozen=True)
@@ -177,16 +153,6 @@ def adjust_rows(rows, policy: AdjustmentPolicy = MAX_HALF_LOG) -> np.ndarray:
     out = np.empty(rows.shape[:-2] + (k, m + 1)).swapaxes(-1, -2)
     out[..., :m, :] = rows
     np.multiply(-policy.a_n(m), rows.mean(axis=-2), out=out[..., m, :])
-    return out
-
-
-def adjust(psi: PsiMatrix, policy: AdjustmentPolicy = MAX_HALF_LOG) -> PsiMatrix:
-    """Append the pseudo-observation row -a_n * psibar.  Adjusting an
-    already-adjusted matrix is an error."""
-    if psi.adjusted:
-        raise InputError("psi matrix is already adjusted")
-    out = PsiMatrix(adjust_rows(psi.rows, policy))
-    object.__setattr__(out, "adjusted", True)
     return out
 
 
@@ -502,6 +468,8 @@ def solve_duals(rows, adjusted: bool = False, start=None) -> DualBatch:
     n, m, k = rows.shape
     if m == 0:
         raise InputError("psi matrix has no rows")
+    if k == 0:
+        raise InputError("psi matrix has no columns")
     if start is not None:
         start = np.asarray(start, dtype=float)
         if start.shape != (n, k) or not np.isfinite(start).all():
@@ -568,16 +536,14 @@ def solve_duals(rows, adjusted: bool = False, start=None) -> DualBatch:
     return out
 
 
-def solve_dual(psi: PsiMatrix) -> ElSolution:
-    """Solve one EL Lagrange dual: the N = 1 call of :func:`solve_duals`.
-
-    It certifies exactly the matrices that :func:`adjust` did not build.
-    Raises NoSolutionError when zero is not in the relative interior of the
-    convex hull of the rows, and ConvergenceError (carrying the residual and
-    iteration count) when the iteration fails; :func:`solve_duals` gives the
-    rules.
-    """
-    res = solve_duals(psi.rows[None], adjusted=psi.adjusted)
+def solve_dual(rows, adjusted: bool = False) -> ElSolution:
+    """Solve one EL Lagrange dual on the m x k ``rows``: the N = 1 call of
+    :func:`solve_duals`, whose rules and ``adjusted`` it takes.  Raises
+    NoSolutionError when zero is not in the relative interior of the convex
+    hull of the rows, and ConvergenceError (carrying the residual and
+    iteration count) when the iteration fails."""
+    rows = np.asarray(rows, dtype=float)
+    res = solve_duals(rows[None], adjusted=adjusted)
     status, text = int(res.status[0]), _REASON_TEXT.get(int(res.reason[0]))
     if status == STATUS_NO_SOLUTION:
         raise NoSolutionError(text)
@@ -587,7 +553,7 @@ def solve_dual(psi: PsiMatrix) -> ElSolution:
     xi = res.xi[0]
     return ElSolution(
         xi=xi,
-        weights=1.0 / (psi.m * (1.0 + psi.rows @ xi)),
+        weights=1.0 / (len(rows) * (1.0 + rows @ xi)),
         stat=float(res.stat[0]),
         converged=True,
         residual=float(res.residual[0]),

@@ -194,18 +194,13 @@ def derive_seeds(base_seed: int, cell_index: int, reps) -> np.ndarray:
     return _seed_states((base_seed, cell_index), reps, 1, np.uint64)[:, 0]
 
 
-def derive_seed(base_seed: int, cell_index: int, rep: int) -> int:
-    """Deterministic seed of one replication: :func:`derive_seeds` for one rep."""
-    return int(derive_seeds(base_seed, cell_index, [rep])[0])
-
-
 def run_coverage(plan: ExperimentPlan) -> CoverageReport:
     """Execute the sweep; deterministic given the plan (including its seed).
 
     Within one replication every method sees the same simulated series and
     the same estimating-function rows at the true parameter, so method
     comparisons are paired.  Replication r of cell c draws its series from
-    ``np.random.default_rng(derive_seed(plan.seed, c, r))``.  The
+    ``np.random.default_rng(derive_seeds(plan.seed, c, [r])[0])``.  The
     replications of a cell run in dual batches of at most about 32k psi
     entries (:func:`elspec.arma.batch_slices` of (n + 1) k entries each; 218
     replications at T = 300 with k = 1): a batch's seeds come from one

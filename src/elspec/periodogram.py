@@ -104,14 +104,3 @@ def periodogram_stack(values) -> tuple[np.ndarray, np.ndarray]:
         ords[part] = _ordinates(_centred(chunk, chunk.mean(axis=1, keepdims=True)), freqs.size)
     return freqs, ords
 
-
-def all_fourier_ordinates(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Ordinates at every Fourier frequency 2*pi*j/T, j = 1..T-1.
-
-    Used for whole-set identities (the full-set ordinate sum equals
-    sum_t (z_t - zbar)^2 / (2*pi)); the retained half set for inference is
-    produced by :func:`compute_periodogram`.
-    """
-    T = series.T
-    freqs = 2.0 * np.pi * np.arange(1, T, dtype=float) / T
-    return freqs, _ordinates(_centred(series.values, series.mean), T - 1)

@@ -24,13 +24,12 @@ from .arma import (
     ArmaSpec,
     _lag_poly,
     lag_table,
-    log_spectral_gradient,
     shape_and_gradient_stack,
     spectral_density,
     spectrum_shape,
     STATIONARITY_MARGIN,
 )
-from .el import MAX_HALF_LOG, AdjustmentPolicy, ElSolution, PsiMatrix, adjust, solve_dual
+from .el import MAX_HALF_LOG, AdjustmentPolicy, adjust_rows
 from .errors import InputError, SingularMatrixError
 from .periodogram import Periodogram
 
@@ -86,17 +85,8 @@ def _profile_loglik(ords, g1):
     return float(-n * np.log(float(np.mean(ords / g1))) - np.log(g1).sum() - n)
 
 
-def psi_full(pg: Periodogram, spec: ArmaSpec) -> PsiMatrix:
-    """Estimating-function rows of the full parameterization:
-    psi_j = (I_j/g_j - 1) * grad ln g_j, one row per retained ordinate,
-    k = p + q + 1 columns."""
-    g = spectral_density(spec, pg.freqs)
-    grad = log_spectral_gradient(spec, pg.freqs, profile=False)
-    return PsiMatrix((pg.ords / g - 1.0)[:, None] * grad)
-
-
-def psi_profile(pg: Periodogram, spec: ArmaSpec) -> PsiMatrix:
-    """Estimating-function rows of the profiled parameterization:
+def psi_profile(pg: Periodogram, spec: ArmaSpec) -> np.ndarray:
+    """Estimating-function rows (n, p + q) of the profiled parameterization:
 
         psi_j = (I_j / (sigma2_hat(beta1) * g1_j) - 1)
                 * [grad ln g1_j - mean_l grad ln g1_l],      k = p + q,
@@ -109,10 +99,12 @@ def psi_profile(pg: Periodogram, spec: ArmaSpec) -> PsiMatrix:
     give the rows the second-moment scaling that makes the EL log-ratio
     statistic asymptotically chi-square: dropping the "-1" inflates the
     internal Gram matrix by the squared mean of the ordinate ratios and
-    roughly halves the statistic.  sigma2 of ``spec`` is ignored.
+    roughly halves the statistic.  sigma2 of ``spec`` is ignored.  The N = 1
+    call of :func:`psi_profile_rows`; a zero periodogram is rejected.
     """
+    pg.require_power()
     table = lag_table(pg.freqs, max(spec.order))
-    return PsiMatrix(psi_profile_rows(table, pg.ords, spec.ar[None], spec.ma[None])[0])
+    return psi_profile_rows(table, pg.ords, spec.ar[None], spec.ma[None])[0]
 
 
 def psi_profile_rows(table, ords, ar, ma) -> np.ndarray:
@@ -201,23 +193,6 @@ def _profile_weight(ratio):
     ratio /= ratio.mean(axis=-1, keepdims=True)
     ratio -= 1.0
     return ratio
-
-
-def el_stat(pg: Periodogram, spec: ArmaSpec, adjusted: bool = True, profile: bool = True,
-            policy: AdjustmentPolicy = MAX_HALF_LOG) -> ElSolution:
-    """EL or adjusted-EL log-ratio statistic of a parameter value.
-
-    Builds the estimating-function matrix from the periodogram and the model
-    (profile form over beta1 with sigma2 profiled out, or the full form
-    including sigma2), optionally appends the adjustment row, and solves the
-    dual.  The ``stat`` field of the result is W (unadjusted) or W*
-    (adjusted) at ``spec``.
-    """
-    pg.require_power()
-    psi = psi_profile(pg, spec) if profile else psi_full(pg, spec)
-    if adjusted:
-        psi = adjust(psi, policy)
-    return solve_dual(psi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -630,8 +605,8 @@ def sandwich(
     takes its Schur complement at sigma2_hat = :func:`profile_sigma2` (the
     sigma2 of ``spec`` is ignored).  sigma_hat is the mean of psi psi'
     including the adjustment row.  sigma2_hat, the rows and the Hessian all
-    come from one lag table and one spectral evaluation, and equal those of
-    :func:`profile_sigma2`, :func:`psi_profile` or :func:`psi_full`.
+    come from one lag table and one spectral evaluation; the rows are those
+    of :func:`psi_profile`, or (I_j/g_j - 1) grad ln g_j in the full form.
     Raises SingularMatrixError (with the condition number attached) when
     a_hat is not invertible.
     """
@@ -653,7 +628,7 @@ def _sandwich(pg: Periodogram, table, spec: ArmaSpec, profile=True,
         rows = (_profile_weight(pg.ords / g1)[..., None] * _centre(grad1))[0]
     else:
         rows = (r - 1.0)[:, None] * grad
-    rows = adjust(PsiMatrix(rows), policy).rows
+    rows = adjust_rows(rows, policy)
     m = len(rows)
     a_hat = (1.0 - policy.a_n(pg.n) / pg.n) * hess / m
     sigma_hat = rows.T @ rows / m

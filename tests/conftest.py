@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from elspec import ArmaSpec, NoiseKind, compute_periodogram, simulate
+from elspec import (
+    ArmaSpec,
+    NoiseKind,
+    compute_periodogram,
+    log_spectral_gradient,
+    simulate,
+    spectral_density,
+)
+from elspec.periodogram import _centred, _ordinates
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +57,20 @@ def rng_specs(count, seed=0, max_order=1):
         except Exception:
             continue
     return specs
+
+
+def psi_full(pg, spec):
+    """Estimating-function rows of the full parameterization, an oracle:
+    psi_j = (I_j/g_j - 1) * grad ln g_j, one row per retained ordinate,
+    k = p + q + 1 columns."""
+    g = spectral_density(spec, pg.freqs)
+    grad = log_spectral_gradient(spec, pg.freqs, profile=False)
+    return (pg.ords / g - 1.0)[:, None] * grad
+
+
+def all_fourier_ordinates(series):
+    """Ordinates at every Fourier frequency 2*pi*j/T, j = 1..T-1, an oracle
+    for whole-set identities: their sum is sum_t (z_t - zbar)^2 / (2*pi)."""
+    T = series.T
+    freqs = 2.0 * np.pi * np.arange(1, T, dtype=float) / T
+    return freqs, _ordinates(_centred(series.values, series.mean), T - 1)

@@ -16,10 +16,8 @@ from elspec import (
     ArmaSpec,
     ExperimentPlan,
     NoiseKind,
-    all_fourier_ordinates,
     compute_periodogram,
-    derive_seed,
-    el_stat,
+    derive_seeds,
     log_spectral_gradient,
     run_coverage,
     sandwich,
@@ -27,11 +25,18 @@ from elspec import (
     spectral_density,
     whittle_fit,
 )
-from elspec.el import HALF_LOG, MAX_HALF_LOG, PsiMatrix, adjust, solve_dual
+from elspec.el import HALF_LOG, MAX_HALF_LOG, adjust_rows, solve_dual
 from elspec.errors import ConvergenceError, NoSolutionError
 from elspec.whittle import psi_profile
 
+from conftest import all_fourier_ordinates
+
 BASE_SEED = 20260810
+
+
+def _seed(criterion, rep):
+    """The seed of replication ``rep`` of a criterion's draws."""
+    return int(derive_seeds(BASE_SEED, criterion, [rep])[0])
 
 
 def _report(number, name, ok, detail):
@@ -119,7 +124,7 @@ def test_criterion_4_nesting_and_existence_on_grids():
     nodes = (nodes[:-1] + nodes[1:]) / 2  # cell centers, strictly inside
     total = el_solved = nest_violations = ael_failures = 0
     for s in range(20):
-        ts = simulate(spec_true, 40, NoiseKind.STANDARD_NORMAL, seed=derive_seed(BASE_SEED, 4, s))
+        ts = simulate(spec_true, 40, NoiseKind.STANDARD_NORMAL, seed=_seed(4, s))
         pg = compute_periodogram(ts)
         for phi in nodes:
             for theta in nodes:
@@ -127,7 +132,7 @@ def test_criterion_4_nesting_and_existence_on_grids():
                 psi = psi_profile(pg, spec)
                 total += 1
                 try:
-                    wstar = solve_dual(adjust(psi, MAX_HALF_LOG)).stat
+                    wstar = solve_dual(adjust_rows(psi, MAX_HALF_LOG), adjusted=True).stat
                 except (NoSolutionError, ConvergenceError):
                     ael_failures += 1
                     continue
@@ -155,9 +160,9 @@ def test_criterion_5_chi_square_calibration():
     spec = ArmaSpec(ma=[0.5])
     stats = np.empty(2000)
     for r in range(2000):
-        ts = simulate(spec, 512, NoiseKind.STANDARD_NORMAL, seed=derive_seed(BASE_SEED, 5, r))
+        ts = simulate(spec, 512, NoiseKind.STANDARD_NORMAL, seed=_seed(5, r))
         pg = compute_periodogram(ts)
-        stats[r] = solve_dual(adjust(psi_profile(pg, spec), HALF_LOG)).stat
+        stats[r] = solve_dual(adjust_rows(psi_profile(pg, spec), HALF_LOG), adjusted=True).stat
     mean = float(stats.mean())
     ks = float(kstest(stats, chi2(df=1).cdf).statistic)
     coverage = float(np.mean(stats <= chi2.ppf(0.90, 1)))
@@ -179,7 +184,7 @@ def test_criterion_6_quadratic_approximation():
     spec_true = ArmaSpec(ma=[0.5])
     good = used = 0
     for s in range(200):
-        ts = simulate(spec_true, 512, NoiseKind.STANDARD_NORMAL, seed=derive_seed(BASE_SEED, 6, s))
+        ts = simulate(spec_true, 512, NoiseKind.STANDARD_NORMAL, seed=_seed(6, s))
         pg = compute_periodogram(ts)
         fit = whittle_fit(pg, (0, 1), profile=True)
         if not fit.converged:
@@ -188,7 +193,8 @@ def test_criterion_6_quadratic_approximation():
         diag = sandwich(pg, ArmaSpec.from_beta1((0, 1), fit.estimate), profile=True)
         n = pg.n
         delta = 0.5 / math.sqrt(n)
-        wstar = el_stat(pg, ArmaSpec(ma=[bhat + delta]), adjusted=True, profile=True).stat
+        psi = psi_profile(pg, ArmaSpec(ma=[bhat + delta]))
+        wstar = solve_dual(adjust_rows(psi), adjusted=True).stat
         quad = (n + 1) * delta**2 / diag.v_hat[0, 0]
         used += 1
         good += abs(wstar - quad) / quad <= 0.25
@@ -206,7 +212,7 @@ def test_criterion_6_quadratic_approximation():
 def test_criterion_7_deterministic_oracles():
     t0 = time.time()
     # dual solver against the closed-form scalar example
-    sol = solve_dual(PsiMatrix(np.array([[-1.0], [2.0]])))
+    sol = solve_dual(np.array([[-1.0], [2.0]]))
     xi_err = abs(sol.xi[0] - 0.25)
     stat_err = abs(sol.stat - 2.0 * math.log(9.0 / 8.0))
     # Parseval identity on a fixed draw
@@ -261,7 +267,7 @@ def test_criterion_8_whittle_consistency():
         hits = 0
         for s in range(100):
             ts = simulate(spec_true, 2000, NoiseKind.STANDARD_NORMAL,
-                          seed=derive_seed(BASE_SEED, 8, 1000 * (order[0]) + s))
+                          seed=_seed(8, 1000 * (order[0]) + s))
             fit = whittle_fit(compute_periodogram(ts), order, profile=True)
             hits += fit.converged and abs(float(fit.estimate[0]) - truth) <= 0.05
         results[name] = hits

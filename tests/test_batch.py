@@ -29,8 +29,6 @@ from elspec.confidence import STATUS_FAILED, STATUS_INVALID, STATUS_NO_SOLUTION,
 from elspec.el import (
     _SINGULAR,
     MAX_HALF_LOG,
-    PsiMatrix,
-    adjust,
     adjust_rows,
     solve_dual,
     solve_duals,
@@ -337,12 +335,12 @@ def test_solve_duals_agrees_between_layouts():
 def test_solve_dual_is_the_single_problem_kernel():
     rng = np.random.default_rng(5)
     rows = rng.standard_normal((40, 2)) + 0.3
-    sol = solve_dual(PsiMatrix(rows))
+    sol = solve_dual(rows)
     res = solve_duals(rows[None])
     assert sol.stat == res.stat[0] and sol.inner_iterations == res.iterations[0]
     assert sol.residual == res.residual[0]
     with pytest.raises(NoSolutionError):
-        solve_dual(PsiMatrix(rng.uniform(0.5, 2.0, size=(40, 2))))
+        solve_dual(rng.uniform(0.5, 2.0, size=(40, 2)))
 
 
 def test_singular_newton_matrix_fails_only_its_problem():
@@ -362,7 +360,7 @@ def test_singular_newton_matrix_fails_only_its_problem():
         assert (res.stat[i], res.iterations[i], res.residual[i]) == (
             alone.stat[0], alone.iterations[0], alone.residual[0])
     with pytest.raises(ConvergenceError, match="singular"):
-        solve_dual(PsiMatrix(rows))
+        solve_dual(rows)
 
 
 def test_diagonal_nodes_match_single_solves(caplog):
@@ -379,7 +377,8 @@ def test_diagonal_nodes_match_single_solves(caplog):
         for i, value in enumerate(grid.axes[0]):
             psi = psi_profile(pg, ArmaSpec(ar=[value], ma=[value]))
             try:
-                want = solve_dual(adjust(psi, MAX_HALF_LOG) if method == "ael" else psi).stat
+                ael = method == "ael"
+                want = solve_dual(adjust_rows(psi, MAX_HALF_LOG) if ael else psi, ael).stat
                 status = STATUS_OK
             except NoSolutionError:
                 want, status = np.nan, STATUS_NO_SOLUTION

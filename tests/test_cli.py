@@ -285,6 +285,15 @@ class TestRegionCommand:
         assert main(["region", src, "--order", "0,1", "--method", "ael",
                      "--box", "0.5:1.5", "--steps", "8", "--out", str(tmp_path / "g.csv")]) == 2
 
+    def test_non_finite_box_exit_2_without_warning(self, tmp_path, wn_file, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["region", wn_file, "--order", "1,1", "--box", "0:inf,0:1",
+                         "--steps", "5", "--out", str(tmp_path / "g.csv")])
+        assert code == 2
+        assert "axis range [0.0, inf] is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
     def test_tb_requires_constant(self, tmp_path, wn_file):
         assert main(["region", wn_file, "--order", "0,1", "--method", "tb",
                      "--box", "0:0.5", "--steps", "5", "--out", str(tmp_path / "g.csv")]) == 2

@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import warnings
 from functools import partial
 
 import numpy as np
@@ -13,8 +14,8 @@ from elspec import (
     InputError,
     NoiseKind,
     NoSolutionError,
+    bartlett_constants,
     compute_periodogram,
-    el_stat,
     extract_contour,
     grid_axis,
     interval_1d,
@@ -34,7 +35,7 @@ from elspec.confidence import (
     method_stats,
     method_threshold,
 )
-from elspec.el import MAX_HALF_LOG, adjust, solve_dual
+from elspec.el import MAX_HALF_LOG, adjust_rows, solve_dual
 from elspec.whittle import psi_profile, psi_profile_rows
 
 
@@ -62,6 +63,15 @@ class TestGridAxis:
     def test_rejects_empty_range(self):
         with pytest.raises(InputError):
             grid_axis(1.0, 1.0, 10)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0),
+                                        (0.0, np.nan), (-1e308, 1e308),
+                                        (np.float64(-1e308), np.float64(1e308))])
+    def test_rejects_non_finite_range_without_warning(self, lo, hi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=r"axis range \[.*\] is not finite"):
+                grid_axis(lo, hi, 5)
 
 
 class TestScanRegion:
@@ -132,8 +142,17 @@ class TestInterval1d:
         assert iv.lo < fit.estimate[0] < iv.hi
         assert not iv.truncated_lo and not iv.truncated_hi
         for endpoint in (iv.lo, iv.hi):
-            stat = el_stat(ma1_pg_t70, ArmaSpec(ma=[endpoint]), adjusted=True, profile=True).stat
+            psi = psi_profile(ma1_pg_t70, ArmaSpec(ma=[endpoint]))
+            stat = solve_dual(adjust_rows(psi), adjusted=True).stat
             assert abs(stat - iv.threshold) < 1e-6
+
+    @pytest.mark.parametrize("bounds", [(0.9, -0.9), (0.5, 0.5), (1.5, 2.0), (-3.0, -1.0),
+                                        (np.nan, 0.5)])
+    def test_empty_bounds_rejected(self, ma1_pg_t70, bounds):
+        # empty once clipped to the stationarity limits: the message names
+        # the bounds, not the estimate
+        with pytest.raises(InputError, match=r"search bounds \(.*\) are empty"):
+            interval_1d(ma1_pg_t70, (0, 1), bounds=bounds)
 
     def test_el_interval_nested_in_ael(self, ma1_pg_t70):
         ael = interval_1d(ma1_pg_t70, (0, 1), method="ael", alpha=0.10)
@@ -211,16 +230,14 @@ class TestInterval1d:
                 psi = psi_profile(pg, spec)
                 try:
                     if method == "ael":
-                        stat = solve_dual(adjust(psi, MAX_HALF_LOG)).stat
+                        stat = solve_dual(adjust_rows(psi, MAX_HALF_LOG), adjusted=True).stat
                         covered = stat <= iv.threshold
                     elif method == "el":
                         covered = solve_dual(psi).stat <= iv.threshold
                     else:
-                        from elspec import estimate_bartlett
-
                         w = solve_dual(psi).stat
-                        b = estimate_bartlett(psi)
-                        covered = w / (1 + b / psi.m) <= iv.threshold
+                        b = bartlett_constants(psi.T)[0]
+                        covered = w / (1 + b / len(psi)) <= iv.threshold
                 except NoSolutionError:
                     covered = False
                 assert in_interval == covered, (model, val, T, method, alpha, rep)

@@ -15,7 +15,6 @@ from elspec import (
     NoiseKind,
     NoSolutionError,
     compute_periodogram,
-    el_stat,
     psi_profile,
     scan_region,
     simulate,
@@ -29,13 +28,13 @@ from elspec.el import (
     STATUS_FAILED,
     STATUS_NO_SOLUTION,
     STATUS_OK,
-    PsiMatrix,
-    adjust,
     adjust_rows,
     solve_dual,
     solve_duals,
 )
 from elspec.whittle import psi_profile_rows
+
+from conftest import psi_full
 
 
 class TestAdjustmentPolicy:
@@ -65,33 +64,20 @@ class TestAdjustmentPolicy:
 class TestAdjust:
     def test_appends_minus_an_times_mean(self):
         rows = np.array([[1.0, 2.0], [3.0, -1.0], [-0.5, 0.5]])
-        out = adjust(PsiMatrix(rows), MAX_HALF_LOG)
-        assert out.adjusted and out.m == 4
+        out = adjust_rows(rows, MAX_HALF_LOG)
+        assert out.shape == (4, 2)
         a_n = MAX_HALF_LOG.a_n(3)
-        np.testing.assert_allclose(out.rows[-1], -(a_n / 3.0) * rows.sum(axis=0), rtol=1e-15)
+        np.testing.assert_allclose(out[-1], -(a_n / 3.0) * rows.sum(axis=0), rtol=1e-15)
 
     def test_zero_mean_rows_append_zero(self):
         rows = np.array([[1.0], [-1.0]])
-        out = adjust(PsiMatrix(rows), MAX_HALF_LOG)
-        assert np.array_equal(out.rows[-1], [0.0])
-
-    def test_double_adjust_rejected(self):
-        out = adjust(PsiMatrix(np.ones((5, 1))), MAX_HALF_LOG)
-        with pytest.raises(InputError):
-            adjust(out, MAX_HALF_LOG)
-
-    def test_only_adjust_marks_rows_adjusted(self):
-        # solve_dual trusts the flag, so rows cannot claim it themselves
-        rows = np.array([[0.5], [2.0]])
-        with pytest.raises(TypeError):
-            PsiMatrix(rows, adjusted=True)
-        assert not PsiMatrix(rows).adjusted
-        assert adjust(PsiMatrix(rows)).adjusted
+        out = adjust_rows(rows, MAX_HALF_LOG)
+        assert np.array_equal(out[-1], [0.0])
 
 
 class TestSolveDual:
     def test_all_zero_rows(self):
-        sol = solve_dual(PsiMatrix(np.zeros((6, 2))))
+        sol = solve_dual(np.zeros((6, 2)))
         assert sol.converged
         assert sol.stat == 0.0
         assert np.array_equal(sol.xi, np.zeros(2))
@@ -100,7 +86,7 @@ class TestSolveDual:
     def test_scalar_closed_form(self):
         # rows {-1, 2}: -1/(1-xi) + 2/(1+2 xi) = 0  =>  xi = 1/4,
         # stat = 2[ln(3/4) + ln(3/2)] = 2 ln(9/8)
-        sol = solve_dual(PsiMatrix(np.array([[-1.0], [2.0]])))
+        sol = solve_dual(np.array([[-1.0], [2.0]]))
         assert sol.converged
         assert sol.xi[0] == pytest.approx(0.25, abs=1e-9)
         assert sol.stat == pytest.approx(2.0 * math.log(9.0 / 8.0), abs=1e-9)
@@ -112,26 +98,26 @@ class TestSolveDual:
         grid = np.arange(-0.499999, 0.5, 1e-6)
         fvals = -(np.log1p(grid * -1.0) + np.log1p(grid * 2.0))
         xi_star = grid[np.argmin(fvals)]
-        sol = solve_dual(PsiMatrix(rows))
+        sol = solve_dual(rows)
         assert sol.xi[0] == pytest.approx(xi_star, abs=2e-6)
 
     def test_same_sign_rows_no_solution(self):
         with pytest.raises(NoSolutionError):
-            solve_dual(PsiMatrix(np.array([[0.5], [2.0], [0.1]])))
+            solve_dual(np.array([[0.5], [2.0], [0.1]]))
         with pytest.raises(NoSolutionError):
-            solve_dual(PsiMatrix(np.array([[-0.5], [-2.0]])))
+            solve_dual(np.array([[-0.5], [-2.0]]))
 
     def test_hull_failure_k2_detected(self):
         # all rows strictly inside the positive quadrant: 0 outside the hull
         rng = np.random.default_rng(1)
         rows = rng.uniform(0.5, 2.0, size=(40, 2))
         with pytest.raises(NoSolutionError):
-            solve_dual(PsiMatrix(rows))
+            solve_dual(rows)
 
     def test_adjustment_rescues_hull_failure(self):
         rng = np.random.default_rng(1)
         rows = rng.uniform(0.5, 2.0, size=(40, 2))
-        sol = solve_dual(adjust(PsiMatrix(rows), MAX_HALF_LOG))
+        sol = solve_dual(adjust_rows(rows, MAX_HALF_LOG), adjusted=True)
         assert sol.converged
         assert sol.stat > 0.0
 
@@ -151,7 +137,7 @@ class TestSolveDual:
         assert res.status[0] == STATUS_NO_SOLUTION
         assert res.iterations[0] == 0 and np.isnan(res.residual[0])
         with pytest.raises(NoSolutionError):
-            solve_dual(PsiMatrix(rows))
+            solve_dual(rows)
 
     def test_rank_deficient_k3_inside_hull(self):
         rows = self._collinear_k3(163)
@@ -159,7 +145,7 @@ class TestSolveDual:
         assert res.status[0] == STATUS_OK
         t = 1.0 + rows @ res.xi[0]
         assert np.linalg.norm((rows / t[:, None]).sum(axis=0)) < 1e-9
-        sol = solve_dual(PsiMatrix(rows))
+        sol = solve_dual(rows)
         assert sol.stat == res.stat[0] > 0.0
         assert np.all(sol.weights > 0)
         assert abs(sol.weights.sum() - 1.0) < 1e-12
@@ -179,7 +165,7 @@ class TestSolveDual:
         monkeypatch.setattr(elspec.el, "_step", recording)
         rng = np.random.default_rng(4)
         rows = rng.standard_normal((60, 2)) + 0.4
-        sol = solve_dual(PsiMatrix(rows))
+        sol = solve_dual(rows)
         f, min_t = np.array(trace).T
         assert f.size == sol.inner_iterations + 1 >= 2
         assert np.all(min_t > 0.0)
@@ -194,8 +180,8 @@ class TestSolveDual:
         assert grid.stat[16, 26] == pytest.approx(316.232, abs=1e-3)
         assert grid.residual[16, 26] < 1e-9
         spec = ArmaSpec(ar=[grid.axes[0][16]], ma=[grid.axes[1][26]])
-        rows = psi_profile(pg, spec).rows
-        sol = solve_dual(PsiMatrix(rows))
+        rows = psi_profile(pg, spec)
+        sol = solve_dual(rows)
         assert sol.stat == grid.stat[16, 26]
         # the multiplier equation sum_j psi_j / t_j = 0, with every t_j > 0
         t = 1.0 + rows @ sol.xi
@@ -258,7 +244,7 @@ class TestSolveDual:
         rng = np.random.default_rng(8)
         for _ in range(20):
             rows = rng.standard_normal((50, 3)) + rng.uniform(-0.3, 0.3, size=3)
-            sol = solve_dual(PsiMatrix(rows))
+            sol = solve_dual(rows)
             assert sol.converged
             assert abs(sol.weights.sum() - 1.0) < 1e-12
             assert np.all(sol.weights > 0)
@@ -272,37 +258,43 @@ class TestSolveDual:
     def test_stat_invariant_under_row_permutation(self):
         rng = np.random.default_rng(9)
         rows = rng.standard_normal((30, 2)) + 0.2
-        base = solve_dual(PsiMatrix(rows)).stat
+        base = solve_dual(rows).stat
         for seed in range(5):
             perm = np.random.default_rng(seed).permutation(30)
-            assert solve_dual(PsiMatrix(rows[perm])).stat == pytest.approx(base, abs=1e-9)
+            assert solve_dual(rows[perm]).stat == pytest.approx(base, abs=1e-9)
 
     def test_stat_invariant_under_joint_linear_map(self):
         # rows -> rows M' changes the basis, not the span: stat unchanged
         rng = np.random.default_rng(10)
         rows = rng.standard_normal((40, 2)) + 0.1
-        base = solve_dual(PsiMatrix(rows)).stat
+        base = solve_dual(rows).stat
         for seed in range(5):
             m = np.random.default_rng(100 + seed).standard_normal((2, 2))
             m += np.eye(2) * 2.0  # keep it comfortably nonsingular
-            mapped = solve_dual(PsiMatrix(rows @ m.T)).stat
+            mapped = solve_dual(rows @ m.T).stat
             assert mapped == pytest.approx(base, abs=1e-9)
 
     def test_residual_tolerance_met(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
             rows = rng.standard_normal((100, 2)) + 0.3
-            assert solve_dual(PsiMatrix(rows)).residual < 1e-9
+            assert solve_dual(rows).residual < 1e-9
+
+    def test_zero_column_stack_rejected(self):
+        with pytest.raises(InputError, match="no columns"):
+            solve_duals(np.zeros((3, 8, 0)))
+        with pytest.raises(InputError, match="no columns"):
+            solve_dual(np.zeros((8, 0)))
 
     def test_nonfinite_rows_rejected(self):
         with pytest.raises(InputError):
-            solve_dual(PsiMatrix(np.array([[np.nan], [1.0]])))
+            solve_dual(np.array([[np.nan], [1.0]]))
 
     @given(seed=st.integers(0, 2**20), m=st.integers(5, 60), k=st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
     def test_adjusted_solve_always_succeeds(self, seed, m, k):
         rows = np.random.default_rng(seed).standard_normal((m, k)) * 3.0 + 1.0
-        sol = solve_dual(adjust(PsiMatrix(rows), MAX_HALF_LOG))
+        sol = solve_dual(adjust_rows(rows, MAX_HALF_LOG), adjusted=True)
         assert sol.converged
         assert sol.stat >= 0.0
 
@@ -328,7 +320,7 @@ def grid_stacks():
 
 
 class TestAdjustedExistence:
-    """solve_dual and method_stats trust rows built by adjust; the hull
+    """solve_dual and method_stats trust rows built by adjust_rows; the hull
     certificate, run on those rows as an independent oracle, must agree
     that every adjusted problem has a solution."""
 
@@ -346,7 +338,7 @@ class TestAdjustedExistence:
         assert np.all(cert.status == STATUS_OK)
         for i in range(rows.shape[0]):
             ref = solve_duals(adjust_rows(rows[i:i + 1], policy), adjusted=False)
-            sol = solve_dual(adjust(PsiMatrix(rows[i]), policy))
+            sol = solve_dual(adjust_rows(rows[i], policy), adjusted=True)
             assert ref.status[0] == STATUS_OK
             assert sol.stat == ref.stat[0]
             assert sol.inner_iterations == ref.iterations[0]
@@ -478,6 +470,13 @@ def test_every_step_stays_in_domain_and_never_raises_f(rows):
         assert np.all(after <= before + 1e-10 * (1.0 + np.abs(before)))
 
 
+def _stat(pg, spec, adjusted, profile=True, policy=MAX_HALF_LOG):
+    """EL or adjusted-EL statistic of one parameter value from the profile
+    (or full-form) psi rows."""
+    rows = psi_profile(pg, spec) if profile else psi_full(pg, spec)
+    return solve_dual(adjust_rows(rows, policy) if adjusted else rows, adjusted=adjusted)
+
+
 class TestElStat:
     def test_zero_at_whittle_estimate(self, ma1_pg_t2000):
         fit = whittle_fit(ma1_pg_t2000, (0, 1), profile=True)
@@ -492,7 +491,7 @@ class TestElStat:
         )
         spec_hat = ArmaSpec.from_beta1((0, 1), res.x)
         for adjusted in (False, True):
-            sol = el_stat(ma1_pg_t2000, spec_hat, adjusted=adjusted, profile=True)
+            sol = _stat(ma1_pg_t2000, spec_hat, adjusted)
             assert sol.stat == pytest.approx(0.0, abs=1e-8)
 
     def test_nesting_on_grid(self, arma11_pg_t60):
@@ -502,18 +501,18 @@ class TestElStat:
             for theta in np.linspace(0.025, 0.975, 20):
                 spec = ArmaSpec(ar=[phi], ma=[theta])
                 try:
-                    w = el_stat(arma11_pg_t60, spec, adjusted=False, profile=True).stat
+                    w = _stat(arma11_pg_t60, spec, False).stat
                 except (NoSolutionError, ConvergenceError):
                     continue
-                wstar = el_stat(arma11_pg_t60, spec, adjusted=True, profile=True).stat
+                wstar = _stat(arma11_pg_t60, spec, True).stat
                 assert wstar <= w + 1e-8
                 checked += 1
         assert checked >= 350
 
     def test_full_vs_profile_dimensions(self, ma1_pg_t70):
         spec = ArmaSpec(ma=[0.25], sigma2=1.1)
-        full = el_stat(ma1_pg_t70, spec, adjusted=True, profile=False)
-        prof = el_stat(ma1_pg_t70, spec, adjusted=True, profile=True)
+        full = _stat(ma1_pg_t70, spec, True, profile=False)
+        prof = _stat(ma1_pg_t70, spec, True)
         assert full.xi.size == 2  # theta and sigma2
         assert prof.xi.size == 1
 
@@ -523,7 +522,7 @@ class TestElStat:
         pg = compute_periodogram(simulate(ArmaSpec(ma=[0.25]), 15, NoiseKind.STANDARD_NORMAL, seed=3))
         assert pg.n == 7 and HALF_LOG.a_n(pg.n) < MAX_HALF_LOG.a_n(pg.n)
         spec = ArmaSpec(ma=[0.6])
-        a = el_stat(pg, spec, adjusted=True, profile=True, policy=HALF_LOG)
-        b = el_stat(pg, spec, adjusted=True, profile=True, policy=MAX_HALF_LOG)
+        a = _stat(pg, spec, True, policy=HALF_LOG)
+        b = _stat(pg, spec, True, policy=MAX_HALF_LOG)
         # a smaller pseudo-observation pulls the statistic down less
         assert a.stat > b.stat

@@ -129,10 +129,12 @@ def test_adjusted_k3_statistic_loads_no_optimize():
     # the unadjusted statistic of the same model may still load linprog
     code = (
         "import numpy as np\n"
-        "from elspec import ArmaSpec, TimeSeries, compute_periodogram, el_stat\n"
+        "from elspec import ArmaSpec, TimeSeries, adjust_rows, compute_periodogram\n"
+        "from elspec import psi_profile, solve_dual\n"
         "e = np.random.default_rng(3).standard_normal(201)\n"
         "pg = compute_periodogram(TimeSeries(e[1:] + 0.5 * e[:-1]))\n"
-        "el_stat(pg, ArmaSpec(ar=[0.3, 0.1], ma=[0.4]), adjusted=True)\n"
+        "psi = psi_profile(pg, ArmaSpec(ar=[0.3, 0.1], ma=[0.4]))\n"
+        "solve_dual(adjust_rows(psi), adjusted=True)\n"
     )
     assert not {m for m in scipy_after(code) if m.startswith("scipy.optimize")}
 

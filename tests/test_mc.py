@@ -14,7 +14,6 @@ from elspec import (
     NoiseKind,
     NoSolutionError,
     compute_periodogram,
-    derive_seed,
     derive_seeds,
     load_plan,
     paired_summary,
@@ -26,7 +25,7 @@ import elspec.arma
 from elspec.arma import batch_slices, lag_table, simulate_stack
 from elspec.cli import main
 from elspec.confidence import method_stats
-from elspec.el import HALF_LOG, adjust, solve_dual
+from elspec.el import HALF_LOG, adjust_rows, solve_dual
 from elspec.errors import ConvergenceError
 from elspec.mc import NOISE_BY_NAME
 from elspec.periodogram import _fft_slices, periodogram_stack
@@ -115,14 +114,14 @@ class TestRunCoverage:
         spec = ArmaSpec(ma=[0.7])
         thr = chi2.ppf(0.9, 1)
         for rep in range(60):
-            seed = derive_seed(plan.seed, 0, rep)
+            seed = int(derive_seeds(plan.seed, 0, [rep])[0])
             ts = simulate(spec, 20, NoiseKind.STANDARD_NORMAL, seed)
             psi = psi_profile(compute_periodogram(ts), spec)
             try:
                 w = solve_dual(psi).stat
             except NoSolutionError:
                 continue
-            wstar = solve_dual(adjust(psi, HALF_LOG)).stat
+            wstar = solve_dual(adjust_rows(psi, HALF_LOG), adjusted=True).stat
             assert wstar <= w + 1e-8
             assert (w <= thr) <= (wstar <= thr)  # coverage implication
 
@@ -178,11 +177,12 @@ class TestRunCoverage:
                 tally = {m: [0, 0, 0] for m in plan.methods}  # hits, nosolution, failures
                 for rep in range(plan.replications):
                     ts = simulate(spec, T, NOISE_BY_NAME[noise],
-                                  derive_seed(plan.seed, cell_index, rep), plan.noise_centering)
+                                  int(derive_seeds(plan.seed, cell_index, [rep])[0]),
+                                  plan.noise_centering)
                     psi = psi_profile(compute_periodogram(ts), spec)
-                    for m, mat in (("el", psi), ("ael", adjust(psi, plan.policy))):
+                    for m, mat in (("el", psi), ("ael", adjust_rows(psi, plan.policy))):
                         try:
-                            tally[m][0] += solve_dual(mat).stat <= thr
+                            tally[m][0] += solve_dual(mat, adjusted=m == "ael").stat <= thr
                         except NoSolutionError:
                             tally[m][1] += 1
                         except ConvergenceError:
@@ -340,7 +340,7 @@ class TestDeriveSeed:
         for r, seed in enumerate(got):
             ref = np.random.SeedSequence((base, cell, r)).generate_state(1, np.uint64)[0]
             assert seed == ref
-        assert derive_seed(base, cell, 299) == int(got[-1])
+        assert derive_seeds(base, cell, [299])[0] == got[-1]
 
     def test_reps_of_mixed_width(self):
         reps = [0, 2**32 - 1, 2**32, 2**70 + 3, 5]
@@ -352,9 +352,9 @@ class TestDeriveSeed:
     @pytest.mark.parametrize("args", [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (1.5, 0, 0)])
     def test_rejects_negative_and_non_integers(self, args):
         with pytest.raises(InputError, match="seeds must be"):
-            derive_seed(*args)
+            derive_seeds(*args[:2], [args[2]])
 
     def test_distinct_and_reproducible(self):
-        seeds = {derive_seed(1, c, r) for c in range(5) for r in range(50)}
+        seeds = {int(s) for c in range(5) for s in derive_seeds(1, c, range(50))}
         assert len(seeds) == 250
-        assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
+        assert derive_seeds(1, 2, [3])[0] == derive_seeds(1, 2, [3])[0]

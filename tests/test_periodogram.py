@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from elspec import (
     InputError,
     TimeSeries,
-    all_fourier_ordinates,
     compute_periodogram,
 )
 from elspec.periodogram import _fft_slices, periodogram_stack
+
+from conftest import all_fourier_ordinates
 
 TWO_PI = 2.0 * math.pi
 

@@ -16,13 +16,10 @@ from elspec import (
     NoiseKind,
     Periodogram,
     TimeSeries,
-    all_fourier_ordinates,
     compute_periodogram,
-    el_stat,
     interval_1d,
     profile_loglik,
     profile_sigma2,
-    psi_full,
     psi_profile,
     sandwich,
     scan_region,
@@ -34,7 +31,7 @@ from elspec import (
 from elspec.arma import STATIONARITY_MARGIN, lag_table, max_companion_modulus
 from elspec.errors import InputError
 from elspec.periodogram import periodogram_stack
-from elspec.el import adjust
+from elspec.el import adjust_rows, solve_dual
 from elspec.whittle import (
     _bfgs_path,
     _lockstep,
@@ -46,6 +43,8 @@ from elspec.whittle import (
     psi_factor_rows,
     psi_profile_rows,
 )
+
+from conftest import all_fourier_ordinates, psi_full
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,7 +84,7 @@ def _oracle_objective(pg, order, profile):
 
     def objective(x):
         spec, jar, jma = spec_at(x)
-        score = (psi_profile(pg, spec) if profile else psi_full(pg, spec)).rows.sum(axis=0)
+        score = (psi_profile(pg, spec) if profile else psi_full(pg, spec)).sum(axis=0)
         grad = np.concatenate([score[:p] @ jar, score[p : p + q] @ jma, score[p + q :] * spec.sigma2])
         return -loglik(pg, spec) / pg.n, -grad / pg.n
 
@@ -191,7 +190,7 @@ class TestPsiFull:
         freqs = TWO_PI * np.arange(1, 16) / 40
         g = spec.sigma2 * spectrum_shape(spec, freqs)
         pg = Periodogram(freqs=freqs, ords=g, T=40)
-        assert np.allclose(psi_full(pg, spec).rows, 0.0, atol=1e-14)
+        assert np.allclose(psi_full(pg, spec), 0.0, atol=1e-14)
 
     def test_white_noise_reduces_to_ratio_over_sigma2(self, ma1_pg_t70):
         # ln g = ln sigma2 - ln 2pi, so psi_j = (I_j/g_j - 1)/sigma2
@@ -199,7 +198,7 @@ class TestPsiFull:
         spec = ArmaSpec(sigma2=1.7)
         g = spec.sigma2 / TWO_PI
         expected = (pg.ords / g - 1.0) / spec.sigma2
-        np.testing.assert_allclose(psi_full(pg, spec).rows[:, 0], expected, rtol=1e-12)
+        np.testing.assert_allclose(psi_full(pg, spec)[:, 0], expected, rtol=1e-12)
 
     def test_column_sums_vanish_at_maximizer(self, ma1_pg_t70):
         # first-order condition of the joint likelihood: the root of the psi
@@ -209,13 +208,13 @@ class TestPsiFull:
         pg = ma1_pg_t70
         fit = whittle_fit(pg, (0, 1), profile=False)
         sol = root(
-            lambda x: psi_full(pg, ArmaSpec.from_beta((0, 1), x, validate=False)).rows.sum(axis=0),
+            lambda x: psi_full(pg, ArmaSpec.from_beta((0, 1), x, validate=False)).sum(axis=0),
             fit.estimate,
             tol=1e-12,
         )
         assert sol.success
         spec_hat = ArmaSpec.from_beta((0, 1), sol.x)
-        colsums = psi_full(pg, spec_hat).rows.sum(axis=0)
+        colsums = psi_full(pg, spec_hat).sum(axis=0)
         assert np.linalg.norm(colsums) < 1e-8
         # the root is the fitted maximizer (within its tolerance) and no
         # nearby point has higher likelihood
@@ -228,7 +227,7 @@ class TestPsiFull:
 
     def test_colsum_norm_bound_at_fit_output(self, ma1_pg_t2000):
         fit = whittle_fit(ma1_pg_t2000, (0, 1), profile=False)
-        colsums = psi_full(ma1_pg_t2000, fit.to_spec()).rows.sum(axis=0)
+        colsums = psi_full(ma1_pg_t2000, fit.to_spec()).sum(axis=0)
         assert np.linalg.norm(colsums) < 1e-6 * ma1_pg_t2000.n
 
 
@@ -236,7 +235,7 @@ class TestPsiProfile:
     def test_degenerate_gradient_gives_zero_matrix(self, ma1_pg_t70):
         # AR(1) at phi=0, omega grid symmetric? Not degenerate; use the
         # genuinely degenerate case: no free parameters
-        rows = psi_profile(ma1_pg_t70, ArmaSpec()).rows
+        rows = psi_profile(ma1_pg_t70, ArmaSpec())
         assert rows.shape == (34, 0)
 
     def test_column_sums_vanish_at_profile_maximizer(self, ma1_pg_t70):
@@ -248,7 +247,7 @@ class TestPsiProfile:
 
         def colsum(b):
             return float(
-                psi_profile(pg, ArmaSpec.from_beta1((0, 1), [b], validate=False)).rows.sum()
+                psi_profile(pg, ArmaSpec.from_beta1((0, 1), [b], validate=False)).sum()
             )
 
         root = brentq(colsum, bhat - 0.05, bhat + 0.05, xtol=1e-14)
@@ -272,13 +271,13 @@ class TestPsiProfile:
         d = (up - dn) / (2 * h)
         ratio = pg.ords / g1
         expected = (ratio / ratio.mean() - 1.0) * (d - d.mean())
-        np.testing.assert_allclose(psi_profile(pg, spec).rows[:, 0], expected, atol=1e-5)
+        np.testing.assert_allclose(psi_profile(pg, spec)[:, 0], expected, atol=1e-5)
 
     def test_score_identity_with_profile_loglik(self, arma11_pg_t60):
         # column sums equal the numeric gradient of the profile loglik
         pg = arma11_pg_t60
         spec = ArmaSpec(ar=[0.55], ma=[0.35])
-        colsums = psi_profile(pg, spec).rows.sum(axis=0)
+        colsums = psi_profile(pg, spec).sum(axis=0)
         h = 1e-6
         for i in range(2):
             up = np.array([0.55, 0.35])
@@ -556,7 +555,8 @@ class TestSandwich:
         diag = sandwich(pg, ArmaSpec.from_beta1((0, 1), fit.estimate), profile=True)
         n = pg.n
         delta = 0.5 / math.sqrt(n)
-        wstar = el_stat(pg, ArmaSpec(ma=[bhat + delta]), adjusted=True, profile=True).stat
+        psi = psi_profile(pg, ArmaSpec(ma=[bhat + delta]))
+        wstar = solve_dual(adjust_rows(psi), adjusted=True).stat
         quad = (n + 1) * delta**2 / diag.v_hat[0, 0]
         assert abs(wstar - quad) / quad < 0.25
 
@@ -617,7 +617,7 @@ def _finite_difference_sandwich(pg, spec, profile, policy=MAX_HALF_LOG):
     """a_hat as the central difference of the mean adjusted psi row, and
     sigma_hat as their mean outer product (test oracle)."""
     vec = spec.beta1 if profile else spec.beta
-    rows = lambda v: adjust(_psi(pg, spec.order, profile, v), policy).rows
+    rows = lambda v: adjust_rows(_psi(pg, spec.order, profile, v), policy)
     rows0 = rows(vec)
     m = len(rows0)
     return _central_jacobian(lambda v: rows(v).sum(axis=0) / m, vec), rows0.T @ rows0 / m
@@ -642,7 +642,7 @@ class TestSandwichHessian:
     def test_hessian_matches_score_differences(self, order):
         # the exact score is the column sums of the psi_full rows
         for pg, spec, _ in _sandwich_cases(order):
-            score = lambda beta: _psi(pg, order, False, beta).rows.sum(axis=0)
+            score = lambda beta: _psi(pg, order, False, beta).sum(axis=0)
             hess = _loglik_hessian(pg, spec)
             assert _max_rel(hess, _central_jacobian(score, spec.beta)) < 1e-8
 
@@ -657,7 +657,7 @@ class TestSandwichHessian:
             n = pg.n
             a_hat = sandwich(pg, spec, profile=True).a_hat
             hess = a_hat * (n + 1) / (1.0 - MAX_HALF_LOG.a_n(n) / n)
-            score = lambda beta1: _psi(pg, order, True, beta1).rows.sum(axis=0)
+            score = lambda beta1: _psi(pg, order, True, beta1).sum(axis=0)
             assert _max_rel(hess, _central_jacobian(score, spec.beta1)) < 1e-8
             sigma2_hat = profile_sigma2(pg, spec)
             corner = _loglik_hessian(pg, ArmaSpec(spec.ar, spec.ma, sigma2_hat))[-1, -1]
@@ -798,7 +798,7 @@ class TestConstantSeries:
         "scan_region": lambda pg: scan_region(pg, (1, 1), ((0, 1), (0, 1)), 6),
         "interval_1d": lambda pg: interval_1d(pg, (0, 1)),
         "sandwich": lambda pg: sandwich(pg, ArmaSpec(ar=[0.5])),
-        "el_stat": lambda pg: el_stat(pg, ArmaSpec(ma=[0.3])),
+        "psi_profile": lambda pg: psi_profile(pg, ArmaSpec(ma=[0.3])),
     }
 
     def test_random_constants_have_zero_ordinates_and_are_rejected(self):
