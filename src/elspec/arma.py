@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import operator
+import os
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -493,6 +494,31 @@ def _generator_from_words():
     return lambda words: Generator(PCG64(SeedWords(words)))
 
 
+# Threads that draw simulate_stack's rows: None for the default rule (one
+# per allowed CPU, each with at least one full chunk of draws).
+_THREADS = None
+
+
+def _allowed_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the
+    platform has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _helper_pool(count: int, pid: int):
+    """A pool of ``count`` helper threads for :func:`simulate_stack`, made on
+    first use and kept for the process ``pid`` (a forked child, which has
+    none of its parent's threads, makes its own): starting threads on
+    every call costs more than drawing a few short rows."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(count, thread_name_prefix="elspec-simulate")
+
+
 def batch_slices(count: int, entries: int):
     """Consecutive slices of ``count`` problems with ``entries`` values each,
     every slice within the batch budget ``_BATCH_ENTRIES``."""
@@ -541,6 +567,16 @@ def simulate_stack(spec: ArmaSpec, T: int, seeds, noise: NoiseKind, center: str)
     ``lfilter`` loop, whose pure-MA path (``np.convolve``) adds the lags in
     the same order while its dot product runs sequentially (q <= 10 with
     numpy 2.4.6's OpenBLAS; longer sums differ by rounding).
+
+    Rows are drawn on up to one thread per CPU the process may run on
+    (``os.sched_getaffinity``, else ``os.cpu_count()``), each thread
+    filling at least one full chunk: every Generator is built in the
+    calling thread, the rows are split into contiguous blocks, the calling
+    thread fills the first and a pool of helper threads, started on first
+    use and kept for the process, the others.  numpy fills a row with the
+    GIL released, so the draws run side by side.  Fewer rows than two full
+    chunks, or one CPU, stay in the calling thread.  Each row depends on
+    its seed alone, so the rows do not depend on the thread count.
     """
     if T < 4:
         raise InputError(f"need T >= 4, got {T}")
@@ -563,28 +599,42 @@ def simulate_stack(spec: ArmaSpec, T: int, seeds, noise: NoiseKind, center: str)
 
         a_poly = np.concatenate(([1.0], -spec.ar))
     out = np.empty((len(words), T))
-    for part in batch_slices(len(words), draws * m):
-        buf = np.empty((part.stop - part.start, m, draws))
-        for row, row_words in zip(buf, words[part]):
-            generator(row_words).standard_normal(out=row)
-        used = buf[:, first:]
-        if draws == 1:
-            a = used[..., 0]
-        else:  # np.sum's order over the five squares
-            np.square(used, out=used)
-            a = used[..., 0] + used[..., 1]
-            for d in range(2, draws):
-                a += used[..., d]
-            a -= 5.0
-        if spec.sigma2 != 1.0:
-            a *= np.sqrt(spec.sigma2)
-        if lag_sum:
-            z = out[part]
-            np.multiply(a[:, :T], b[-1], out=z)
-            for lag in range(spec.q - 1, -1, -1):
-                z += b[lag] * a[:, spec.q - lag : spec.q - lag + T]
-        else:
-            if center == "empirical":
-                a -= a.mean(axis=1, keepdims=True)
-            out[part] = lfilter(b, a_poly, a, axis=1)[:, burn:]
+    gens = [generator(row_words) for row_words in words]
+
+    def fill(lo, hi):
+        """Draw and filter rows lo..hi - 1 of ``out``."""
+        for part in batch_slices(hi - lo, draws * m):
+            buf = np.empty((part.stop - part.start, m, draws))
+            for row, gen in zip(buf, gens[lo + part.start : lo + part.stop]):
+                gen.standard_normal(out=row)
+            used = buf[:, first:]
+            if draws == 1:
+                a = used[..., 0]
+            else:  # np.sum's order over the five squares
+                np.square(used, out=used)
+                a = used[..., 0] + used[..., 1]
+                for d in range(2, draws):
+                    a += used[..., d]
+                a -= 5.0
+            if spec.sigma2 != 1.0:
+                a *= np.sqrt(spec.sigma2)
+            rows = slice(lo + part.start, lo + part.stop)
+            if lag_sum:
+                z = out[rows]
+                np.multiply(a[:, :T], b[-1], out=z)
+                for lag in range(spec.q - 1, -1, -1):
+                    z += b[lag] * a[:, spec.q - lag : spec.q - lag + T]
+            else:
+                if center == "empirical":
+                    a -= a.mean(axis=1, keepdims=True)
+                out[rows] = lfilter(b, a_poly, a, axis=1)[:, burn:]
+
+    full_chunks = len(gens) // max(1, _BATCH_ENTRIES // (draws * m))
+    threads = max(1, min(len(gens), _THREADS or min(_allowed_cpus(), full_chunks)))
+    edges = [len(gens) * i // threads for i in range(threads + 1)]
+    pool = _helper_pool(threads - 1, os.getpid()) if threads > 1 else None
+    blocks = [pool.submit(fill, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+    fill(0, edges[1])
+    for block in blocks:
+        block.result()
     return out

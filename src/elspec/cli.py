@@ -341,7 +341,19 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _attach_box_values(argv):
+    """``--box VALUE`` joined into ``--box=VALUE``: argparse takes a separate
+    value that starts with "-" and is not a plain number (a negative lower
+    bound, "-0.5:0.5") for an option."""
+    args = list(argv)
+    for i in reversed(range(len(args) - 1)):
+        if args[i] == "--box":
+            args[i : i + 2] = [f"--box={args[i + 1]}"]
+    return args
+
+
 def main(argv=None) -> int:
+    argv = _attach_box_values(sys.argv[1:] if argv is None else argv)
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help

@@ -543,6 +543,8 @@ def solve_dual(rows, adjusted: bool = False) -> ElSolution:
     hull of the rows, and ConvergenceError (carrying the residual and
     iteration count) when the iteration fails."""
     rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise InputError(f"psi rows must be (m, k), got shape {rows.shape}")
     res = solve_duals(rows[None], adjusted=adjusted)
     status, text = int(res.status[0]), _REASON_TEXT.get(int(res.reason[0]))
     if status == STATUS_NO_SOLUTION:

@@ -210,7 +210,11 @@ def run_coverage(plan: ExperimentPlan) -> CoverageReport:
     and it has one psi construction and one dual solve per method.  The
     simulation and the FFT chunk their own buffers.  No replication builds a
     TimeSeries or a SeedSequence.  A problem's rows and statistic do not
-    depend on its batch, so neither does the report.  One DEBUG record on
+    depend on its batch, so neither does the report.  ``simulate_stack``
+    draws a batch's series on up to one thread per allowed CPU, and the
+    rows, so the report too, do not depend on that count; everything after
+    the simulation runs in the calling thread (two threads per dual batch
+    were slower, from GIL contention on small arrays).  One DEBUG record on
     the ``elspec`` logger per cell gives its replications, dual batches, FFT
     chunks, and each method's Newton steps, no-solution and failed counts.
     """

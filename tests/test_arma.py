@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from elspec import (
     simulate,
     spectral_density,
 )
+from elspec import arma
 from elspec.arma import (
     _seed_sequence_state,
     _seed_states,
@@ -458,6 +460,54 @@ def test_pure_ma_stack_across_chunks(noise):
     stack = simulate_stack(spec, 20, seeds, noise, "exact")
     for row, seed in zip(stack, seeds.tolist()):
         assert np.array_equal(row, _reference_series(spec, 20, noise, seed, "exact"))
+
+
+@pytest.mark.parametrize("order", [(1, 1), (0, 2)], ids=["lfilter", "lag sum"])
+@pytest.mark.parametrize("noise", list(NoiseKind))
+@pytest.mark.parametrize("center", ["exact", "empirical"])
+@pytest.mark.parametrize("count", [1, 2, 151])
+def test_thread_count_does_not_change_rows(monkeypatch, order, noise, center, count):
+    # 151 rows split into three blocks at rows 50 and 100, which fall inside
+    # a chunk of draws (60 normal or 12 chi-square rows at T = 20)
+    spec = STACK_SPECS[order]
+    seeds = list(range(300, 300 + count))
+    default = simulate_stack(spec, 20, seeds, noise, center)
+    for row, seed in zip(default, seeds):
+        assert np.array_equal(row, _reference_series(spec, 20, noise, seed, center))
+    for threads in (1, 3):
+        monkeypatch.setattr(arma, "_THREADS", threads)
+        assert np.array_equal(simulate_stack(spec, 20, seeds, noise, center), default)
+
+
+def test_more_threads_than_cpus_with_short_switch_interval(monkeypatch):
+    # four blocks on any CPU count, switching threads every microsecond:
+    # a block writing outside its own rows would change the stack
+    spec, seeds = STACK_SPECS[(2, 1)], range(700, 1001)
+    monkeypatch.setattr(arma, "_THREADS", 1)
+    serial = simulate_stack(spec, 30, seeds, NoiseKind.CENTERED_CHI2_5, "empirical")
+    monkeypatch.setattr(arma, "_THREADS", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            stack = simulate_stack(spec, 30, seeds, NoiseKind.CENTERED_CHI2_5, "empirical")
+            assert np.array_equal(stack, serial)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("noise, count, helpers", [
+    (NoiseKind.STANDARD_NORMAL, 20, None),  # under one full chunk of 60 rows: inline
+    (NoiseKind.STANDARD_NORMAL, 151, 1),  # two full chunks: two threads
+    (NoiseKind.CENTERED_CHI2_5, 151, 3),  # twelve full chunks of 12 rows: one per CPU
+])
+def test_one_thread_per_cpu_with_a_full_chunk_each(monkeypatch, noise, count, helpers):
+    seen = []
+    pool = arma._helper_pool
+    monkeypatch.setattr(arma, "_allowed_cpus", lambda: 4)
+    monkeypatch.setattr(arma, "_helper_pool", lambda n, pid: seen.append(n) or pool(n, pid))
+    simulate_stack(STACK_SPECS[(1, 1)], 20, range(count), noise, "exact")
+    assert seen == ([] if helpers is None else [helpers])
 
 
 SEED_VALUES = [0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**63, 2**64 - 1]

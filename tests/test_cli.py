@@ -294,6 +294,15 @@ class TestRegionCommand:
         assert "axis range [0.0, inf] is not finite" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
 
+    @pytest.mark.parametrize("box", [["--box", "-0.5:0.5,-0.5:0.5"], ["--box=-0.5:0.5,-0.5:0.5"]],
+                             ids=["space", "equals"])
+    def test_box_with_negative_bound(self, tmp_path, wn_file, capsys, box):
+        out = tmp_path / "g.csv"
+        assert main(["region", wn_file, "--order", "1,1", *box, "--steps", "4",
+                     "--out", str(out)]) == 0
+        params = {tuple(r.split(",")[:2]) for r in payload_lines(out)[1:]}
+        assert min(float(a) for a, _ in params) < 0 and min(float(b) for _, b in params) < 0
+
     def test_tb_requires_constant(self, tmp_path, wn_file):
         assert main(["region", wn_file, "--order", "0,1", "--method", "tb",
                      "--box", "0:0.5", "--steps", "5", "--out", str(tmp_path / "g.csv")]) == 2

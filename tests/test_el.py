@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -285,6 +286,12 @@ class TestSolveDual:
             solve_duals(np.zeros((3, 8, 0)))
         with pytest.raises(InputError, match="no columns"):
             solve_dual(np.zeros((8, 0)))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 1), ()])
+    def test_solve_dual_names_its_own_shape(self, shape):
+        # 1-D rows are not read as one row of m columns or m rows of one
+        with pytest.raises(InputError, match=r"must be \(m, k\), got shape " + re.escape(str(shape))):
+            solve_dual(np.ones(shape))
 
     def test_nonfinite_rows_rejected(self):
         with pytest.raises(InputError):

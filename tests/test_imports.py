@@ -5,7 +5,9 @@ package modules each module imports.
 subcommand loads the scipy modules it calls (``fit`` none at all), and
 nothing loads ``scipy.stats`` or, outside ``coverage`` of models with an AR
 part, ``scipy.signal`` (pure-MA series are filtered by a numpy lag sum);
-``interval_1d`` and an adjusted k = 3 statistic load no ``scipy.optimize``.
+``interval_1d`` and an adjusted k = 3 statistic load no ``scipy.optimize``;
+``import elspec`` and ``fit`` load no ``concurrent.futures`` and ``region``
+not its thread pool.
 These checks read ``sys.modules`` in a child process rather than timing it,
 so they do not depend on host load.  The module layers are read from the source with
 ``ast``: ``el`` imports only ``errors``, and ``arma`` none of the modules
@@ -108,6 +110,24 @@ def test_coverage_loads_signal_only_for_ar_models(tmp_path, model, param, signal
     assert ("scipy.signal" in loaded) == signal
     if not signal:  # scipy.signal itself imports scipy.stats
         assert "scipy.stats" not in loaded
+
+
+def test_import_fit_and_region_load_no_thread_pool(series_file, tmp_path):
+    # simulate_stack starts its helper threads on first use, so only
+    # coverage pays for the pool; region's scipy.special loads the
+    # concurrent.futures package itself (through numpy.testing), but not
+    # its thread pool module
+    def pool_modules(loaded):
+        return {m for m in loaded if m.split(".")[0] == "concurrent"}
+
+    assert pool_modules(modules_after("import elspec, elspec.cli\n")) == set()
+    main = "import sys\nfrom elspec.cli import main\ncode = main(sys.argv[1:])\n"
+    out = ["--out", str(tmp_path / "out.csv")]
+    fit = modules_after(main, "fit", series_file, "--order", "1,1", *out)
+    assert pool_modules(fit) == set()
+    region = modules_after(main, "region", series_file, "--order", "1,1", "--box", "0:1,0:1",
+                           "--steps", "6", *out)
+    assert "concurrent.futures.thread" not in region
 
 
 def test_interval_loads_no_optimize():
